@@ -8,9 +8,14 @@ every step (quadratic convergence).  The second family adds a regular part
 0.05*z and a second direction 1/z^2, making the period function genuinely
 nonlinear in zeta.
 
+Exits 1 when the toy or the quadratic root misses its closed form by more
+than 1e-9.
+
 Usage:
     python3 scripts/period_demo.py
 """
+
+import sys
 
 from nullsl2 import Cycle, MeroFunction, SprayFamily, period_solve
 
@@ -26,7 +31,11 @@ def show(result, label: str) -> None:
           " -> ".join(f"{r:.2e}" for r in result.residual_history))
 
 
-def toy() -> None:
+#: largest accepted distance from a closed-form root
+ROOT_TOL = 1e-9
+
+
+def toy() -> float:
     eta = MeroFunction.from_rational([0.3, 1], [0, 1])      # 1 + 0.3/z
     fam = SprayFamily(eta, MeroFunction.constant(1),
                       (MeroFunction.from_rational([1], [0, 1]),))
@@ -34,9 +43,10 @@ def toy() -> None:
     show(result, "toy family: eta = 1 + 0.3/z, basis {1/z}")
     err = abs(result.zeta[0] - (-0.3))
     print(f"  |zeta - (-0.3)| = {err:.3e}   (closed-form root)")
+    return err
 
 
-def quadratic() -> None:
+def quadratic() -> float:
     # eta = 1 + 0.3/z + 0.05 z: the f1-period of the sprayed family is
     # pi*i*(0.025 zeta^2 + zeta + 0.3) along the 1/z direction, with root
     # 20*(sqrt(0.97) - 1)
@@ -46,8 +56,10 @@ def quadratic() -> None:
     result = period_solve(fam, [Cycle.circle(0j, 1.0)])
     show(result, "quadratic family: eta = 1 + 0.3/z + 0.05z, basis {1/z}")
     root = 20.0 * (0.97 ** 0.5 - 1.0)
-    print(f"  |zeta - root|   = {abs(result.zeta[0] - root):.3e}   "
+    err = abs(result.zeta[0] - root)
+    print(f"  |zeta - root|   = {err:.3e}   "
           f"(root = 20(sqrt(0.97)-1) = {root:.12f})")
+    return err
 
 
 def two_directions() -> None:
@@ -59,7 +71,15 @@ def two_directions() -> None:
     show(result, "two-direction family: basis {1/z, 1/z^2}")
 
 
-if __name__ == "__main__":
-    toy()
-    quadratic()
+def main() -> int:
+    errors = [toy(), quadratic()]
     two_directions()
+    if max(errors) > ROOT_TOL:
+        print(f"\nFAILED: a root misses its closed form by more than "
+              f"{ROOT_TOL:.0e}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,26 +34,18 @@ from .serialize import (curve_from_dict, cycle_from_dict, dumps, load_json,
 from .sl2curve import SL2NullCurve, check_null_sl2, end_model
 from .spinor import check_null_c3
 
-DEFAULTS = {
-    "seed": 0,
-    "tol": 1e-10,
-    "max_iter": 20,
-    "fd_step": 1e-6,
-    "target": "h3",
-    "grid": (16, 32),
-    "radii": (0.25, 1.0),
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
     tol: float = 1e-10
     max_iter: int = 20
-    fd_step: float = 1e-6
     target: str = "h3"
     grid: tuple[int, int] = (16, 32)
     radii: tuple[float, float] = (0.25, 1.0)
+
+
+DEFAULTS = asdict(RunConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +95,10 @@ def _load_config(args) -> RunConfig:
         for key in values:
             if key in raw:
                 values[key] = raw[key]
-    for key in ("seed", "tol", "max_iter", "fd_step", "target"):
+    for key in values:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    if getattr(args, "grid", None) is not None:
-        values["grid"] = args.grid
-    if getattr(args, "radii", None) is not None:
-        values["radii"] = args.radii
     env_seed = os.environ.get("NULLSL2_SEED")
     if env_seed is not None:
         try:
@@ -118,15 +106,9 @@ def _load_config(args) -> RunConfig:
         except ValueError as err:
             raise ParseError(
                 f"NULLSL2_SEED must be an integer, got {env_seed!r}") from err
-    return RunConfig(
-        seed=int(values["seed"]),
-        tol=float(values["tol"]),
-        max_iter=int(values["max_iter"]),
-        fd_step=float(values["fd_step"]),
-        target=str(values["target"]),
-        grid=_parse_grid(values["grid"]),
-        radii=_parse_radii(values["radii"]),
-    )
+    parse = {"grid": _parse_grid, "radii": _parse_radii}
+    return RunConfig(**{key: parse.get(key, type(DEFAULTS[key]))(value)
+                        for key, value in values.items()})
 
 
 def _load_curve(path):
@@ -242,7 +224,7 @@ def cmd_solve(args, cfg: RunConfig) -> int:
     if args.zeta0:
         zeta0 = [_parse_complex(part) for part in args.zeta0.split(";")]
     result = period_solve(family, cycles, zeta0=zeta0, tol=cfg.tol,
-                          max_iter=cfg.max_iter, fd_step=cfg.fd_step)
+                          max_iter=cfg.max_iter)
     _emit(args, result.as_dict())
     sys.stdout.write(
         f"converged in {result.iterations} iteration(s); "
@@ -299,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles", required=True, help="cycles JSON")
     p.add_argument("--zeta0", help="initial parameter, e.g. '0,0;0,0'")
     p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--fd-step", dest="fd_step", type=float)
     p.add_argument("--json", help="also write the result to this path")
     p.set_defaults(fn=cmd_solve)
     return parser

@@ -14,7 +14,9 @@ deforms spinor data (eta, f3) multiplicatively,
 
 and `period_solve` runs a damped Newton iteration on zeta until the
 periods of the first two components of the rebuilt direction field vanish
-over the requested cycles.
+over the requested cycles.  The solver uses values at the quadrature
+nodes only, and its Jacobian is exact (the integrands are holomorphic in
+zeta), so it needs no step size.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (CrossCheckFailed, MaxIterExceeded, PoleOnContour,
                      SingularJacobian)
 from .series import (DomainTag, ExactComplex, MeroFunction, annulus,
                      _fft_expand)
-from .spinor import SpinorData, from_spinor
+from .spinor import SpinorData
 
 #: cross-check tolerance between quadrature and residue periods
 CROSS_CHECK_TOL = 1e-8
@@ -232,7 +234,9 @@ def period_map(funcs, cycles, cross_check: bool = True,
 @dataclass(frozen=True)
 class SprayFamily:
     """Multiplicative deformation eta * exp(sum_i zeta_i basis_i) of spinor
-    data, resolved on a fixed annulus when the exponent is nonconstant."""
+    data.  `domain` and `window_halfwidth` serve `spray_apply` only (the
+    annulus and Laurent window of a nonconstant exponent); the solver
+    evaluates pointwise at quadrature nodes and does not depend on them."""
 
     eta: MeroFunction
     f3: MeroFunction
@@ -262,6 +266,14 @@ def _is_constant(f: MeroFunction) -> bool:
             and f.rep.den.degree == 0)
 
 
+def _zeta_vector(family: SprayFamily, zeta) -> np.ndarray:
+    out = np.asarray(zeta, dtype=complex).reshape(-1)
+    if out.size != len(family.basis):
+        raise ValueError(
+            f"zeta has {out.size} entries for {len(family.basis)} directions")
+    return out
+
+
 def spray_apply(family: SprayFamily, zeta) -> SpinorData:
     """Spinor data at parameter zeta.
 
@@ -269,10 +281,7 @@ def spray_apply(family: SprayFamily, zeta) -> SpinorData:
     rational representations rational; otherwise eta is pushed through a
     Laurent window on the family's annulus.
     """
-    zs = np.asarray(zeta, dtype=complex).reshape(-1)
-    if zs.size != len(family.basis):
-        raise ValueError(
-            f"zeta has {zs.size} entries for {len(family.basis)} directions")
+    zs = _zeta_vector(family, zeta)
     combo = MeroFunction.zero()
     for z, h in zip(zs, family.basis):
         if z == 0:
@@ -310,50 +319,75 @@ class SolveResult:
         }
 
 
+def _spray_periods(family: SprayFamily, cycles):
+    """The map zeta -> (stacked f1 and f2 periods, their exact Jacobian).
+
+    eta, f3^2 and the directions h_j are evaluated once at each cycle's
+    quadrature nodes.  With eta_z = eta exp(zeta . h) and q = f3^2/eta_z,
+    f1 = (eta_z - q)/2 and f2 = s (i/2)(eta_z + q), s = -1 (+1 on the
+    conjugate chart).  As d eta_z/dzeta_j = h_j eta_z and dq/dzeta_j =
+    -h_j q, the Jacobian rows integrate h_j (eta_z + q)/2 and
+    s (i/2) h_j (eta_z - q) on the same nodes.
+
+    Raises PoleOnContour when a declared pole of eta, f3 or an h_j, or a
+    zero of eta (a pole of q), lies on a cycle.
+    """
+    bad = [p for g in (family.eta, family.f3) + family.basis
+           for p, _ in g.poles()]
+    if not family.f3.is_identically_zero():
+        bad += [p for p, _ in family.eta.zeros()]
+    nodes = []
+    for c in cycles:
+        hit = [p for p in bad if c.min_distance(p) < POLE_DISTANCE_TOL]
+        if hit:
+            raise PoleOnContour(f"singular point {hit[0]} of the spray "
+                                "integrand lies on the integration contour")
+        zs, ws = c.nodes_and_weights()
+        nodes.append((ws, family.eta.evaluate_many(zs),
+                      family.f3.evaluate_many(zs) ** 2,
+                      np.array([h.evaluate_many(zs) for h in family.basis])))
+    half = 0.5j if family.conjugate_chart else -0.5j
+
+    def evaluate(zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        p1, p2, j1, j2 = [], [], [], []
+        for ws, eta, f3sq, hs in nodes:
+            eta_z = eta * np.exp(zeta @ hs)
+            q = f3sq / eta_z
+            plus, minus = ws * (eta_z + q), ws * (eta_z - q)
+            p1.append(0.5 * minus.sum())
+            p2.append(half * plus.sum())
+            j1.append(0.5 * (hs @ plus))
+            j2.append(half * (hs @ minus))
+        return np.array(p1 + p2), np.array(j1 + j2)
+    return evaluate
+
+
 def solver_residual(family: SprayFamily, cycles, zeta) -> np.ndarray:
-    """Stacked periods (f1 block, then f2 block) of the direction field
-    rebuilt from the sprayed spinor data."""
-    d = from_spinor(spray_apply(family, zeta))
-    cyc = tuple(cycles)
-    out = [period(d.f1, c, cross_check=False) for c in cyc]
-    out += [period(d.f2, c, cross_check=False) for c in cyc]
-    return np.array(out, dtype=complex)
-
-
-def _jacobian(family: SprayFamily, cycles, zeta: np.ndarray,
-              step: float) -> np.ndarray:
-    k = zeta.size
-    cols = []
-    for j in range(k):
-        e = np.zeros(k, dtype=complex)
-        e[j] = step
-        rp = solver_residual(family, cycles, zeta + e)
-        rm = solver_residual(family, cycles, zeta - e)
-        cols.append((rp - rm) / (2.0 * step))
-    return np.array(cols, dtype=complex).T
+    """Stacked periods (f1 block, then f2 block) of the direction field of
+    the sprayed spinor data, by quadrature on each cycle's nodes."""
+    return _spray_periods(family, tuple(cycles))(_zeta_vector(family, zeta))[0]
 
 
 def period_solve(family: SprayFamily, cycles, zeta0=None,
                  tol: float = 1e-10, max_iter: int = 20,
-                 fd_step: float = 1e-6,
                  max_halvings: int = 8) -> SolveResult:
     """Damped Newton iteration closing the (f1, f2) periods.
 
-    The exponent map is holomorphic in zeta, so the Jacobian is the
-    complex-linear central difference with real step `fd_step`.  Steps are
-    least-squares solutions, halved up to `max_halvings` times until the
-    max-abs residual norm strictly decreases.
+    The integrands are holomorphic in zeta, so the Jacobian is exact and
+    comes from the residual's own quadrature nodes; there is no step size.
+    Steps are least-squares solutions, halved up to `max_halvings` times
+    until the max-abs residual norm strictly decreases.
 
-    Raises SingularJacobian for a zero/ill-conditioned Jacobian and
+    Raises PoleOnContour when the integrand is singular on a cycle,
+    SingularJacobian for a zero/ill-conditioned Jacobian and
     MaxIterExceeded (carrying the best iterate) when the budget runs out.
     """
     cyc = tuple(cycles)
     if not cyc:
         raise ValueError("period_solve needs at least one cycle")
-    zeta = (np.zeros(len(family.basis), dtype=complex) if zeta0 is None
-            else np.asarray(zeta0, dtype=complex).reshape(-1).copy())
-    if zeta.size != len(family.basis):
-        raise ValueError("zeta0 length does not match the family basis")
+    zeta = _zeta_vector(family, np.zeros(len(family.basis))
+                        if zeta0 is None else zeta0)
+    spray_periods = _spray_periods(family, cyc)
 
     history: list[float] = []
     best_zeta, best_norm = zeta.copy(), float("inf")
@@ -366,8 +400,8 @@ def period_solve(family: SprayFamily, cycles, zeta0=None,
         raise MaxIterExceeded(msg, zeta=best_zeta.copy(), report=report,
                               residual_history=tuple(history))
 
+    resid, jac = spray_periods(zeta)
     for _ in range(max_iter):
-        resid = solver_residual(family, cyc, zeta)
         norm = float(np.abs(resid).max())
         history.append(norm)
         if norm < best_norm:
@@ -376,20 +410,6 @@ def period_solve(family: SprayFamily, cycles, zeta0=None,
             return SolveResult(zeta=tuple(zeta), residual_norm=norm,
                                iterations=len(history),
                                residual_history=tuple(history))
-        jac = _jacobian(family, cyc, zeta, fd_step)
-        # a column below the central-difference noise floor eps*scale/h is
-        # indistinguishable from an identically-zero derivative: that basis
-        # direction cannot move any period, and lstsq would park arbitrary
-        # values there
-        scale = max(1.0, float(np.abs(jac).max()))
-        floor = 50.0 * np.finfo(float).eps * scale / fd_step
-        dead = [j for j in range(jac.shape[1])
-                if float(np.abs(jac[:, j]).max()) <= floor]
-        if dead:
-            raise SingularJacobian(
-                f"basis direction(s) {dead} produce no period response "
-                f"(Jacobian column below the finite-difference noise floor "
-                f"{floor:.3e})")
         sing = np.linalg.svd(jac, compute_uv=False)
         smax = float(sing[0])
         smin = float(sing[-1])
@@ -403,16 +423,14 @@ def period_solve(family: SprayFamily, cycles, zeta0=None,
                 "exceeds 1e12")
         delta, *_ = np.linalg.lstsq(jac, resid, rcond=None)
         lam = 1.0
-        improved = False
         for _ in range(max_halvings + 1):
             cand = zeta - lam * delta
-            cand_norm = float(np.abs(solver_residual(family, cyc, cand)).max())
-            if cand_norm < norm:
-                zeta = cand
-                improved = True
+            cand_resid, cand_jac = spray_periods(cand)
+            if float(np.abs(cand_resid).max()) < norm:
+                zeta, resid, jac = cand, cand_resid, cand_jac
                 break
             lam /= 2.0
-        if not improved:
+        else:
             fail("no residual decrease along the damped Newton direction")
     fail(f"no convergence within {max_iter} iterations "
          f"(best residual {best_norm:.3e})")

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from nullsl2 import MeroFunction, SL2NullCurve, end_model
-from nullsl2.cli import _load_config, build_parser, main
+from nullsl2.cli import RunConfig, _load_config, build_parser, main
 from nullsl2.serialize import (
     cycle_to_dict,
     dumps,
@@ -203,6 +203,14 @@ def test_solve_divergent_is_domain_failure(toy_solver_paths, capsys):
     assert "MaxIterExceeded" in capsys.readouterr().err
 
 
+def test_solve_has_no_step_size_flag(toy_solver_paths):
+    fam_path, cyc_path = toy_solver_paths
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--family", fam_path, "--cycles", cyc_path,
+              "--fd-step", "1e-6"])
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # configuration precedence
 # ---------------------------------------------------------------------------
@@ -222,6 +230,15 @@ def test_config_file_overrides_defaults(tmp_path, monkeypatch):
     assert cfg.seed == 7
     assert cfg.grid == (4, 6)
     assert cfg.tol == 1e-8
+
+
+def test_config_ignores_unknown_keys(tmp_path, monkeypatch):
+    monkeypatch.delenv("NULLSL2_SEED", raising=False)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"fd_step": 1e-3, "max_iter": 5}))
+    args = _args(argv=["--config", str(cfg_path), "validate", "--curve", "x"])
+    cfg = _load_config(args)
+    assert cfg == RunConfig(max_iter=5)
 
 
 def test_flags_override_config(tmp_path, monkeypatch):

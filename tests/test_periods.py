@@ -14,6 +14,8 @@ Frozen solver oracles (derived by hand from residue calculus):
 
 import cmath
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from nullsl2 import (
     SingularJacobian,
     SprayFamily,
     annulus,
+    from_spinor,
     period,
     period_map,
     period_solve,
@@ -34,7 +37,8 @@ from nullsl2 import (
     spray_apply,
     window_exp,
 )
-from nullsl2.periods import PeriodReport
+import nullsl2.periods
+from nullsl2.periods import PeriodReport, _spray_periods
 
 TWO_PI_I = 2j * math.pi
 
@@ -265,6 +269,42 @@ def test_solve_quadratic_scalar_root_and_tail():
         assert b < 10 * a * a + 1e-14
 
 
+def square2_family(conjugate_chart=False):
+    eta = MeroFunction.from_rational((0.3, 1, 0.05), (0, 1))
+    return SprayFamily(eta, MeroFunction.constant(1), (inv_z(), inv_z(2)),
+                       conjugate_chart=conjugate_chart)
+
+
+@pytest.mark.parametrize("conjugate_chart", [False, True])
+def test_exact_jacobian_matches_central_difference(conjugate_chart):
+    fam = square2_family(conjugate_chart)
+    cycles = [Cycle.circle(0, 1.0), Cycle.circle(0.1, 0.8)]
+    zeta = np.array([-0.2 + 0.05j, 0.03 - 0.02j])
+    resid, jac = _spray_periods(fam, cycles)(zeta)
+    assert np.allclose(resid, solver_residual(fam, cycles, zeta), atol=1e-14)
+    # the window path (spray_apply -> from_spinor -> period) is independent
+    d = from_spinor(spray_apply(fam, zeta))
+    window = [period(g, c, cross_check=False)
+              for g in (d.f1, d.f2) for c in cycles]
+    assert np.abs(resid - window).max() < 1e-8
+    h = 1e-6
+    for j in range(2):
+        e = np.zeros(2, dtype=complex)
+        e[j] = h
+        oracle = (solver_residual(fam, cycles, zeta + e)
+                  - solver_residual(fam, cycles, zeta - e)) / (2 * h)
+        assert np.abs(jac[:, j] - oracle).max() < 1e-7
+    assert np.abs(jac).max() > 1.0
+
+
+def test_solve_square_conjugate_chart_lands_on_frozen_root():
+    res = period_solve(square2_family(conjugate_chart=True),
+                       [Cycle.circle(0, 1.0)])
+    assert res.converged and res.residual_norm < 1e-10
+    assert abs(res.zeta[0] - (-0.30465257524)) < 1e-6
+    assert abs(res.zeta[1] - 0.04664490905) < 1e-6
+
+
 def test_solve_square_two_parameter_system():
     eta = MeroFunction.from_rational((0.3, 1, 0.05), (0, 1))
     fam = SprayFamily(eta, MeroFunction.constant(1), (inv_z(), inv_z(2)))
@@ -277,13 +317,37 @@ def test_solve_square_two_parameter_system():
     assert np.abs(final).max() < 1e-10
 
 
-def test_solve_detects_structurally_singular_direction():
+@pytest.mark.parametrize("basis, message", [
+    ((inv_z(), inv_z(2)), "condition number"),
+    ((inv_z(2),), "numerically zero"),
+], ids=["two_directions", "one_direction"])
+def test_solve_detects_structurally_singular_direction(basis, message):
     # eta has only nonpositive powers, so the 1/z^2 direction cannot move
     # any period: its Jacobian column vanishes identically
     eta = MeroFunction.from_rational((0.1, 0.3, 1), (0, 0, 1))
-    fam = SprayFamily(eta, MeroFunction.constant(1), (inv_z(), inv_z(2)))
-    with pytest.raises(SingularJacobian):
+    fam = SprayFamily(eta, MeroFunction.constant(1), basis)
+    with pytest.raises(SingularJacobian, match=message):
         period_solve(fam, [Cycle.circle(0, 1.0)])
+
+
+def test_solver_pole_on_contour_raises():
+    # q = f3^2/eta_zeta has a pole at eta's zero -0.3, on this circle
+    cycles = [Cycle.circle(0, 0.3)]
+    with pytest.raises(PoleOnContour):
+        solver_residual(toy_family(), cycles, [0.1])
+    with pytest.raises(PoleOnContour):
+        period_solve(toy_family(), cycles)
+
+
+def test_solve_does_not_use_the_window_path(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the solver must not build Laurent windows")
+
+    monkeypatch.setattr(nullsl2.periods, "spray_apply", forbidden)
+    monkeypatch.setattr(nullsl2.periods, "window_exp", forbidden)
+    res = period_solve(toy_family(), [Cycle.circle(0, 1.0)])
+    assert res.converged
+    assert abs(res.zeta[0] - (-0.3)) < 1e-9
 
 
 def test_solve_budget_exhaustion_carries_best_iterate():
@@ -309,3 +373,10 @@ def test_solve_result_serializes():
     assert d["converged"] is True
     assert len(d["zeta"]) == 1 and len(d["zeta"][0]) == 2
     assert d["residual_history"][0] > d["residual_history"][-1]
+
+
+def test_period_demo_checks_closed_form_roots():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "period_demo.py"
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 0
