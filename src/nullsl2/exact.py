@@ -6,20 +6,26 @@ Scalars are Gaussian rationals -- real and imaginary parts are
 :class:`fractions.Fraction` -- and Python floats convert *exactly* (every
 float is dyadic), so data that round-trips through JSON floats stays exact.
 
-Only what the package needs is implemented: ring/field operations, Horner
-evaluation in both exact and floating flavours, Taylor shift, root
-multiplicity by synthetic division, Euclidean division / gcd, and a small
-exact Gaussian elimination used by the rational-antiderivative reduction.
+A :class:`Poly` stores one positive integer denominator and two lists of
+Python ints, the real and imaginary numerators: its coefficients are
+Gaussian integers over one common denominator.  Every polynomial kernel is
+an integer loop: product, sum, derivative, Taylor shift, Horner
+evaluation, synthetic division (root multiplicity, deflation) and
+Euclidean pseudo-division (gcd).  A point p = P/d enters as the Gaussian
+integer P acting on d**deg * f(x/d).  The :class:`ExactComplex` view of the
+coefficients is built only on request.
+
+Only what the package needs is implemented; a small exact Gaussian
+elimination serves the rational-antiderivative reduction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _frac(x) -> Fraction:
@@ -152,39 +158,138 @@ EC_ONE = ExactComplex(1)
 EC_I = ExactComplex(0, 1)
 
 
-def _as_coeff_tuple(coeffs: Iterable) -> tuple[ExactComplex, ...]:
-    out = [ExactComplex.of(c) for c in coeffs]
-    while out and out[-1].is_zero():
-        out.pop()
-    return tuple(out)
+def _split(c) -> tuple[int, int, int, int]:
+    """Exact (re numerator, re denominator, im numerator, im denominator)
+    of an int, float, Fraction, complex or ExactComplex."""
+    if isinstance(c, ExactComplex):
+        re, im = c.re, c.im
+        return re.numerator, re.denominator, im.numerator, im.denominator
+    if isinstance(c, complex):
+        return c.real.as_integer_ratio() + c.imag.as_integer_ratio()
+    if isinstance(c, float):
+        return c.as_integer_ratio() + (0, 1)
+    if isinstance(c, (int, Fraction)):
+        return c.numerator, c.denominator, 0, 1
+    raise TypeError(f"cannot build an exact rational from {type(c).__name__}")
 
 
-def _int_coeffs(coeffs) -> tuple[int, list[int], list[int]]:
-    """Common denominator d plus integer numerator lists (re, im) so that
-    coeff[k] == (re[k] + i*im[k]) / d."""
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.re.denominator, c.im.denominator)
-    re = [c.re.numerator * (den // c.re.denominator) for c in coeffs]
-    im = [c.im.numerator * (den // c.im.denominator) for c in coeffs]
-    return den, re, im
+def _gauss(c) -> tuple[int, int, int]:
+    """(r, m, d) with c == (r + i*m)/d and d > 0."""
+    rn, rd, mn, md = _split(c)
+    d = lcm(rd, md)
+    return rn * (d // rd), mn * (d // md), d
+
+
+# -- integer kernels on Gaussian-integer coefficient lists (re, im) ----------
+
+def _conv(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two nonempty ascending integer coefficient lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            for i, x in enumerate(a, j):
+                out[i] += x * y
+    return out
+
+
+def _gmul(re, im, cr: int, ci: int) -> tuple[list[int], list[int]]:
+    """Every coefficient times the Gaussian integer cr + i*ci."""
+    return ([r * cr - m * ci for r, m in zip(re, im)],
+            [r * ci + m * cr for r, m in zip(re, im)])
+
+
+def _powers(d: int, n: int) -> list[int]:
+    """[1, d, d**2, ..., d**(n - 1)]."""
+    out = [1]
+    for _ in range(n - 1):
+        out.append(out[-1] * d)
+    return out
+
+
+def _times(re, im, w: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Coefficient k times the integer w[k]."""
+    return ([r * x for r, x in zip(re, w)], [m * x for m, x in zip(im, w)])
+
+
+def _synthetic(re, im, pr: int, pi: int):
+    """Synthetic division of sum (re[k] + i*im[k]) x^k by x - (pr + i*pi)
+    over Z[i]: (quotient re, quotient im, remainder re, remainder im)."""
+    n = len(re) - 1
+    q_re, q_im = [0] * n, [0] * n
+    r = m = 0
+    for k in range(n, 0, -1):
+        r, m = r * pr - m * pi + re[k], r * pi + m * pr + im[k]
+        q_re[k - 1], q_im[k - 1] = r, m
+    return q_re, q_im, r * pr - m * pi + re[0], r * pi + m * pr + im[0]
+
+
+def _taylor_shift(re: list[int], im: list[int], pr: int, pi: int) -> None:
+    """In place: the coefficients of g(x + P), P = pr + i*pi, by the
+    n(n-1)/2 Horner steps of repeated synthetic division."""
+    n = len(re)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            r, m = re[j + 1], im[j + 1]
+            re[j] += r * pr - m * pi
+            im[j] += r * pi + m * pr
 
 
 class Poly:
-    """Dense univariate polynomial, ascending exact-complex coefficients.
+    """Dense univariate polynomial with exact Gaussian-rational coefficients.
 
-    The zero polynomial is the empty tuple; trailing zero coefficients are
-    trimmed on construction, so ``degree`` is well defined.
+    Coefficient k is ``(re[k] + i*im[k]) / den`` with integers ``re[k]``,
+    ``im[k]`` and one positive integer ``den``.  Trailing zero coefficients
+    are trimmed and ``gcd(den, re..., im...)`` is divided out on
+    construction, so ``degree`` is well defined and equal polynomials are
+    stored alike.  The zero polynomial has empty lists.
     """
 
-    __slots__ = ("coeffs", "_float_cache")
+    __slots__ = ("_den", "_re", "_im", "_coeffs", "_float_cache")
 
     def __init__(self, coeffs: Iterable = ()):
-        object.__setattr__(self, "coeffs", _as_coeff_tuple(coeffs))
-        object.__setattr__(self, "_float_cache", None)
+        parts = [_split(c) for c in coeffs]
+        den = lcm(*(p[1] for p in parts), *(p[3] for p in parts))
+        self._init(den, [p[0] * (den // p[1]) for p in parts],
+                   [p[2] * (den // p[3]) for p in parts])
+
+    def _init(self, den: int, re: Sequence[int], im: Sequence[int]) -> None:
+        n = len(re)
+        while n and not (re[n - 1] or im[n - 1]):
+            n -= 1
+        if n < len(re):
+            re, im = re[:n], im[:n]
+        g = gcd(den, *re, *im) if n else den
+        if g != 1:
+            # lists, not generators: tuple(generator) grows by reallocation,
+            # and that fragmented the heap of long runs (peak RSS +8%)
+            re, im = [r // g for r in re], [m // g for m in im]
+        re, im = tuple(re), tuple(im)
+        for name, value in (("_den", den // g), ("_re", re), ("_im", im),
+                            ("_coeffs", None), ("_float_cache", None)):
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def _make(den: int, re: Sequence[int], im: Sequence[int]) -> "Poly":
+        """The polynomial with coefficients (re[k] + i*im[k]) / den."""
+        p = object.__new__(Poly)
+        p._init(den, re, im)
+        return p
 
     def __setattr__(self, name, value):  # immutable by convention
         raise AttributeError("Poly is immutable")
+
+    @property
+    def coeffs(self) -> tuple[ExactComplex, ...]:
+        """Ascending exact coefficients, built on first use and cached."""
+        cs = self._coeffs
+        if cs is None:
+            d = self._den
+            cs = tuple([ExactComplex(Fraction(r, d), Fraction(m, d))
+                        for r, m in zip(self._re, self._im)])
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
 
     # -- constructors --------------------------------------------------------
 
@@ -194,108 +299,115 @@ class Poly:
 
     @staticmethod
     def one() -> "Poly":
-        return Poly((EC_ONE,))
+        return Poly((1,))
 
     @staticmethod
     def monomial(k: int, c=1) -> "Poly":
         if k < 0:
             raise ValueError("monomial exponent must be >= 0")
-        return Poly((EC_ZERO,) * k + (ExactComplex.of(c),))
+        r, m, d = _gauss(c)
+        return Poly._make(d, [0] * k + [r], [0] * k + [m])
 
     # -- basic queries -------------------------------------------------------
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self._re) - 1  # -1 for the zero polynomial
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._re
 
     @property
     def lc(self) -> ExactComplex:
-        if not self.coeffs:
+        if not self._re:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(self.degree)
 
     def coeff(self, k: int) -> ExactComplex:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self._re):
+            d = self._den
+            return ExactComplex(Fraction(self._re[k], d),
+                                Fraction(self._im[k], d))
         return EC_ZERO
+
+    def drop_low(self, t: int) -> "Poly":
+        """The polynomial of coefficients t, t+1, ...: self // z**t."""
+        return Poly._make(self._den, self._re[t:], self._im[t:])
 
     # -- ring operations ------------------------------------------------------
 
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign*other over the lcm of the two denominators."""
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        n = max(len(self._re), len(other._re))
+        re, im = [0] * n, [0] * n
+        for f, p in ((fa, self), (fb, other)):
+            for k, (r, m) in enumerate(zip(p._re, p._im)):
+                re[k] += f * r
+                im[k] += f * m
+        return Poly._make(den, re, im)
+
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._make(self._den, [-r for r in self._re],
+                          [-m for m in self._im])
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
+        a_re, a_im, b_re, b_im = self._re, self._im, other._re, other._im
+        if not a_re or not b_re:
             return Poly.zero()
-        # Convolving Fraction pairs coefficient-by-coefficient reduces on
-        # every partial product.  Scaling both factors to one integer
-        # denominator first keeps the whole convolution in (fast) integer
-        # arithmetic and pays for exactly one reduction per output
-        # coefficient.
-        da, a_re, a_im = _int_coeffs(self.coeffs)
-        db, b_re, b_im = _int_coeffs(other.coeffs)
-        n, m = len(a_re), len(b_re)
-        out_re = [0] * (n + m - 1)
-        out_im = [0] * (n + m - 1)
-        if any(a_im) or any(b_im):
-            for i in range(n):
-                ar, ai = a_re[i], a_im[i]
-                if not ar and not ai:
-                    continue
-                for j in range(m):
-                    out_re[i + j] += ar * b_re[j] - ai * b_im[j]
-                    out_im[i + j] += ar * b_im[j] + ai * b_re[j]
+        re = _conv(a_re, b_re)
+        a_cx, b_cx = any(a_im), any(b_im)
+        if a_cx and b_cx:     # Gauss: three real products, not four
+            ii = _conv(a_im, b_im)
+            mix = _conv([r + m for r, m in zip(a_re, a_im)],
+                        [r + m for r, m in zip(b_re, b_im)])
+            im = [s - x - y for s, x, y in zip(mix, re, ii)]
+            re = [x - y for x, y in zip(re, ii)]
+        elif a_cx:
+            im = _conv(a_im, b_re)
+        elif b_cx:
+            im = _conv(a_re, b_im)
         else:
-            for i in range(n):
-                ar = a_re[i]
-                if not ar:
-                    continue
-                for j in range(m):
-                    out_re[i + j] += ar * b_re[j]
-        den = da * db
-        return Poly(tuple(
-            ExactComplex(Fraction(re, den), Fraction(im, den))
-            for re, im in zip(out_re, out_im)))
+            im = [0] * len(re)
+        return Poly._make(self._den * other._den, re, im)
 
     def scale(self, c) -> "Poly":
-        c = ExactComplex.of(c)
-        if c.is_zero():
-            return Poly.zero()
-        return Poly(tuple(a * c for a in self.coeffs))
+        cr, ci, cd = _gauss(c)
+        return Poly._make(self._den * cd, *_gmul(self._re, self._im, cr, ci))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return (isinstance(other, Poly) and self._den == other._den
+                and self._re == other._re and self._im == other._im)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._den, self._re, self._im))
 
     def __repr__(self) -> str:
-        return f"Poly({[complex(c) for c in self.coeffs]})"
+        return f"Poly({list(reversed(self.float_coeffs()))})"
 
     # -- evaluation ------------------------------------------------------------
+
+    def _scaled(self, pd: int) -> tuple[list[int], list[int]]:
+        """Numerators of pd**degree * self(x / pd): coefficient k times
+        pd**(degree - k)."""
+        return _times(self._re, self._im, _powers(pd, len(self._re))[::-1])
 
     def __call__(self, z):
         """Horner evaluation; exact for ExactComplex input, float otherwise."""
         if isinstance(z, ExactComplex):
-            acc = EC_ZERO
-            for c in reversed(self.coeffs):
-                acc = acc * z + c
-            return acc
+            if not self._re:
+                return EC_ZERO
+            pr, pi, pd = _gauss(z)
+            _, _, r, m = _synthetic(*self._scaled(pd), pr, pi)
+            d = self._den * pd ** self.degree
+            return ExactComplex(Fraction(r, d), Fraction(m, d))
         zc = complex(z)
         acc = 0j
         for c in self.float_coeffs():
@@ -303,44 +415,46 @@ class Poly:
         return acc
 
     def float_coeffs(self) -> tuple[complex, ...]:
-        """Descending float coefficients (numpy/Horner order), cached."""
+        """Descending float coefficients (numpy/Horner order), cached.
+        ``r / den`` is correctly rounded, as ``float(Fraction)`` is."""
         cached = self._float_cache
         if cached is None:
-            cached = tuple(complex(c) for c in reversed(self.coeffs))
+            d = self._den
+            cached = tuple([complex(r / d, m / d) for r, m in
+                            zip(reversed(self._re), reversed(self._im))])
             object.__setattr__(self, "_float_cache", cached)
         return cached
 
     # -- calculus ---------------------------------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(c * k for k, c in enumerate(self.coeffs) if k >= 1))
+        return Poly._make(self._den,
+                          [k * r for k, r in enumerate(self._re)][1:],
+                          [k * m for k, m in enumerate(self._im)][1:])
 
     # -- shifts, roots, division --------------------------------------------------
 
     def shift(self, p) -> "Poly":
-        """Coefficients of self(w + p) in w (exact Taylor shift)."""
-        p = ExactComplex.of(p)
-        if p.is_zero() or self.is_zero():
+        """Coefficients of self(w + p) in w (exact Taylor shift).
+
+        With p = P/pd: the Taylor shift by the Gaussian integer P of
+        g(x) = pd**n * self(x/pd), n = degree, gives self(w + p) =
+        g(pd*w + P) / pd**n.
+        """
+        pr, pi, pd = _gauss(p)
+        if not (pr or pi) or not self._re:
             return self
-        # repeated synthetic division by (w - 0) after substituting z = w + p:
-        # classic remainder-collection algorithm, O(n^2) exact operations.
-        work = list(self.coeffs)
-        n = len(work)
-        out = []
-        for i in range(n):
-            # synthetic division of `work` by (z - p): remainder -> coefficient i
-            for j in range(n - 2 - i, -1, -1):
-                work[j] = work[j] + p * work[j + 1]
-            out.append(work[0])
-            work = work[1:]
-        return Poly(out)
+        re, im = self._scaled(pd)
+        _taylor_shift(re, im, pr, pi)
+        re, im = _times(re, im, _powers(pd, len(re)))
+        return Poly._make(self._den * pd ** self.degree, re, im)
 
     def low_order(self) -> int:
         """Index of the first nonzero coefficient (valuation at 0)."""
         if self.is_zero():
             raise ValueError("zero polynomial has no valuation")
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
+        for k, (r, m) in enumerate(zip(self._re, self._im)):
+            if r or m:
                 return k
         raise AssertionError("unreachable: trailing zeros are trimmed")
 
@@ -348,43 +462,72 @@ class Poly:
         """Multiplicity of p as a root (0 when p is not a root). Exact."""
         if self.is_zero():
             raise ValueError("every point is a root of the zero polynomial")
-        p = ExactComplex.of(p)
-        if p.is_zero():
+        pr, pi, pd = _gauss(p)
+        if not (pr or pi):
             return self.low_order()
+        re, im = self._scaled(pd)
         count = 0
-        cur = self
-        while not cur.is_zero() and cur(p).is_zero():
-            cur = cur.deflate(p)
+        while True:
+            re, im, r, m = _synthetic(re, im, pr, pi)
+            if r or m:
+                return count
             count += 1
-        return count
 
     def deflate(self, p) -> "Poly":
-        """Exact synthetic division by (z - p); requires self(p) == 0."""
-        p = ExactComplex.of(p)
-        out = [EC_ZERO] * (len(self.coeffs) - 1)
-        acc = EC_ZERO
-        for k in range(len(self.coeffs) - 1, 0, -1):
-            acc = acc * p + self.coeffs[k]
-            out[k - 1] = acc
-        return Poly(out)
+        """Exact synthetic division by (z - p); ValueError unless
+        self(p) == 0."""
+        if self.is_zero():
+            return self
+        pr, pi, pd = _gauss(p)
+        re, im, r, m = _synthetic(*self._scaled(pd), pr, pi)
+        if r or m:
+            raise ValueError("deflate: the point is not a root")
+        re, im = _times(re, im, _powers(pd, len(re)))
+        return Poly._make(self._den * pd ** (self.degree - 1), re, im)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact Euclidean division: self = q*other + r, deg r < deg other."""
+        """Exact Euclidean division: self = q*other + r, deg r < deg other.
+
+        Pseudo-division over Z[i] by B = conj(lc)*other, whose leading
+        numerator is the positive integer N = |lc|**2: each step with a
+        nonzero quotient term multiplies the remainder and the quotient by
+        N, and the final content reduction removes what is common.
+        """
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        m = len(other._re)
+        dq = len(self._re) - m
         if dq < 0:
             return Poly.zero(), self
-        quot = [EC_ZERO] * (dq + 1)
-        inv_lc = EC_ONE / other.lc
+        lr, li = other._re[-1], other._im[-1]
+        norm = lr * lr + li * li
+        b_re, b_im = _gmul(other._re, other._im, lr, -li)
+        r_re, r_im = list(self._re), list(self._im)
+        q_re, q_im = [0] * (dq + 1), [0] * (dq + 1)
+        scale = 1
         for k in range(dq, -1, -1):
-            c = rem[k + len(other.coeffs) - 1] * inv_lc
-            quot[k] = c
-            if not c.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        return Poly(quot), Poly(rem[:len(other.coeffs) - 1])
+            top = k + m - 1
+            tr, ti = r_re[top], r_im[top]
+            if not (tr or ti):
+                continue
+            if norm != 1:
+                scale *= norm
+                for j in range(top):
+                    r_re[j] *= norm
+                    r_im[j] *= norm
+                for j in range(k + 1, dq + 1):
+                    q_re[j] *= norm
+                    q_im[j] *= norm
+            q_re[k], q_im[k] = tr, ti
+            for j in range(m - 1):
+                x, y = b_re[j], b_im[j]
+                r_re[k + j] -= tr * x - ti * y
+                r_im[k + j] -= tr * y + ti * x
+        # self * N**s == Q*B + R with B = conj(lc) * other._den * other
+        den = self._den * scale
+        q_re, q_im = _gmul(q_re, q_im, lr * other._den, -li * other._den)
+        return (Poly._make(den, q_re, q_im),
+                Poly._make(den, r_re[:m - 1], r_im[:m - 1]))
 
     def exact_div(self, other: "Poly") -> "Poly":
         q, r = self.divmod(other)
@@ -393,9 +536,12 @@ class Poly:
         return q
 
     def monic(self) -> "Poly":
+        """self / lc: the numerators times conj(lc) over |lc|**2."""
         if self.is_zero():
             return self
-        return self.scale(EC_ONE / self.lc)
+        lr, li = self._re[-1], self._im[-1]
+        return Poly._make(lr * lr + li * li,
+                          *_gmul(self._re, self._im, lr, -li))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

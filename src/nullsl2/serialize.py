@@ -78,9 +78,10 @@ def mero_to_dict(f: MeroFunction) -> dict:
     out = {"base_point": complex_pair(f.base_point),
            "domain": domain_to_dict(f.domain)}
     if f.is_rational:
+        num, den = f.rep.num.float_coeffs(), f.rep.den.float_coeffs()
         out["rational"] = {
-            "num": [complex_pair(complex(c)) for c in f.rep.num.coeffs],
-            "den": [complex_pair(complex(c)) for c in f.rep.den.coeffs],
+            "num": [complex_pair(c) for c in reversed(num)],
+            "den": [complex_pair(c) for c in reversed(den)],
         }
     else:
         w = f.rep

@@ -248,15 +248,16 @@ class MeroFunction:
         if self.is_rational:
             if self.rep.num.is_zero():
                 return True
-            nmax = max(abs(complex(c)) for c in self.rep.num.coeffs)
-            dmax = max(abs(complex(c)) for c in self.rep.den.coeffs)
+            nmax = max(abs(c) for c in self.rep.num.float_coeffs())
+            dmax = max(abs(c) for c in self.rep.den.float_coeffs())
             return nmax <= tol * max(1.0, dmax)
         return all(abs(c) <= tol for c in self.rep.coeffs)
 
     def __repr__(self) -> str:
         if self.is_rational:
-            return (f"MeroFunction(num={[complex(c) for c in self.rep.num.coeffs]}, "
-                    f"den={[complex(c) for c in self.rep.den.coeffs]})")
+            num, den = self.rep.num.float_coeffs(), self.rep.den.float_coeffs()
+            return (f"MeroFunction(num={list(reversed(num))}, "
+                    f"den={list(reversed(den))})")
         w = self.rep
         return (f"MeroFunction(window [{w.min_exponent}..{w.truncation_order}] "
                 f"at {self.base_point})")
@@ -590,7 +591,7 @@ def _cancel_monomial(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     t = min(num.low_order(), den.low_order())
     if t == 0:
         return num, den
-    return Poly(num.coeffs[t:]), Poly(den.coeffs[t:])
+    return num.drop_low(t), den.drop_low(t)
 
 
 def _evaluate_rational(rep: Rational, z: complex) -> complex:

@@ -1,0 +1,220 @@
+"""Exact polynomial layer: every Poly kernel against sympy over Q(i)."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from nullsl2.exact import ExactComplex, Poly, poly_gcd
+
+sp = pytest.importorskip("sympy")
+
+X = sp.Symbol("x")
+QQ_I = sp.QQ_I
+
+# ---------------------------------------------------------------------------
+# strategies: coefficients of int, dyadic, general-float and Fraction height
+# ---------------------------------------------------------------------------
+
+_EDGE = (0.1, -0.1, 5e-324, -5e-324, 1e308, -1e308, 0.0)
+
+_real = st.one_of(
+    st.integers(min_value=-10**12, max_value=10**12),
+    st.builds(lambda n, k: Fraction(n, 2**k),
+              st.integers(min_value=-999, max_value=999),
+              st.integers(min_value=0, max_value=70)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.fractions(min_value=-10**6, max_value=10**6,
+                 max_denominator=10**9),
+    st.sampled_from(_EDGE),
+)
+
+_scalar = st.one_of(
+    _real,
+    st.builds(ExactComplex, _real, _real),
+    st.builds(complex, st.floats(allow_nan=False, allow_infinity=False),
+              st.sampled_from(_EDGE + (0.25, -3.0))),
+)
+
+#: points with a nonzero imaginary part, of moderate size so that shifts
+#: and Horner stay cheap
+_part = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.builds(lambda n, k: Fraction(n, 2**k),
+              st.integers(min_value=-99, max_value=99),
+              st.integers(min_value=0, max_value=8)),
+    st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+    st.fractions(min_value=-3, max_value=3, max_denominator=50),
+)
+_point = st.builds(ExactComplex, _part,
+                   _part.filter(lambda v: v != 0))
+
+_poly = st.lists(_scalar, max_size=6).map(Poly)
+_nonzero_poly = _poly.filter(lambda p: not p.is_zero())
+_moderate_poly = st.lists(_point, max_size=5).map(Poly)
+
+
+def sym(c):
+    e = ExactComplex.of(c)
+    return (sp.Rational(e.re.numerator, e.re.denominator)
+            + sp.I * sp.Rational(e.im.numerator, e.im.denominator))
+
+
+def to_sym(p: Poly):
+    return sp.Poly([sym(c) for c in reversed(p.coeffs)] or [0], X,
+                   domain=QQ_I)
+
+
+def same(a, b) -> bool:
+    return sp.expand(a - b) == 0
+
+
+# ---------------------------------------------------------------------------
+# ring operations
+# ---------------------------------------------------------------------------
+
+@settings(deadline=None)
+@given(_poly, _poly)
+def test_ring_ops_match_sympy(p, q):
+    sp_p, sp_q = to_sym(p), to_sym(q)
+    assert to_sym(p * q) == sp_p * sp_q
+    assert to_sym(p + q) == sp_p + sp_q
+    assert to_sym(p - q) == sp_p - sp_q
+    assert to_sym(-p) == -sp_p
+
+
+@settings(deadline=None)
+@given(_poly, _scalar)
+def test_scale_matches_sympy(p, c):
+    assert to_sym(p.scale(c)) == to_sym(p) * sp.Poly(sym(c), X, domain=QQ_I)
+
+
+@settings(deadline=None)
+@given(_poly)
+def test_derivative_matches_sympy(p):
+    assert to_sym(p.derivative()) == to_sym(p).diff(X)
+
+
+# ---------------------------------------------------------------------------
+# evaluation, shift, roots
+# ---------------------------------------------------------------------------
+
+@settings(deadline=None)
+@given(_poly, _point)
+def test_shift_matches_sympy(p, z):
+    shifted = to_sym(p).compose(sp.Poly(X + sym(z), X, domain=QQ_I))
+    assert to_sym(p.shift(z)) == shifted
+
+
+@settings(deadline=None)
+@given(_poly, _point)
+def test_exact_call_matches_sympy(p, z):
+    value = p(z)
+    assert isinstance(value, ExactComplex)
+    assert same(sym(value), to_sym(p).eval(sym(z)))
+
+
+def _sympy_multiplicity(sp_p, z) -> int:
+    lin = sp.Poly(X - sym(z), X, domain=QQ_I)
+    count = 0
+    while True:
+        q, r = sp_p.div(lin)
+        if not r.is_zero:
+            return count
+        sp_p, count = q, count + 1
+
+
+@settings(deadline=None)
+@given(_moderate_poly.filter(lambda p: not p.is_zero()), _point,
+       st.integers(min_value=0, max_value=3))
+def test_multiplicity_and_deflate_match_sympy(base, z, k):
+    p = base
+    for _ in range(k):
+        p = p * Poly((-z, 1))
+    m = p.multiplicity_at(z)
+    assert m == _sympy_multiplicity(to_sym(p), z) >= k
+    lin = sp.Poly(X - sym(z), X, domain=QQ_I)
+    if m:
+        assert to_sym(p.deflate(z)) == to_sym(p).quo(lin)
+    else:
+        with pytest.raises(ValueError):
+            p.deflate(z)
+
+
+@settings(deadline=None)
+@given(_moderate_poly.filter(lambda p: not p.is_zero()),
+       st.integers(min_value=0, max_value=3))
+def test_multiplicity_at_origin_is_valuation(base, k):
+    p = base * Poly.monomial(k)
+    assert p.multiplicity_at(0) == _sympy_multiplicity(to_sym(p), 0)
+
+
+def test_deflate_rejects_a_point_that_is_not_a_root():
+    # 1 + 2z + 3z^2 = (z - 5)(3z + 17) + 86: the remainder must not be lost
+    with pytest.raises(ValueError):
+        Poly([1, 2, 3]).deflate(5)
+    assert Poly([-15, 2, 1]).deflate(3) == Poly([5, 1])   # (z - 3)(z + 5)
+
+
+# ---------------------------------------------------------------------------
+# division and gcd
+# ---------------------------------------------------------------------------
+
+@settings(deadline=None)
+@given(_poly, _nonzero_poly)
+def test_divmod_and_exact_div_match_sympy(p, q):
+    quo, rem = p.divmod(q)
+    sp_q, sp_r = to_sym(p).div(to_sym(q))
+    assert (to_sym(quo), to_sym(rem)) == (sp_q, sp_r)
+    assert (p * q).exact_div(q) == p
+    if not rem.is_zero():
+        with pytest.raises(ValueError):
+            p.exact_div(q)
+
+
+@settings(deadline=None, max_examples=30)   # sympy's gcd over Q(i) is slow
+@given(_moderate_poly, _moderate_poly, _moderate_poly)
+def test_poly_gcd_matches_sympy(a, b, c):
+    assume(not c.is_zero() and not (a.is_zero() and b.is_zero()))
+    g = poly_gcd(a * c, b * c)
+    expected = sp.gcd(to_sym(a * c), to_sym(b * c))
+    assert to_sym(g) == expected.monic()
+    assert g.is_zero() or g.lc == ExactComplex(1)
+
+
+# ---------------------------------------------------------------------------
+# normal form and the views
+# ---------------------------------------------------------------------------
+
+def test_equal_values_from_different_inputs_are_equal_and_hash_equal():
+    cases = [
+        (Poly([0.5, 0.25j]), Poly([Fraction(1, 2), ExactComplex(0, 0.25)])),
+        (Poly([1, 2, 0, 0.0, 0j]), Poly([1, 2])),
+        (Poly([2, 4, 6]).scale(Fraction(1, 2)), Poly([1, 2, 3])),
+        (Poly([Fraction(2, 6), Fraction(4, 6)]),
+         Poly([Fraction(1, 3), Fraction(2, 3)])),
+        (Poly([0, 0.0]), Poly.zero()),
+        (Poly.monomial(2, 0.5), Poly([0, 0, Fraction(1, 2)])),
+    ]
+    for a, b in cases:
+        assert a == b
+        assert hash(a) == hash(b)
+
+
+@settings(deadline=None)
+@given(_poly, _poly)
+def test_normal_form_is_structural(p, q):
+    for same_value in (Poly(p.coeffs), Poly(list(p.coeffs) + [0, 0.0]),
+                       (p + q) - q, p.scale(3).scale(Fraction(1, 3))):
+        assert same_value == p
+        assert hash(same_value) == hash(p)
+
+
+@settings(deadline=None)
+@given(_poly)
+def test_float_coeffs_are_the_rounded_exact_coefficients(p):
+    def bits(cs):
+        return [(c.real.hex(), c.imag.hex()) for c in cs]
+    expected = tuple(complex(c) for c in reversed(p.coeffs))
+    assert bits(p.float_coeffs()) == bits(expected)
