@@ -20,6 +20,11 @@ The first, second, and fourth relations are algebraic identities of the
 normalized curve; the alternative slot-order form m = |ord F3 - ord F1|
 holds for the standard models and their rotations but is not shear
 invariant, so it is asserted only where applicable.
+
+Q is invariant under aux_rotations when d(det F) = 0, since that reads
+F1'(F4 + g F3) = F3'(F2 + g F1), i.e. omega_R = g^2 omega for
+R = (F2, -F1, F4, -F3), whose g_R = -1/g.  So classify_end computes Q once,
+and sorts the rotation normalization once, from the slot orders.
 """
 
 from __future__ import annotations
@@ -78,34 +83,29 @@ class EndReport:
 # Gauss maps and differentials
 # ---------------------------------------------------------------------------
 
-def _check_rank_one(derivs, tol: float, err_cls):
-    det_d = derivs[0] * derivs[3] - derivs[1] * derivs[2]
-    if not det_d.is_identically_zero(tol):
-        raise err_cls("det F' != 0: the defining quotients disagree")
+def _rank_one_quotient(F: SL2NullCurve, tol: float, first, second,
+                       names: str) -> MeroFunction:
+    """d[first[0]] / d[first[1]], or the second quotient where the first
+    denominator vanishes, for d = F'; they agree exactly when det F' == 0."""
+    d = [s.differentiate() for s in F.slots()]
+    den_a, den_b = d[first[1]], d[second[1]]
+    if den_a.is_identically_zero(tol) and den_b.is_identically_zero(tol):
+        raise DegenerateDenominator(f"both {names} vanish identically")
+    if not (d[0] * d[3] - d[1] * d[2]).is_identically_zero(tol):
+        raise GaussMapMismatch("det F' != 0: the defining quotients disagree")
+    if not den_a.is_identically_zero(tol):
+        return d[first[0]] / den_a
+    return d[second[0]] / den_b
 
 
 def hyperbolic_gauss(F: SL2NullCurve, tol: float = ZERO_TOL) -> MeroFunction:
     """G = F1'/F3' (equivalently F2'/F4'); the two must agree."""
-    d = [s.differentiate() for s in F.slots()]
-    den_a, den_b = d[2], d[3]
-    if den_a.is_identically_zero(tol) and den_b.is_identically_zero(tol):
-        raise DegenerateDenominator("both F3' and F4' vanish identically")
-    _check_rank_one(d, tol, GaussMapMismatch)
-    if not den_a.is_identically_zero(tol):
-        return d[0] / den_a
-    return d[1] / den_b
+    return _rank_one_quotient(F, tol, (0, 2), (1, 3), "F3' and F4'")
 
 
 def secondary_gauss(F: SL2NullCurve, tol: float = ZERO_TOL) -> MeroFunction:
     """g = -F2'/F1' (equivalently -F4'/F3'); the two must agree."""
-    d = [s.differentiate() for s in F.slots()]
-    den_a, den_b = d[0], d[2]
-    if den_a.is_identically_zero(tol) and den_b.is_identically_zero(tol):
-        raise DegenerateDenominator("both F1' and F3' vanish identically")
-    _check_rank_one(d, tol, GaussMapMismatch)
-    if not den_a.is_identically_zero(tol):
-        return -(d[1] / den_a)
-    return -(d[3] / den_b)
+    return -_rank_one_quotient(F, tol, (1, 0), (3, 2), "F1' and F3'")
 
 
 def omega(F: SL2NullCurve) -> MeroFunction:
@@ -157,23 +157,23 @@ def _slot_ord(f: MeroFunction, p: complex) -> float:
         return math.inf
 
 
-def _normalizations(F: SL2NullCurve, p: complex):
+def _pole_ords(F: SL2NullCurve, p: complex) -> list[float]:
+    """ord_p of each slot; NotAnEnd when no slot has a pole at p."""
+    ords = [_slot_ord(s, p) for s in F.slots()]
+    if min(ords) >= 0:
+        raise NotAnEnd(f"no slot has a pole at {p}")
+    return ords
+
+
+def _normalizations(F: SL2NullCurve, ords) -> list[SL2NullCurve]:
     """The curve and its rotations, ordered so the first entry has the
-    minimum-order slot in front (first index wins ties)."""
-    candidates = [F] + list(aux_rotations(F))
-    ords = [_slot_ord(c.F1, p) for c in candidates]
-    order = sorted(range(4), key=lambda i: (ords[i], i))
-    return [candidates[i] for i in order]
+    minimum-order slot in front (first index wins ties).  Candidate i has
+    slot i of F in front, so the slot orders ``ords`` of F sort them."""
+    candidates = (F,) + aux_rotations(F)
+    return [candidates[i] for i in sorted(range(4), key=lambda i: (ords[i], i))]
 
 
-def maurer_cartan_min_ord(F: SL2NullCurve, p: complex,
-                          tol: float = ZERO_TOL) -> int:
-    """min over slots of ord_p of F' F^-1, after rotation normalization.
-
-    F^-1 is the adjugate [[F4, -F2], [-F3, F1]] (det F == 1), and the trace
-    of F' F^-1 must vanish identically -- checked as a sanity condition.
-    """
-    G = _normalizations(F, p)[0]
+def _maurer_cartan_min_ord(G: SL2NullCurve, p: complex, tol: float) -> int:
     g1, g2, g3, g4 = G.slots()
     d1, d2, d3, d4 = (s.differentiate() for s in G.slots())
     a11 = d1 * g4 - d2 * g3
@@ -190,21 +190,30 @@ def maurer_cartan_min_ord(F: SL2NullCurve, p: complex,
     return int(min(finite))
 
 
-def end_multiplicity(F: SL2NullCurve, p: complex,
-                     tol: float = ZERO_TOL) -> int:
-    """Multiplicity of the end of F at p via m = |l+1| on the rotation
-    normalization, exactly cross-checked against
-    m^2 = (ord omega + 1)^2 + 4 q_hat(-2)."""
+def maurer_cartan_min_ord(F: SL2NullCurve, p: complex,
+                          tol: float = ZERO_TOL) -> int:
+    """min over slots of ord_p of F' F^-1, after rotation normalization.
+
+    F^-1 is the adjugate [[F4, -F2], [-F3, F1]] (det F == 1), and the trace
+    of F' F^-1 must vanish identically -- checked as a sanity condition.
+    """
     ords = [_slot_ord(s, p) for s in F.slots()]
-    if min(ords) >= 0:
-        raise NotAnEnd(f"no slot has a pole at {p}")
-    for G in _normalizations(F, p):
+    return _maurer_cartan_min_ord(_normalizations(F, ords)[0], p, tol)
+
+
+def _multiplicity(normals, p: complex, Q, tol: float) -> int:
+    """m = |l+1| on the first rotation normalization where it is defined,
+    exactly cross-checked against m^2 = (ord omega + 1)^2 + 4 q_hat(-2).
+    Q is the (rotation invariant) Hopf differential, or None to compute it
+    on the first rotation where it is defined."""
+    for G in normals:
         if G.F1.is_identically_zero(tol):
             continue
-        try:
-            Q = hopf(G, tol)  # rotation invariant where defined
-        except DegenerateDenominator:
+        w = omega(G)
+        if w.is_identically_zero(tol):
             continue
+        if Q is None:
+            Q = hopf(G, tol)
         if Q.is_identically_zero(tol):
             raise UmbilicInput("the Hopf differential vanishes identically")
         ratio_d = (G.F3 / G.F1).differentiate()
@@ -213,7 +222,7 @@ def end_multiplicity(F: SL2NullCurve, p: complex,
         k = G.F1.ord(p)
         l = ratio_d.ord(p)
         m = abs(l + 1)
-        ord_w = omega(G).ord(p)
+        ord_w = w.ord(p)
         if ord_w != l + 2 * k:
             raise HypothesisViolation(
                 f"ord omega = {ord_w} != l + 2k = {l + 2 * k}; "
@@ -235,6 +244,14 @@ def end_multiplicity(F: SL2NullCurve, p: complex,
         "flat/umbilic input: end exponents are undefined in every rotation")
 
 
+def end_multiplicity(F: SL2NullCurve, p: complex,
+                     tol: float = ZERO_TOL) -> int:
+    """Multiplicity of the end of F at p via m = |l+1| on the rotation
+    normalization, exactly cross-checked against
+    m^2 = (ord omega + 1)^2 + 4 q_hat(-2)."""
+    return _multiplicity(_normalizations(F, _pole_ords(F, p)), p, None, tol)
+
+
 def classify_end(F: SL2NullCurve, p: complex,
                  tol: float = ZERO_TOL) -> EndReport:
     """Full end report at p.  Requires the secondary Gauss map to extend
@@ -242,9 +259,7 @@ def classify_end(F: SL2NullCurve, p: complex,
     exponents of the given curve and the rotation-normalized multiplicity
     and Maurer-Cartan order."""
     p = complex(p)
-    ords = [_slot_ord(s, p) for s in F.slots()]
-    if min(ords) >= 0:
-        raise NotAnEnd(f"no slot has a pole at {p}")
+    normals = _normalizations(F, _pole_ords(F, p))
     g = secondary_gauss(F, tol)
     if not g.is_identically_zero(tol) and g.ord(p) < 0:
         raise HypothesisViolation(
@@ -261,18 +276,13 @@ def classify_end(F: SL2NullCurve, p: complex,
         raise HypothesisViolation(
             "omega == 0 for the given slot order; rotate the curve first")
     ord_w = w.ord(p)
-    mult = end_multiplicity(F, p, tol)
-    try:
-        Q = hopf(F, tol)
-    except DegenerateDenominator as exc:
-        raise UmbilicInput(str(exc)) from exc
-    if Q.is_identically_zero(tol):
-        raise UmbilicInput("the Hopf differential vanishes identically")
+    Q = hopf(F, tol)  # F1 and omega are nonzero, so Q is defined
+    mult = _multiplicity(normals, p, Q, tol)
     if Q.ord(p) < -2:
         raise HypothesisViolation(
             "ord Q < -2: the end is not of the admissible type")
     head = Q.laurent_head(p, -2, 2)
-    min_mc = maurer_cartan_min_ord(F, p, tol)
+    min_mc = _maurer_cartan_min_ord(normals[0], p, tol)
     return EndReport(
         center=p,
         k=int(k),

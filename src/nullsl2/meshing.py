@@ -19,6 +19,7 @@ from .errors import (DegenerateDenominator, EvaluationAtPole,
                      GaussMapMismatch, PoleOnGrid)
 from .invariants import omega, secondary_gauss
 from .sl2curve import SL2NullCurve
+from .spaceforms import _minkowski_coords
 
 #: slack added to the radius band when testing declared poles
 POLE_BAND_PAD = 1e-9
@@ -143,18 +144,8 @@ def build_surface_mesh(F: SL2NullCurve, target: str = "h3",
             f"determinant drifts from 1 by {det_err:.3e} on the grid; "
             "projections assume a unimodular curve")
 
-    if target == "h3":
-        h11 = np.abs(v1) ** 2 + np.abs(v2) ** 2
-        h22 = np.abs(v3) ** 2 + np.abs(v4) ** 2
-        h12 = v1 * np.conj(v3) + v2 * np.conj(v4)
-    else:
-        h11 = np.abs(v1) ** 2 - np.abs(v2) ** 2
-        h22 = np.abs(v3) ** 2 - np.abs(v4) ** 2
-        h12 = v1 * np.conj(v3) - v2 * np.conj(v4)
-    x0 = (h11 + h22) / 2.0
-    x3 = (h11 - h22) / 2.0
-    x1 = h12.real
-    x2 = h12.imag
+    x0, x1, x2, x3 = _minkowski_coords(v1, v2, v3, v4,
+                                       1 if target == "h3" else -1)
 
     if target == "h3":
         s = 1.0 + x0

@@ -31,7 +31,7 @@ from .errors import (
     EvaluationAtPole,
 )
 from .series import MeroFunction, ZERO_TOL, punctured_disk
-from .spinor import C3NullCurve, _sorted_points, is_flat, _common_zeros_list
+from .spinor import C3NullCurve, _has_common_zero, _sorted_points, is_flat
 
 _I = 1j
 
@@ -152,19 +152,7 @@ def check_null_sl2(F: SL2NullCurve, tol: float = ZERO_TOL) -> SL2Report:
     det_d = d[0] * d[3] - d[1] * d[2]
     null = det_d.is_identically_zero(tol)
     excluded = set(F.pole_set) | set(F.singular_set)
-    nonzero = [g for g in d if not g.is_identically_zero(tol)]
-    if not nonzero:
-        immersion = False  # constant curve
-    elif any(g.is_window for g in d):
-        base = nonzero[0].base_point
-        try:
-            immersion = not all(g.ord(base) >= 1 for g in nonzero)
-        except Exception:
-            immersion = True
-        if any(abs(base - e) < 1e-9 for e in excluded):
-            immersion = True
-    else:
-        immersion = not bool(_common_zeros_list(nonzero, excluded, 1e-6))
+    immersion = not _has_common_zero(d, excluded, tol)
     nonflat = not is_flat(d, tol)
     return SL2Report(unimodular, null, immersion, nonflat)
 

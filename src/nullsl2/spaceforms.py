@@ -91,22 +91,28 @@ def _require_unimodular(a: np.ndarray, tol: float):
         raise NotUnimodular(f"det = {det} is not 1 within {tol}")
 
 
+def _minkowski_coords(v1, v2, v3, v4, sign):
+    """Element-wise (x0, x1, x2, x3) of A A* (sign +1, H^3) or A J A*
+    (sign -1, S^3_1) for A = [[v1, v2], [v3, v4]]; scalars or arrays."""
+    op = np.add if sign > 0 else np.subtract
+    h11 = op(np.abs(v1) ** 2, np.abs(v2) ** 2)
+    h22 = op(np.abs(v3) ** 2, np.abs(v4) ** 2)
+    h12 = op(v1 * np.conj(v3), v2 * np.conj(v4))
+    return (h11 + h22) / 2.0, h12.real, h12.imag, (h11 - h22) / 2.0
+
+
 def project_h3(a, tol: float = MEMBERSHIP_TOL) -> H3Point:
     """Hyperbolic projection A -> A A* as a hyperboloid point."""
     m = np.asarray(a, dtype=complex)
     _require_unimodular(m, tol)
-    h = m @ m.conj().T
-    p = l4_from_her(h, tol=1e-12)
-    return H3Point(p.x0, p.x1, p.x2, p.x3)
+    return H3Point(*_minkowski_coords(*m.ravel(), 1))
 
 
 def project_s31(a, tol: float = MEMBERSHIP_TOL) -> S31Point:
     """de Sitter projection A -> A J A* as a quadric point."""
     m = np.asarray(a, dtype=complex)
     _require_unimodular(m, tol)
-    h = m @ _J @ m.conj().T
-    p = l4_from_her(h, tol=1e-12)
-    return S31Point(p.x0, p.x1, p.x2, p.x3)
+    return S31Point(*_minkowski_coords(*m.ravel(), -1))
 
 
 def membership(a, group: str, tol: float = MEMBERSHIP_TOL) -> bool:

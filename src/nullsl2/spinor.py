@@ -255,9 +255,11 @@ def _has_common_zero(derivs, excluded, tol) -> bool:
     nonzero = [d for d in derivs if not d.is_identically_zero(tol)]
     if not nonzero:
         return True  # the zero field vanishes everywhere
-    if all(d.is_window for d in derivs) or any(d.is_window for d in nonzero):
+    if any(d.is_window for d in nonzero):
         # windows certify behaviour at the base point only
         base = nonzero[0].base_point
+        if any(abs(base - e) < 1e-8 for e in excluded):
+            return False
         try:
             return all(d.ord(base) >= 1 for d in nonzero)
         except Exception:

@@ -10,9 +10,15 @@ formulas, cross-checked by the exact rational arithmetic):
 and in every case m^2 = (ord omega + 1)^2 + 4 q_hat(-2).
 """
 
+import runpy
+import sys
+from pathlib import Path
+
 import pytest
 
+import nullsl2.invariants as invariants
 from nullsl2 import (
+    SHEAR_KINDS,
     DegenerateDenominator,
     MeroFunction,
     NotAnEnd,
@@ -28,8 +34,10 @@ from nullsl2 import (
     maurer_cartan_min_ord,
     omega,
     secondary_gauss,
+    shear,
 )
-from nullsl2.errors import GaussMapMismatch, HypothesisViolation, IdenticallyZero
+from nullsl2.errors import (GaussMapMismatch, HopfMismatch,
+                             HypothesisViolation, IdenticallyZero)
 
 
 def poly(coeffs):
@@ -163,6 +171,68 @@ def test_hopf_order_bounded_below():
         F = end_model(m)
         for C in (F,) + aux_rotations(F):
             assert hopf(C).ord(0) >= -2
+
+
+def _oracle(m, kind=None):
+    """(k, l, ord omega, q_hat(-2), multiplicity, mc) from the module
+    docstring table.  The row1+row2 shear adds lam F3 to F1, which raises
+    ord F1 to -(m+1) for m >= 2 and so gives l = m - 1; the rotation
+    invariant entries are unchanged."""
+    if m == 1:
+        return (-2, 0, -4, -2, 1, -2)
+    if kind == "row1+row2":
+        return (-(m + 1), m - 1, -(m + 3), -(m + 1), m, -(m + 1))
+    return (-1, -(m + 1), -(m + 3), -(m + 1), m, -(m + 1))
+
+
+def test_classify_end_computes_hopf_once(monkeypatch):
+    calls = []
+    real_hopf = invariants.hopf
+
+    def counted(F, tol=invariants.ZERO_TOL):
+        calls.append(F)
+        return real_hopf(F, tol)
+
+    monkeypatch.setattr(invariants, "hopf", counted)
+    for c in (0j, 0.5 + 0.25j):
+        for m in range(1, 9):
+            for kind in (None,) + SHEAR_KINDS:
+                F = end_model(m, c)
+                if kind is not None:
+                    F = shear(F, 0.5, kind)
+                calls.clear()
+                rep = classify_end(F, c)
+                assert len(calls) == 1, (m, c, kind)
+                got = (rep.k, rep.l, rep.ord_omega, rep.q_hat_minus2,
+                       rep.multiplicity, rep.min_maurer_cartan_ord)
+                assert got == _oracle(m, kind), (m, c, kind)
+                assert rep.hopf_head[-2] == rep.q_hat_minus2
+                assert rep.smooth_candidate == (m == 1)
+
+
+def test_hopf_cross_check_rejects_det_two():
+    # doubling F1 and F2 keeps det F' == 0 but makes det F == 2, and the
+    # two Hopf paths then differ by that factor
+    F = end_model(2)
+    G = SL2NullCurve(2 * F.F1, 2 * F.F2, F.F3, F.F4, F.pole_set)
+    assert (G.det() - 2).is_identically_zero(0.0)
+    with pytest.raises(HopfMismatch):
+        hopf(G)
+    with pytest.raises(HopfMismatch):
+        classify_end(G, 0)
+
+
+def test_end_model_gallery_script(tmp_path, monkeypatch, capsys):
+    script = (Path(__file__).resolve().parents[1] / "scripts"
+              / "end_model_gallery.py")
+    monkeypatch.setattr(sys, "argv", [str(script), "--mesh",
+                                      "--out-dir", str(tmp_path)])
+    runpy.run_path(str(script), run_name="__main__")
+    out = capsys.readouterr().out
+    rows = [ln.split() for ln in out.splitlines()]
+    assert [int(r[0]) for r in rows if r and r[0].isdigit()] == list(range(1, 9))
+    for m in (1, 2):
+        assert (tmp_path / f"end_model_{m}_h3.obj").stat().st_size > 0
 
 
 # ---------------------------------------------------------------------------

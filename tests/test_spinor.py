@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 
 from nullsl2 import (
+    C3NullCurve,
     DegenerateEta,
     EtaIdenticallyZero,
     MeroFunction,
     NonExactField,
+    SL2NullCurve,
     SpinorData,
     check_null_c3,
+    check_null_sl2,
     extract_spinor,
     from_spinor,
     integrate_null,
@@ -151,6 +154,22 @@ def test_immersion_detects_common_derivative_zero():
     assert rep.null          # z^2 + (iz)^2 + 0 = 0
     assert not rep.immersion
     assert rep.flat
+
+
+def test_window_immersion_ignores_base_point_in_pole_set():
+    # X = (z^2, i z^2, 0) as Laurent windows: X' vanishes at the base
+    # point 0, which is a declared pole here and so not a common zero
+    # (the same rule as check_null_sl2 and as the rational branch)
+    X = C3NullCurve(MeroFunction.from_laurent(0, [0, 0, 1]),
+                    MeroFunction.from_laurent(0, [0, 0, 1j]),
+                    MeroFunction.from_laurent(0, [0]))
+    assert not check_null_c3(X).immersion
+    rep = check_null_c3(C3NullCurve(X.X1, X.X2, X.X3, pole_set=(0j,)))
+    assert rep.null and rep.immersion
+    slot = MeroFunction.from_laurent(0, [1])
+    F = SL2NullCurve(slot, X.X1, MeroFunction.from_laurent(0, [0]), slot,
+                     pole_set=(0j,))
+    assert check_null_sl2(F).immersion
 
 
 def test_is_flat_on_proportional_and_generic():
