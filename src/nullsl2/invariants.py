@@ -25,6 +25,17 @@ Q is invariant under aux_rotations when d(det F) = 0, since that reads
 F1'(F4 + g F3) = F3'(F2 + g F1), i.e. omega_R = g^2 omega for
 R = (F2, -F1, F4, -F3), whose g_R = -1/g.  So classify_end computes Q once,
 and sorts the rotation normalization once, from the slot orders.
+
+Every exponent above is invariant under the translation z -> w + p: dz is
+unchanged, so ord, Laurent coefficients, omega and Q of G(w) = F(w + p) at
+0 are those of F at p.  The end analysis therefore recentres once: it
+Taylor-shifts each slot's numerator and denominator to G and works at the
+origin, where a pole of order n is the monomial w^n that the rational
+arithmetic cancels.  Every centre is a float, hence Gaussian-rational, so
+the shift is exact; a window slot keeps its coefficients and only its base
+point moves.  The tolerance checks (F1, (F3/F1)' and omega == 0, det F',
+the Maurer-Cartan trace) compare coefficients of G, so for float-rounded
+input a curve and its exact translate get the same verdicts.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ from .errors import (
     NotAnEnd,
     UmbilicInput,
 )
-from .series import MeroFunction, ZERO_TOL
+from .series import MeroFunction, ZERO_TOL, _translated
 from .sl2curve import SL2NullCurve, aux_rotations
 
 
@@ -150,16 +161,27 @@ def induced_metric_factor(F: SL2NullCurve, z: complex) -> float:
 # end analysis
 # ---------------------------------------------------------------------------
 
-def _slot_ord(f: MeroFunction, p: complex) -> float:
+def _recentred(F: SL2NullCurve, p: complex) -> SL2NullCurve:
+    """The curve G(w) = F(w + p), with its pole and singular sets moved by
+    -p; see the module docstring for why its exponents at 0 are those of F
+    at p."""
+    p = complex(p)
+    return SL2NullCurve(*(_translated(s, p) for s in F.slots()),
+                        pole_set=tuple(q - p for q in F.pole_set),
+                        singular_set=tuple(q - p for q in F.singular_set))
+
+
+def _slot_ord(f: MeroFunction) -> float:
     try:
-        return f.ord(p)
+        return f.ord(0)
     except IdenticallyZero:
         return math.inf
 
 
-def _pole_ords(F: SL2NullCurve, p: complex) -> list[float]:
-    """ord_p of each slot; NotAnEnd when no slot has a pole at p."""
-    ords = [_slot_ord(s, p) for s in F.slots()]
+def _pole_ords(G: SL2NullCurve, p: complex) -> list[float]:
+    """ord_0 of each slot of the recentred curve G; NotAnEnd when no slot
+    has a pole there (the message names the puncture p of the caller)."""
+    ords = [_slot_ord(s) for s in G.slots()]
     if min(ords) >= 0:
         raise NotAnEnd(f"no slot has a pole at {p}")
     return ords
@@ -173,7 +195,7 @@ def _normalizations(F: SL2NullCurve, ords) -> list[SL2NullCurve]:
     return [candidates[i] for i in sorted(range(4), key=lambda i: (ords[i], i))]
 
 
-def _maurer_cartan_min_ord(G: SL2NullCurve, p: complex, tol: float) -> int:
+def _maurer_cartan_min_ord(G: SL2NullCurve, tol: float) -> int:
     g1, g2, g3, g4 = G.slots()
     d1, d2, d3, d4 = (s.differentiate() for s in G.slots())
     a11 = d1 * g4 - d2 * g3
@@ -183,7 +205,7 @@ def _maurer_cartan_min_ord(G: SL2NullCurve, p: complex, tol: float) -> int:
     if not (a11 + a22).is_identically_zero(max(tol, 1e-8)):
         raise HypothesisViolation(
             "trace of F' F^-1 is nonzero; the input is not unimodular")
-    ords = [_slot_ord(a, p) for a in (a11, a12, a21, a22)]
+    ords = [_slot_ord(a) for a in (a11, a12, a21, a22)]
     finite = [o for o in ords if o != math.inf]
     if not finite:
         raise NotAnEnd("F' F^-1 vanishes identically (constant curve)")
@@ -197,15 +219,17 @@ def maurer_cartan_min_ord(F: SL2NullCurve, p: complex,
     F^-1 is the adjugate [[F4, -F2], [-F3, F1]] (det F == 1), and the trace
     of F' F^-1 must vanish identically -- checked as a sanity condition.
     """
-    ords = [_slot_ord(s, p) for s in F.slots()]
-    return _maurer_cartan_min_ord(_normalizations(F, ords)[0], p, tol)
+    G = _recentred(F, p)
+    ords = [_slot_ord(s) for s in G.slots()]
+    return _maurer_cartan_min_ord(_normalizations(G, ords)[0], tol)
 
 
-def _multiplicity(normals, p: complex, Q, tol: float) -> int:
-    """m = |l+1| on the first rotation normalization where it is defined,
-    exactly cross-checked against m^2 = (ord omega + 1)^2 + 4 q_hat(-2).
-    Q is the (rotation invariant) Hopf differential, or None to compute it
-    on the first rotation where it is defined."""
+def _multiplicity(normals, Q, tol: float) -> int:
+    """m = |l+1| at 0 on the first rotation normalization (of a recentred
+    curve) where it is defined, exactly cross-checked against
+    m^2 = (ord omega + 1)^2 + 4 q_hat(-2).  Q is the (rotation invariant)
+    Hopf differential, or None to compute it on the first rotation where it
+    is defined."""
     for G in normals:
         if G.F1.is_identically_zero(tol):
             continue
@@ -219,15 +243,15 @@ def _multiplicity(normals, p: complex, Q, tol: float) -> int:
         ratio_d = (G.F3 / G.F1).differentiate()
         if ratio_d.is_identically_zero(tol):
             continue
-        k = G.F1.ord(p)
-        l = ratio_d.ord(p)
+        k = G.F1.ord(0)
+        l = ratio_d.ord(0)
         m = abs(l + 1)
-        ord_w = w.ord(p)
+        ord_w = w.ord(0)
         if ord_w != l + 2 * k:
             raise HypothesisViolation(
                 f"ord omega = {ord_w} != l + 2k = {l + 2 * k}; "
                 "the input does not satisfy the end hypotheses")
-        q2 = Q.laurent_head(p, -2, -2)[-2]
+        q2 = Q.laurent_head(0, -2, -2)[-2]
         rhs = (ord_w + 1) ** 2 + 4 * q2
         if abs(m * m - rhs) > 1e-6 * max(1.0, abs(rhs)):
             raise HypothesisViolation(
@@ -235,7 +259,7 @@ def _multiplicity(normals, p: complex, Q, tol: float) -> int:
                 f"(ord omega + 1)^2 + 4 q_hat(-2) = {rhs}")
         # The slot-order difference form is not shear invariant; assert it
         # only when the orders actually differ (models and rotations).
-        o1, o3 = _slot_ord(G.F1, p), _slot_ord(G.F3, p)
+        o1, o3 = _slot_ord(G.F1), _slot_ord(G.F3)
         if o3 != o1 and math.isfinite(o3) and abs(o3 - o1) != m:
             raise HypothesisViolation(
                 f"|ord F3 - ord F1| = {abs(o3 - o1)} disagrees with m = {m}")
@@ -249,7 +273,8 @@ def end_multiplicity(F: SL2NullCurve, p: complex,
     """Multiplicity of the end of F at p via m = |l+1| on the rotation
     normalization, exactly cross-checked against
     m^2 = (ord omega + 1)^2 + 4 q_hat(-2)."""
-    return _multiplicity(_normalizations(F, _pole_ords(F, p)), p, None, tol)
+    G = _recentred(F, p)
+    return _multiplicity(_normalizations(G, _pole_ords(G, p)), None, tol)
 
 
 def classify_end(F: SL2NullCurve, p: complex,
@@ -257,32 +282,34 @@ def classify_end(F: SL2NullCurve, p: complex,
     """Full end report at p.  Requires the secondary Gauss map to extend
     holomorphically across p (HypothesisViolation otherwise); reports the
     exponents of the given curve and the rotation-normalized multiplicity
-    and Maurer-Cartan order."""
+    and Maurer-Cartan order.  The analysis runs at 0 on the recentred
+    curve G(w) = F(w + p)."""
     p = complex(p)
-    normals = _normalizations(F, _pole_ords(F, p))
-    g = secondary_gauss(F, tol)
-    if not g.is_identically_zero(tol) and g.ord(p) < 0:
+    G = _recentred(F, p)
+    normals = _normalizations(G, _pole_ords(G, p))
+    g = secondary_gauss(G, tol)
+    if not g.is_identically_zero(tol) and g.ord(0) < 0:
         raise HypothesisViolation(
             f"the secondary Gauss map has a pole at {p}")
-    if F.F1.is_identically_zero(tol):
+    if G.F1.is_identically_zero(tol):
         raise HypothesisViolation("F1 == 0; rotate the curve before classifying")
-    k = F.F1.ord(p)
-    ratio_d = (F.F3 / F.F1).differentiate()
+    k = G.F1.ord(0)
+    ratio_d = (G.F3 / G.F1).differentiate()
     if ratio_d.is_identically_zero(tol):
         raise HypothesisViolation("(F3/F1)' == 0; rotate the curve first")
-    l = ratio_d.ord(p)
-    w = omega(F)
+    l = ratio_d.ord(0)
+    w = omega(G)
     if w.is_identically_zero(tol):
         raise HypothesisViolation(
             "omega == 0 for the given slot order; rotate the curve first")
-    ord_w = w.ord(p)
-    Q = hopf(F, tol)  # F1 and omega are nonzero, so Q is defined
-    mult = _multiplicity(normals, p, Q, tol)
-    if Q.ord(p) < -2:
+    ord_w = w.ord(0)
+    Q = hopf(G, tol)  # F1 and omega are nonzero, so Q is defined
+    mult = _multiplicity(normals, Q, tol)
+    if Q.ord(0) < -2:
         raise HypothesisViolation(
             "ord Q < -2: the end is not of the admissible type")
-    head = Q.laurent_head(p, -2, 2)
-    min_mc = _maurer_cartan_min_ord(normals[0], p, tol)
+    head = Q.laurent_head(0, -2, 2)
+    min_mc = _maurer_cartan_min_ord(normals[0], tol)
     return EndReport(
         center=p,
         k=int(k),

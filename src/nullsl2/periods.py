@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (CrossCheckFailed, MaxIterExceeded, PoleOnContour,
                      SingularJacobian)
 from .series import (DomainTag, ExactComplex, MeroFunction, annulus,
-                     _fft_expand)
+                     _fft_expand, _residue_at_origin)
 from .spinor import SpinorData
 
 #: cross-check tolerance between quadrature and residue periods
@@ -145,13 +145,15 @@ class Cycle:
 def _residue_near(f: MeroFunction, p: complex, clearance: float) -> complex:
     """Residue at a numerically located pole.
 
-    If p is exactly a root of the (exact) denominator the residue comes
-    from the exact Laurent expansion; otherwise it is recovered by a small
-    trapezoid circle around p, which tolerates root-finding error.
+    The denominator is Taylor-shifted to p once.  If p is exactly a root of
+    it, the numerator is shifted too and the residue comes from the exact
+    Laurent expansion of the translate at 0; otherwise it is recovered by a
+    small trapezoid circle around p, which tolerates root-finding error.
     """
     pe = ExactComplex.of(complex(p))
-    if f.rep.den.shift(pe).low_order() > 0:
-        return f.residue(p)
+    den = f.rep.den.shift(pe)
+    if den.low_order() > 0:
+        return _residue_at_origin(f.rep.num.shift(pe), den)
     rho = 0.45 * min(1.0, clearance)
     theta = 2 * np.pi * np.arange(256) / 256
     e = np.exp(1j * theta)

@@ -378,15 +378,8 @@ class MeroFunction:
         if self.is_rational:
             if self.rep.num.is_zero():
                 return 0j
-            pe = ExactComplex.of(complex(p))
-            ns = self.rep.num.shift(pe)
-            ds = self.rep.den.shift(pe)
-            a = ns.low_order()
-            b = ds.low_order()
-            if a - b >= 0:
-                return 0j
-            _, coeffs = _exact_series_quotient(ns, ds, b - a)
-            return complex(coeffs[b - a - 1])
+            t = _translated(self, p).rep
+            return _residue_at_origin(t.num, t.den)
         w = self.rep
         if abs(complex(p) - self.base_point) <= 1e-12:
             c = _window_coeff(w, -1)
@@ -462,10 +455,8 @@ class MeroFunction:
             raise TypeError("exact_laurent requires the Rational representation")
         if self.rep.num.is_zero():
             raise IdenticallyZero("the zero function has no Laurent expansion")
-        pe = ExactComplex.of(complex(p))
-        ns = self.rep.num.shift(pe)
-        ds = self.rep.den.shift(pe)
-        return _exact_series_quotient(ns, ds, count)
+        t = _translated(self, p).rep
+        return _exact_series_quotient(t.num, t.den, count)
 
     def to_laurent(self, base_point: complex | None = None,
                    terms: int = DEFAULT_TERMS,
@@ -497,9 +488,9 @@ class MeroFunction:
         if self.is_rational:
             if self.rep.num.is_zero():
                 return {k: 0j for k in range(lo, hi + 1)}
-            n, coeffs = self.exact_laurent(p, 1)
-            if hi >= n:
-                n, coeffs = self.exact_laurent(p, hi - n + 1)
+            t = _translated(self, p).rep
+            n = t.num.low_order() - t.den.low_order()
+            _, coeffs = _exact_series_quotient(t.num, t.den, hi - n + 1)
             out = {}
             for k in range(lo, hi + 1):
                 idx = k - n
@@ -594,6 +585,19 @@ def _cancel_monomial(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return num.drop_low(t), den.drop_low(t)
 
 
+def _translated(f: MeroFunction, p: complex) -> MeroFunction:
+    """w -> f(w + p), exactly.  A Rational has its numerator and denominator
+    Taylor-shifted by p (p is a float, hence Gaussian-rational, so the shift
+    is exact; nothing is cancelled).  A window keeps its coefficients, which
+    are in powers of z - base_point, and its base point moves by -p."""
+    p = complex(p)
+    rep = f.rep
+    if f.is_rational:
+        pe = ExactComplex.of(p)
+        rep = Rational(rep.num.shift(pe), rep.den.shift(pe))
+    return MeroFunction(rep, f.base_point - p, f.domain)
+
+
 def _evaluate_rational(rep: Rational, z: complex) -> complex:
     dv = rep.den(z)
     if dv != 0 and abs(dv) > 1e-150:
@@ -615,6 +619,16 @@ def _evaluate_rational(rep: Rational, z: complex) -> complex:
     for _ in range(md):
         n, d = n.deflate(ze), d.deflate(ze)
     return complex(n(ze) / d(ze))
+
+
+def _residue_at_origin(ns: Poly, ds: Poly) -> complex:
+    """Coefficient of w^-1 in ns/ds (ns nonzero), exact, then floated."""
+    a = ns.low_order()
+    b = ds.low_order()
+    if a - b >= 0:
+        return 0j
+    _, coeffs = _exact_series_quotient(ns, ds, b - a)
+    return complex(coeffs[b - a - 1])
 
 
 def _exact_series_quotient(ns: Poly, ds: Poly, count: int

@@ -20,8 +20,10 @@ import nullsl2.invariants as invariants
 from nullsl2 import (
     SHEAR_KINDS,
     DegenerateDenominator,
+    ExactComplex,
     MeroFunction,
     NotAnEnd,
+    Poly,
     SL2NullCurve,
     UmbilicInput,
     aux_rotations,
@@ -220,6 +222,111 @@ def test_hopf_cross_check_rejects_det_two():
         hopf(G)
     with pytest.raises(HopfMismatch):
         classify_end(G, 0)
+
+
+def _sheared(F, kind):
+    return F if kind is None else shear(F, 0.5, kind)
+
+
+@pytest.mark.parametrize("c", [0.5 + 0.25j, 0.3137 + 0.2719j])
+def test_recentred_report_matches_origin_model(c):
+    # end_model(m, c) is end_model(m) translated by hand to c, so its report
+    # at c is the origin report with only the center changed
+    for m in range(1, 9):
+        for kind in (None,) + SHEAR_KINDS:
+            rep = classify_end(_sheared(end_model(m, c), kind), c)
+            at0 = classify_end(_sheared(end_model(m), kind), 0)
+            assert rep.center == c
+            assert rep.as_dict() == {**at0.as_dict(),
+                                     "center": [c.real, c.imag]}, (m, kind)
+            got = (rep.k, rep.l, rep.ord_omega, rep.q_hat_minus2,
+                   rep.multiplicity, rep.min_maurer_cartan_ord)
+            assert got == _oracle(m, kind), (m, c, kind)
+
+
+def test_classify_end_recentres_once(monkeypatch):
+    c = 0.5 + 0.25j
+    F = end_model(5, c)
+    shifts, classified, hopfs = [], [], []
+    real_shift = Poly.shift
+    real_classify, real_hopf = invariants.classify_end, invariants.hopf
+
+    def counted_shift(self, p):
+        if p:
+            shifts.append(self)
+        return real_shift(self, p)
+
+    def counted_classify(*args, **kwargs):
+        classified.append(args)
+        return real_classify(*args, **kwargs)
+
+    def counted_hopf(*args, **kwargs):
+        hopfs.append(args)
+        return real_hopf(*args, **kwargs)
+
+    monkeypatch.setattr(Poly, "shift", counted_shift)
+    monkeypatch.setattr(invariants, "classify_end", counted_classify)
+    monkeypatch.setattr(invariants, "hopf", counted_hopf)
+    rep = invariants.classify_end(F, c)
+    assert rep.multiplicity == 5 and rep.center == c
+    # the only nonzero shifts are those of the eight slot polynomials
+    slot_polys = [x for s in F.slots() for x in (s.rep.num, s.rep.den)]
+    assert len(shifts) <= 8
+    assert all(any(q is x for x in slot_polys) for q in shifts)
+    assert len(classified) == 1 and len(hopfs) == 1
+
+
+def test_window_slots_recentre_by_base_point():
+    c = 0.5 + 0.25j
+    for m in (1, 2, 3):
+        F = end_model(m, c)
+        W = SL2NullCurve(*(s.to_laurent(c, 30) for s in F.slots()),
+                         pole_set=F.pole_set)
+        G = invariants._recentred(W, c)
+        for s, t in zip(W.slots(), G.slots()):
+            assert t.rep == s.rep and t.domain == s.domain
+            assert t.base_point == s.base_point - c == 0
+        assert G.pole_set == (0j,)
+        rep = classify_end(W, c)
+        assert rep.as_dict() == classify_end(F, c).as_dict()
+        assert end_multiplicity(W, c) == m
+        assert maurer_cartan_min_ord(W, c) == _oracle(m)[5]
+
+
+def _rounded(f):
+    """f with float coefficients: num and den divided by den's leading
+    coefficient in floating point, so non-dyadic models lose exactness."""
+    num, den = f.rep.num.float_coeffs(), f.rep.den.float_coeffs()
+    lead = den[0]
+    return MeroFunction.from_rational([a / lead for a in reversed(num)],
+                                      [a / lead for a in reversed(den)])
+
+
+def _moved(f, c):
+    """w -> f(w - c), by an exact Taylor shift."""
+    q = ExactComplex.of(-c)
+    return MeroFunction.from_rational(f.rep.num.shift(q), f.rep.den.shift(q))
+
+
+@pytest.mark.parametrize("c", [-37.1 + 21.9j, 1000.1 + 0.3j])
+def test_rounded_curve_verdicts_are_translation_invariant(c):
+    # Tolerance checks (F1 == 0, omega == 0, det F', the Maurer-Cartan
+    # trace) run in the recentred coordinate, so a float-rounded end and its
+    # exact translate to a far centre get the same verdicts
+    for m in range(1, 9):
+        for kind in (None,) + SHEAR_KINDS:
+            F = _sheared(end_model(m), kind)
+            R = SL2NullCurve(*(_rounded(s) for s in F.slots()), pole_set=(0j,))
+            assert any(r.rep != s.rep for r, s in zip(R.slots(), F.slots()))
+            H = SL2NullCurve(*(_moved(s, c) for s in R.slots()), pole_set=(c,))
+            at0 = classify_end(R, 0)
+            assert classify_end(H, c).as_dict() == {
+                **at0.as_dict(), "center": [c.real, c.imag]}, (m, kind)
+            got = (at0.k, at0.l, at0.ord_omega, round(at0.q_hat_minus2.real),
+                   at0.multiplicity, at0.min_maurer_cartan_ord)
+            assert got == _oracle(m, kind), (m, kind)
+            assert end_multiplicity(H, c) == end_multiplicity(R, 0) == m
+            assert maurer_cartan_min_ord(H, c) == maurer_cartan_min_ord(R, 0)
 
 
 def test_end_model_gallery_script(tmp_path, monkeypatch, capsys):

@@ -26,6 +26,7 @@ from nullsl2 import (
     MaxIterExceeded,
     MeroFunction,
     PoleOnContour,
+    Poly,
     SingularJacobian,
     SprayFamily,
     annulus,
@@ -132,6 +133,33 @@ def test_period_cross_check_failure_on_aliased_quadrature():
     bad = Cycle.circle(0, 1.0, nodes=4)
     with pytest.raises(CrossCheckFailed):
         period(f, bad)
+
+
+def test_residue_near_shift_counts(monkeypatch):
+    # 1/(z-p)^2 + 2/(z-p) at a dyadic p.  At p itself, an exact root of the
+    # denominator: one Taylor shift each of numerator and denominator, and
+    # the exact residue.  At a located pole off by 1e-13 (as root finders
+    # return it): only the denominator is shifted, and the trapezoid circle
+    # gives the residue.
+    p = 0.25 + 0.5j
+    zp = MeroFunction.from_poly((-p, 1))
+    f = 1 / (zp * zp) + 2 / zp
+    shifts = []
+    real_shift = Poly.shift
+
+    def counted(self, q):
+        if q:
+            shifts.append(self)
+        return real_shift(self, q)
+
+    monkeypatch.setattr(Poly, "shift", counted)
+    assert nullsl2.periods._residue_near(f, p, 1.0) == 2
+    assert len(shifts) == 2
+    assert {id(s) for s in shifts} == {id(f.rep.num), id(f.rep.den)}
+    shifts.clear()
+    r = nullsl2.periods._residue_near(f, p + 1e-13, 1.0)
+    assert abs(r - 2) < 1e-9
+    assert len(shifts) == 1 and shifts[0] is f.rep.den
 
 
 def test_period_window_residue():

@@ -173,6 +173,21 @@ def test_laurent_head_at_shifted_center():
     assert head[-2] == 0
 
 
+def test_laurent_head_agrees_with_exact_laurent():
+    # 3 (z-p)^-3 + (z-p)^-1 + 2 z at a dyadic p: heads above, across and
+    # below the valuation (hi < -3 gives the zero-filled head)
+    p = 0.5 - 0.75j
+    zp = MeroFunction.from_poly((-p, 1))
+    f = 3 / (zp * zp * zp) + 1 / zp + MeroFunction.from_poly((0, 2))
+    n, coeffs = f.exact_laurent(p, 8)
+    assert n == -3
+    for lo, hi in ((-5, 4), (-3, -3), (-6, -4), (0, 2)):
+        head = f.laurent_head(p, lo, hi)
+        assert sorted(head) == list(range(lo, hi + 1))
+        for k, v in head.items():
+            assert v == (complex(coeffs[k - n]) if k >= n else 0j), (lo, hi, k)
+
+
 # ---------------------------------------------------------------------------
 # is_identically_zero semantics
 # ---------------------------------------------------------------------------
