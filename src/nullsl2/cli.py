@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidMultiplicity, NullCurveError, ParseError
+from .exact import Poly
 from .invariants import classify_end
 from .meshing import build_surface_mesh, sidecar_dict, write_obj
 from .periods import period_solve
@@ -189,6 +190,14 @@ def cmd_endmodel(args, cfg: RunConfig) -> int:
     save_json(args.out, sl2_to_dict(curve))
     sys.stdout.write(f"wrote end model m={args.multiplicity} "
                      f"center={center} to {args.out}\n")
+    polys = [p for s in curve.slots() for p in (s.rep.num, s.rep.den)]
+    if any(Poly(p.float_coeffs()[::-1]) != p for p in polys):
+        # the file holds float coefficients; off dyadic centres they are
+        # rounded, and the reloaded poles no longer sit exactly at center
+        sys.stderr.write(
+            f"warning: the written coefficients are rounded at "
+            f"center={center}; the reloaded curve is not the exact end "
+            f"model there\n")
     return 0
 
 

@@ -144,7 +144,12 @@ def tee_inv_curve(F: SL2NullCurve) -> C3NullCurve:
 def check_null_sl2(F: SL2NullCurve, tol: float = ZERO_TOL) -> SL2Report:
     """Unimodularity, nullity, immersion and nonflatness verdicts.
 
-    Exact on rational slots; coefficient tests at `tol` on windows.
+    Exact on rational slots at ``tol == 0``; coefficient tests at `tol` on
+    windows.  Nonflatness is ``not is_flat(F')``: on rational slots F' spans
+    a fixed direction exactly when (c/ref)' == 0 for each nonzero slot
+    derivative c against the smallest one, ref; at ``tol > 0`` each
+    quotient derivative's numerator is compared against its own
+    denominator's scale.
     """
     det = F.det()
     unimodular = (det - 1).is_identically_zero(tol)
@@ -214,8 +219,10 @@ def end_model(spec, center: complex = 0j) -> SL2NullCurve:
     m = 1:  ( z^-2,  -(4/3) z,            z^-1,              -(1/3) z^2 )
     m >= 2: ( z^-1,  -z^(m+1)/(m+2),  -1/(m z^(m+1)),  (m+1)^2 z/((m+1)^2-1) )
 
-    Coefficients are small integers over small integers, so serialized
-    curves reload exactly and det == 1 stays an exact identity.
+    Coefficients are small integers over small integers, so det == 1 stays
+    an exact identity.  Serialized curves reload exactly at dyadic centres;
+    elsewhere the Taylor-shifted coefficients are rounded to floats on
+    writing, and the reloaded poles no longer sit exactly at the centre.
     """
     if isinstance(spec, EndModelSpec):
         m, center = spec.multiplicity, spec.center

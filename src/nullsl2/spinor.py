@@ -113,7 +113,11 @@ def check_null_c3(X: C3NullCurve, tol: float = ZERO_TOL) -> C3Report:
     """Report nullity, immersion and flatness of a C^3 curve.
 
     Nullity and flatness are exact verdicts on rational representations
-    and coefficient tests at `tol` on windows.
+    at ``tol == 0`` and coefficient tests at `tol` on windows.  Flatness
+    is ``is_flat`` of X': (c/ref)' == 0 for each nonzero component c
+    against the smallest one, ref; at ``tol > 0`` each quotient
+    derivative's numerator is compared against its own denominator's
+    scale.
     """
     derivs = [c.differentiate() for c in X.components()]
     s = derivs[0] * derivs[0] + derivs[1] * derivs[1] + derivs[2] * derivs[2]
@@ -149,22 +153,27 @@ def integrate_null(f, base_point: complex = 0j,
 def is_flat(components, tol: float = ZERO_TOL) -> bool:
     """True when the (derivative) components span a fixed direction.
 
-    Rational components use the exact pairwise Wronskian test against a
-    nonzero reference; windows use 2x2 minors of the coefficient matrix
-    against the leading-direction row.
+    Rational components: the reference ``ref`` is the nonzero component
+    of smallest ``num.degree + den.degree`` (the first one on a tie), and
+    the field is flat exactly when ``(c / ref)' == 0`` for every other
+    nonzero component c, taken in order of that size; the test stops at
+    the first c that fails.  For meromorphic functions this is the
+    Wronskian test c'*ref - c*ref' == 0 on smaller polynomials.  At
+    ``tol == 0`` the verdict is exact; at ``tol > 0`` the numerator of
+    each (c/ref)' is compared against its own denominator's scale, as
+    ``MeroFunction.is_identically_zero`` does, and components zero to
+    within `tol` are left out.  Windows use 2x2 minors of the coefficient
+    matrix against the leading-direction row.
     """
     comps = list(components)
     nonzero = [c for c in comps if not c.is_identically_zero(tol)]
     if not nonzero:
         return True  # the zero field is (degenerately) directionless
     if all(c.is_rational for c in comps):
-        ref = nonzero[0]
-        refd = ref.differentiate()
-        for c in comps:
-            w = c.differentiate() * ref - c * refd
-            if not w.is_identically_zero(tol):
-                return False
-        return True
+        ref, *rest = sorted(
+            nonzero, key=lambda c: c.rep.num.degree + c.rep.den.degree)
+        return all((c / ref).differentiate().is_identically_zero(tol)
+                   for c in rest)
     # window path: coefficient matrix, rows = components
     windows = [c if c.is_window else c.to_laurent() for c in comps]
     lo = min(w.rep.min_exponent for w in windows)

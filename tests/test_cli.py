@@ -81,6 +81,25 @@ def test_endmodel_rejects_m0(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("center, rounded", [
+    ("0.3137,0.2719", True), ("0,0", False), ("0.5,-0.5", False)])
+def test_endmodel_warns_when_rounding_is_lossy(tmp_path, capsys, center,
+                                               rounded):
+    out = tmp_path / "m3.json"
+    code = main(["endmodel", "--multiplicity", "3", "--center", center,
+                 "--out", str(out)])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert err.count("warning:") == int(rounded)
+    if rounded:
+        assert "(0.3137+0.2719j)" in err and "not the exact end model" in err
+    same = tmp_path / "direct.json"
+    re_s, im_s = center.split(",")
+    save_json(same, sl2_to_dict(end_model(3, complex(float(re_s),
+                                                     float(im_s)))))
+    assert out.read_bytes() == same.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------

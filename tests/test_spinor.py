@@ -1,25 +1,33 @@
 """Spinor encoding of null direction fields and exact integration."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullsl2 import (
+    SHEAR_KINDS,
     C3NullCurve,
     DegenerateEta,
     EtaIdenticallyZero,
+    ExactComplex,
     MeroFunction,
     NonExactField,
     SL2NullCurve,
     SpinorData,
     check_null_c3,
     check_null_sl2,
+    end_model,
     extract_spinor,
     from_spinor,
     integrate_null,
     is_flat,
+    shear,
     spinor_common_zero_points,
 )
+from nullsl2.serialize import curve_from_dict, sl2_to_dict
 
 from conftest import (
     random_integrable_spinor,
@@ -177,6 +185,110 @@ def test_is_flat_on_proportional_and_generic():
     assert is_flat((f, f * 2, f * (1 + 1j)))
     g = MeroFunction.monomial(2)
     assert not is_flat((f, g, f))
+
+
+#: coefficient parts of int, dyadic and general-float height
+_part = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.builds(lambda n, k: Fraction(n, 2**k),
+              st.integers(min_value=-99, max_value=99),
+              st.integers(min_value=0, max_value=8)),
+    st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+)
+_coeff = st.builds(ExactComplex, _part, _part)
+
+
+def _nonzero_coeffs(size):
+    return st.lists(_coeff, min_size=1, max_size=size).filter(
+        lambda cs: any(not c.is_zero() for c in cs))
+
+
+_rational = st.builds(MeroFunction.from_rational, _nonzero_coeffs(4),
+                      _nonzero_coeffs(3))
+
+
+@st.composite
+def st_flat_or_not(draw):
+    """k_i * f for three or four components, some k_i zero; optionally one
+    component replaced by an independent rational."""
+    f = draw(_rational)
+    n = draw(st.integers(min_value=3, max_value=4))
+    ks = draw(st.lists(st.one_of(st.just(0), _coeff), min_size=n, max_size=n))
+    comps = [f * k for k in ks]
+    if draw(st.booleans()):
+        comps[draw(st.integers(min_value=0, max_value=n - 1))] = draw(_rational)
+    return comps
+
+
+def _sympy_flat(comps) -> bool:
+    """(c/ref)' == 0 for every component c, ref the first nonzero one."""
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol("x")
+
+    def sym(poly):
+        return sum(
+            (sp.Rational(c.re.numerator, c.re.denominator)
+             + sp.I * sp.Rational(c.im.numerator, c.im.denominator)) * x**k
+            for k, c in enumerate(poly.coeffs))
+
+    exprs = [sym(c.rep.num) / sym(c.rep.den) for c in comps]
+    nonzero = [e for e in exprs if sp.cancel(e) != 0]
+    if not nonzero:
+        return True
+    return all(sp.cancel(sp.diff(e / nonzero[0], x)) == 0 for e in nonzero)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st_flat_or_not())
+def test_prop_is_flat_matches_sympy(comps):
+    assert is_flat(comps, 0.0) == _sympy_flat(comps)
+
+
+def test_is_flat_differentiates_quotients_not_components(monkeypatch):
+    seen = []
+    differentiate = MeroFunction.differentiate
+
+    def record(self):
+        seen.append(self)
+        return differentiate(self)
+
+    monkeypatch.setattr(MeroFunction, "differentiate", record)
+    z = [MeroFunction.monomial(k) for k in range(1, 5)]
+    f = MeroFunction.from_rational((1, 2), (3, 0, 1))
+    flat = [f * 2, f, f * (1 - 1j), f * 0.5]
+    assert is_flat(flat, 0.0)
+    assert len(seen) == 3
+    assert not any(r is c for r in seen for c in flat)
+    seen.clear()
+    nonflat = z[::-1]   # z^4, z^3, z^2, z: the reference is z
+    assert not is_flat(nonflat, 0.0)
+    assert len(seen) == 1   # the first quotient, z^2 / z, already fails
+    assert seen[0].rep == (z[1] / z[0]).rep
+    assert not any(r is c for r in seen for c in nonflat)
+
+
+_TOL_CENTER = 0.3137 + 0.2719j   # not dyadic: the round trip rounds
+
+
+@pytest.mark.parametrize("kind", (None,) + SHEAR_KINDS)
+@pytest.mark.parametrize("m", range(1, 9))
+def test_round_tripped_end_reports_at_tolerance(m, kind):
+    F = end_model(m, _TOL_CENTER)
+    if kind is not None:
+        F = shear(F, 0.5 - 0.25j, kind)
+    F = curve_from_dict(sl2_to_dict(F))
+    assert check_null_sl2(F, tol=1e-10).as_dict() == {
+        "unimodular": True, "null": True, "immersion": True,
+        "nonflat": True}
+
+
+def test_round_tripped_flat_curve_report_at_tolerance():
+    one, zero = MeroFunction.constant(1), MeroFunction.zero()
+    F = SL2NullCurve(one, MeroFunction.monomial(1), zero, one)
+    F = curve_from_dict(sl2_to_dict(F))
+    assert check_null_sl2(F, tol=1e-10).as_dict() == {
+        "unimodular": True, "null": True, "immersion": True,
+        "nonflat": False}
 
 
 # ---------------------------------------------------------------------------
