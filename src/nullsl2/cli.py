@@ -9,7 +9,8 @@ Subcommands:
     solve      close periods of a spray family by damped Newton
 
 Exit codes: 0 success, 1 domain failure (a predicate or solver failed),
-2 input error (bad arguments, malformed files).
+2 input error (bad arguments, malformed files, paths that cannot be
+opened).
 
 Settings resolve in precedence order: built-in defaults, then a --config
 JSON file, then explicit flags, then the NULLSL2_SEED environment
@@ -23,8 +24,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import InvalidMultiplicity, NullCurveError, ParseError
 from .exact import Poly
 from .invariants import classify_end
@@ -301,8 +301,8 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         return args.fn(args, cfg)
-    except (ParseError, InvalidMultiplicity, ValueError,
-            FileNotFoundError) as err:
+    except (ParseError, InvalidMultiplicity, ValueError, FileNotFoundError,
+            IsADirectoryError, NotADirectoryError, PermissionError) as err:
         sys.stderr.write(f"input error: {err}\n")
         return 2
     except NullCurveError as err:

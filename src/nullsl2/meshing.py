@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (DegenerateDenominator, EvaluationAtPole,
                      GaussMapMismatch, PoleOnGrid)
 from .invariants import omega, secondary_gauss
@@ -27,15 +26,21 @@ POLE_BAND_PAD = 1e-9
 MESH_TARGETS = ("h3", "s31")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceMesh:
-    """Triangulated projection of an annular patch of a null curve."""
+    """Triangulated projection of an annular patch of a null curve.
+
+    ``vertices`` is an (n, 3) float64 array, ``faces`` an (m, 3) integer
+    array of 0-based vertex indices, and ``x0`` (de Sitter targets only)
+    an (n,) float64 array.  Arrays have no tuple equality or hash, so the
+    dataclass defines neither (``eq=False``): meshes compare by identity.
+    """
 
     target: str
-    vertices: tuple[tuple[float, float, float], ...]
-    faces: tuple[tuple[int, int, int], ...]  # 0-based vertex indices
+    vertices: np.ndarray
+    faces: np.ndarray
     metric_factor: tuple[float, ...] | None
-    x0: tuple[float, ...] | None
+    x0: np.ndarray | None
     warnings: tuple[str, ...]
     grid: tuple[int, int]
     radii: tuple[float, float]
@@ -91,6 +96,8 @@ def _metric_samples(F: SL2NullCurve, zs: np.ndarray, warnings: list[str]):
     try:
         gv = g.evaluate_many(zs)
         wv = w.evaluate_many(zs)
+        # Python's complex abs, not np.abs: they differ in the last bits on
+        # about a third of the points, which would change the sidecar bytes
         out = [float((1.0 + abs(a) ** 2) ** 2 * abs(b) ** 2)
                for a, b in zip(gv, wv)]
     except EvaluationAtPole:
@@ -153,29 +160,25 @@ def build_surface_mesh(F: SL2NullCurve, target: str = "h3",
         x0_out = None
     else:
         verts = np.stack([x1, x2, x3], axis=1)
-        x0_out = tuple(float(v) for v in x0)
+        x0_out = x0
 
     spread = float(np.abs(verts - verts[0]).max())
     if spread < 1e-12:
         warnings.append("degenerate mesh: all vertices coincide")
 
+    # quad (i, j) of the ring ladder splits into (a, b, c) and (a, c, d)
     n_r, n_a = grid
-    faces = []
-    for i in range(n_r - 1):
-        for j in range(n_a):
-            j2 = (j + 1) % n_a
-            a = i * n_a + j
-            b = i * n_a + j2
-            c = (i + 1) * n_a + j2
-            d = (i + 1) * n_a + j
-            faces.append((a, b, c))
-            faces.append((a, c, d))
+    ring = np.arange(n_r - 1)[:, None] * n_a
+    j = np.arange(n_a)[None, :]
+    j2 = (j + 1) % n_a
+    a, b, c, d = ring + j, ring + j2, ring + n_a + j2, ring + n_a + j
+    faces = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
 
     metric = _metric_samples(F, zs, warnings)
     return SurfaceMesh(
         target=target,
-        vertices=tuple((float(p[0]), float(p[1]), float(p[2])) for p in verts),
-        faces=tuple(faces),
+        vertices=verts,
+        faces=faces,
         metric_factor=metric,
         x0=x0_out,
         warnings=tuple(warnings),
@@ -189,15 +192,22 @@ def build_surface_mesh(F: SL2NullCurve, target: str = "h3",
 # OBJ round trip
 # ---------------------------------------------------------------------------
 
+#: rows per ``%`` format in obj_text
+_OBJ_BLOCK = 4096
+
+
+def _obj_rows(line: str, rows: np.ndarray) -> list[str]:
+    """``line`` formatted once per row, one ``%`` format per block."""
+    blocks = (rows[k:k + _OBJ_BLOCK] for k in range(0, len(rows), _OBJ_BLOCK))
+    return [(line * len(b)) % tuple(b.ravel().tolist()) for b in blocks]
+
+
 def obj_text(mesh: SurfaceMesh) -> str:
-    lines = [f"# null-curve surface mesh target={mesh.target} "
-             f"grid={mesh.grid[0]}x{mesh.grid[1]} "
-             f"radii={mesh.radii[0]:.17g}:{mesh.radii[1]:.17g}"]
-    for x, y, z in mesh.vertices:
-        lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-    for a, b, c in mesh.faces:
-        lines.append(f"f {a + 1} {b + 1} {c + 1}")
-    return "\n".join(lines) + "\n"
+    head = (f"# null-curve surface mesh target={mesh.target} "
+            f"grid={mesh.grid[0]}x{mesh.grid[1]} "
+            f"radii={mesh.radii[0]:.17g}:{mesh.radii[1]:.17g}\n")
+    return "".join([head, *_obj_rows("v %.17g %.17g %.17g\n", mesh.vertices),
+                    *_obj_rows("f %d %d %d\n", mesh.faces + 1)])
 
 
 def write_obj(mesh: SurfaceMesh, path) -> None:
@@ -229,5 +239,5 @@ def sidecar_dict(mesh: SurfaceMesh) -> dict:
     if mesh.metric_factor is not None:
         out["metric_factor"] = list(mesh.metric_factor)
     if mesh.x0 is not None:
-        out["x0"] = list(mesh.x0)
+        out["x0"] = mesh.x0.tolist()
     return out

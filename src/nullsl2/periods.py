@@ -24,8 +24,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (CrossCheckFailed, MaxIterExceeded, PoleOnContour,
                      SingularJacobian)
 from .series import (DomainTag, ExactComplex, MeroFunction, annulus,

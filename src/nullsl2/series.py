@@ -26,8 +26,7 @@ import cmath
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (
     DivisionByZeroFunction,
     EvaluationAtPole,

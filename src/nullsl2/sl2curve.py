@@ -20,8 +20,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (
     FirstEntryZero,
     InvalidMultiplicity,

@@ -20,14 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .errors import NotHermitian, NotUnimodular
 
 #: tolerance for membership/validation predicates
 MEMBERSHIP_TOL = 1e-9
-
-_J = np.diag([1.0, -1.0]).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -124,7 +121,8 @@ def membership(a, group: str, tol: float = MEMBERSHIP_TOL) -> bool:
     if group == "SU2":
         return bool(np.abs(m @ m.conj().T - np.eye(2)).max() <= tol)
     if group == "SU11":
-        return bool(np.abs(m @ _J @ m.conj().T - _J).max() <= tol)
+        j = np.diag([1.0, -1.0]).astype(complex)
+        return bool(np.abs(m @ j @ m.conj().T - j).max() <= tol)
     raise ValueError(f"unknown group {group!r}; expected 'SU2' or 'SU11'")
 
 

@@ -100,6 +100,47 @@ def test_endmodel_warns_when_rounding_is_lossy(tmp_path, capsys, center,
     assert out.read_bytes() == same.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["endmodel", "mesh"])
+def test_unwritable_output_path_is_input_error(end1_path, tmp_path, capsys,
+                                               command):
+    args = {"endmodel": ["--multiplicity", "2"],
+            "mesh": ["--curve", end1_path, "--grid", "4x6"]}[command]
+    code = main([command, *args, "--out", str(tmp_path)])   # a directory
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error")
+    assert "Traceback" not in err
+
+
+# The exact subcommands never run numpy's module body: a lazily bound
+# ``numpy`` entry may sit in sys.modules, but none of its submodules.
+_EXACT_PATH_SCRIPT = """
+import sys
+from nullsl2.cli import main
+config, out, centers = sys.argv[1], sys.argv[2], sys.argv[3:]
+head = ["--config", config] if config else []
+for center in centers:
+    for m in ("1", "2", "3"):
+        assert main(head + ["endmodel", "--multiplicity", m,
+                            "--center", center, "--out", out]) == 0
+        assert main(head + ["classify", "--curve", out,
+                            "--center", center]) == 0
+print(sorted(name for name in sys.modules if name.startswith("numpy.")))
+"""
+
+
+@pytest.mark.parametrize("config", [
+    "", str(REPO_ROOT / "tests" / "golden" / "config.json")],
+    ids=["defaults", "golden-config"])
+def test_exact_subcommands_never_run_numpy(tmp_path, config):
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXACT_PATH_SCRIPT, config,
+         str(tmp_path / "end.json"), "0,0", "0.5,0.25"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
