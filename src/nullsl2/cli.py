@@ -183,9 +183,6 @@ def cmd_classify(args, cfg: RunConfig) -> int:
 
 def cmd_endmodel(args, cfg: RunConfig) -> int:
     center = _parse_complex(args.center) if args.center else 0j
-    if args.multiplicity < 1:
-        raise InvalidMultiplicity(
-            f"end models need an integer m >= 1, got {args.multiplicity}")
     curve = end_model(args.multiplicity, center)
     save_json(args.out, sl2_to_dict(curve))
     sys.stdout.write(f"wrote end model m={args.multiplicity} "

@@ -15,8 +15,10 @@ Euclidean pseudo-division (gcd).  A point p = P/d enters as the Gaussian
 integer P acting on d**deg * f(x/d).  The :class:`ExactComplex` view of the
 coefficients is built only on request.
 
-Only what the package needs is implemented; a small exact Gaussian
-elimination serves the rational-antiderivative reduction.
+Only what the package needs is implemented.  The exact calculus of
+:mod:`nullsl2.series` (series quotients, Hermite reduction of rational
+antiderivatives) runs on these kernels: the ring operations, ``divmod``,
+``exact_div``, ``reverse`` and :func:`poly_gcd`.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
-
-_ZERO = Fraction(0)
 
 
 def _frac(x) -> Fraction:
@@ -69,49 +69,22 @@ class ExactComplex:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        o = other if isinstance(other, ExactComplex) else ExactComplex.of(other)
-        # raw integer cross-multiplication with a single normalizing
-        # Fraction() per component is several times cheaper than chaining
-        # Fraction operators (each of which re-dispatches and re-reduces)
-        ar, ai, br, bi = self.re, self.im, o.re, o.im
-        if not ar and not ai:
-            return o
-        if not br and not bi:
-            return self
-        d1, d2 = ar.denominator, br.denominator
-        e1, e2 = ai.denominator, bi.denominator
-        return ExactComplex(
-            Fraction(ar.numerator * d2 + br.numerator * d1, d1 * d2),
-            Fraction(ai.numerator * e2 + bi.numerator * e1, e1 * e2))
+        o = ExactComplex.of(other)
+        return ExactComplex(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = other if isinstance(other, ExactComplex) else ExactComplex.of(other)
-        ar, ai, br, bi = self.re, self.im, o.re, o.im
-        d1, d2 = ar.denominator, br.denominator
-        e1, e2 = ai.denominator, bi.denominator
-        return ExactComplex(
-            Fraction(ar.numerator * d2 - br.numerator * d1, d1 * d2),
-            Fraction(ai.numerator * e2 - bi.numerator * e1, e1 * e2))
+        o = ExactComplex.of(other)
+        return ExactComplex(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         return ExactComplex.of(other).__sub__(self)
 
     def __mul__(self, other):
-        o = other if isinstance(other, ExactComplex) else ExactComplex.of(other)
-        ar, ai, br, bi = self.re, self.im, o.re, o.im
-        arn, ard = ar.numerator, ar.denominator
-        ain, aid = ai.numerator, ai.denominator
-        brn, brd = br.numerator, br.denominator
-        bin_, bid = bi.numerator, bi.denominator
-        if not ain and not bin_:        # real * real, the most common case
-            return ExactComplex(Fraction(arn * brn, ard * brd), _ZERO)
-        # re = ar br - ai bi, im = ar bi + ai br, over the common denominator
-        den = ard * brd * aid * bid
-        re_n = arn * brn * aid * bid - ain * bin_ * ard * brd
-        im_n = arn * bin_ * aid * brd + ain * brn * ard * bid
-        return ExactComplex(Fraction(re_n, den), Fraction(im_n, den))
+        o = ExactComplex.of(other)
+        return ExactComplex(self.re * o.re - self.im * o.im,
+                            self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
@@ -155,7 +128,6 @@ class ExactComplex:
 
 EC_ZERO = ExactComplex(0)
 EC_ONE = ExactComplex(1)
-EC_I = ExactComplex(0, 1)
 
 
 def _split(c) -> tuple[int, int, int, int]:
@@ -333,6 +305,10 @@ class Poly:
     def drop_low(self, t: int) -> "Poly":
         """The polynomial of coefficients t, t+1, ...: self // z**t."""
         return Poly._make(self._den, self._re[t:], self._im[t:])
+
+    def reverse(self) -> "Poly":
+        """z**degree * self(1/z): the coefficients in reverse order."""
+        return Poly._make(self._den, self._re[::-1], self._im[::-1])
 
     # -- ring operations ------------------------------------------------------
 
@@ -550,34 +526,3 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         a, b = b, a.divmod(b)[1]
     return a.monic() if not a.is_zero() else a
 
-
-def solve_linear(rows: Sequence[Sequence[ExactComplex]],
-                 rhs: Sequence[ExactComplex]) -> list[ExactComplex] | None:
-    """Solve a square exact linear system by Gaussian elimination.
-
-    Returns None when the matrix is singular (the callers treat that as
-    "decomposition does not exist", which for our uses cannot happen and is
-    reported upstream as an internal inconsistency).
-    """
-    n = len(rows)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if not aug[i][c].is_zero()), None)
-        if piv is None:
-            return None
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = EC_ONE / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(n):
-            if i != r and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    if r < n:
-        return None
-    return [aug[i][n] for i in range(n)]

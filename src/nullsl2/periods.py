@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from ._lazy import np
 from .errors import (CrossCheckFailed, MaxIterExceeded, PoleOnContour,
                      SingularJacobian)
-from .series import (DomainTag, ExactComplex, MeroFunction, annulus,
-                     _fft_expand, _residue_at_origin)
+from .series import (DomainTag, MeroFunction, annulus, _fft_expand,
+                     _residue_at_origin)
 from .spinor import SpinorData
 
 #: cross-check tolerance between quadrature and residue periods
@@ -149,10 +149,10 @@ def _residue_near(f: MeroFunction, p: complex, clearance: float) -> complex:
     Laurent expansion of the translate at 0; otherwise it is recovered by a
     small trapezoid circle around p, which tolerates root-finding error.
     """
-    pe = ExactComplex.of(complex(p))
-    den = f.rep.den.shift(pe)
+    p = complex(p)
+    den = f.rep.den.shift(p)
     if den.low_order() > 0:
-        return _residue_at_origin(f.rep.num.shift(pe), den)
+        return _residue_at_origin(f.rep.num.shift(p), den)
     rho = 0.45 * min(1.0, clearance)
     theta = 2 * np.pi * np.arange(256) / 256
     e = np.exp(1j * theta)

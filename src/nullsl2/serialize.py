@@ -48,7 +48,7 @@ def _guard(fn):
         except ParseError:
             raise
         except (KeyError, TypeError, ValueError, IndexError,
-                AttributeError) as err:
+                AttributeError, OverflowError) as err:
             raise ParseError(f"{fn.__name__}: {err}") from err
     return wrapper
 
@@ -100,6 +100,8 @@ def mero_from_dict(data: dict) -> MeroFunction:
         rat = data["rational"]
         num = [_as_complex(c) for c in rat["num"]]
         den = [_as_complex(c) for c in rat.get("den", [[1.0, 0.0]])]
+        if not any(den):
+            raise ParseError("rational payload has a zero denominator")
         return MeroFunction.from_rational(num, den, base, domain)
     if "laurent" in data:
         lau = data["laurent"]

@@ -34,7 +34,7 @@ from .errors import (
     NonExactField,
     TruncationTooShort,
 )
-from .exact import EC_ONE, EC_ZERO, ExactComplex, Poly, poly_gcd, solve_linear
+from .exact import EC_ONE, EC_ZERO, ExactComplex, Poly, poly_gcd
 
 #: zero tolerance for floating coefficient tests
 ZERO_TOL = 1e-10
@@ -223,8 +223,7 @@ class MeroFunction:
         else:
             num, den = Poly((c,)), Poly.monomial(-exponent)
         if base_point != 0:
-            num, den = num.shift(ExactComplex.of(-base_point)), \
-                den.shift(ExactComplex.of(-base_point))
+            num, den = num.shift(-base_point), den.shift(-base_point)
         return MeroFunction(Rational(num, den), base_point, domain)
 
     # -- representation queries -----------------------------------------------
@@ -353,8 +352,8 @@ class MeroFunction:
             num, den = self.rep.num, self.rep.den
             if num.is_zero():
                 raise IdenticallyZero("ord of the zero function is undefined")
-            pe = ExactComplex.of(complex(p))
-            return num.multiplicity_at(pe) - den.multiplicity_at(pe)
+            p = complex(p)
+            return num.multiplicity_at(p) - den.multiplicity_at(p)
         w = self.rep
         if not w.coeffs:
             raise TruncationTooShort(
@@ -455,7 +454,8 @@ class MeroFunction:
         if self.rep.num.is_zero():
             raise IdenticallyZero("the zero function has no Laurent expansion")
         t = _translated(self, p).rep
-        return _exact_series_quotient(t.num, t.den, count)
+        n, q = _exact_series_quotient(t.num, t.den, count)
+        return n, list(q.coeffs[::-1][:max(count, 1)])
 
     def to_laurent(self, base_point: complex | None = None,
                    terms: int = DEFAULT_TERMS,
@@ -489,11 +489,12 @@ class MeroFunction:
                 return {k: 0j for k in range(lo, hi + 1)}
             t = _translated(self, p).rep
             n = t.num.low_order() - t.den.low_order()
-            _, coeffs = _exact_series_quotient(t.num, t.den, hi - n + 1)
+            _, q = _exact_series_quotient(t.num, t.den, hi - n + 1)
+            coeffs = q.float_coeffs()
             out = {}
             for k in range(lo, hi + 1):
                 idx = k - n
-                out[k] = complex(coeffs[idx]) if 0 <= idx < len(coeffs) else 0j
+                out[k] = coeffs[idx] if 0 <= idx < len(coeffs) else 0j
             return out
         w = self.rep
         if abs(complex(p) - self.base_point) > 1e-12:
@@ -513,33 +514,14 @@ class MeroFunction:
                 k = self.ord(self.base_point)
                 return [(self.base_point, -k)] if k < 0 else []
             return []
-        num, den = self.rep.num, self.rep.den
-        if den.degree < 1:
-            return []
-        out = []
-        num_cl = _clustered_roots(num) if not num.is_zero() else []
-        for p, md in _clustered_roots(den):
-            mn = next((m for q, m in num_cl if abs(q - p) < 1e-8), 0)
-            if num.is_zero():
-                mn = md  # zero function: no genuine pole
-            if md - mn > 0:
-                out.append((p, md - mn))
-        return out
+        num = self.rep.num
+        return [] if num.is_zero() else _excess_roots(self.rep.den, num)
 
     def zeros(self) -> list[tuple[complex, int]]:
         """Numeric zero list [(location, order)], for bookkeeping."""
         if self.is_window:
             return []
-        num, den = self.rep.num, self.rep.den
-        if num.is_zero() or num.degree < 1:
-            return []
-        out = []
-        den_cl = _clustered_roots(den) if den.degree >= 1 else []
-        for p, mn in _clustered_roots(num):
-            md = next((m for q, m in den_cl if abs(q - p) < 1e-8), 0)
-            if mn - md > 0:
-                out.append((p, mn - md))
-        return out
+        return _excess_roots(self.rep.num, self.rep.den)
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +574,7 @@ def _translated(f: MeroFunction, p: complex) -> MeroFunction:
     p = complex(p)
     rep = f.rep
     if f.is_rational:
-        pe = ExactComplex.of(p)
-        rep = Rational(rep.num.shift(pe), rep.den.shift(pe))
+        rep = Rational(rep.num.shift(p), rep.den.shift(p))
     return MeroFunction(rep, f.base_point - p, f.domain)
 
 
@@ -622,81 +603,73 @@ def _evaluate_rational(rep: Rational, z: complex) -> complex:
 
 def _residue_at_origin(ns: Poly, ds: Poly) -> complex:
     """Coefficient of w^-1 in ns/ds (ns nonzero), exact, then floated."""
-    a = ns.low_order()
-    b = ds.low_order()
-    if a - b >= 0:
+    count = ds.low_order() - ns.low_order()
+    if count <= 0:
         return 0j
-    _, coeffs = _exact_series_quotient(ns, ds, b - a)
-    return complex(coeffs[b - a - 1])
+    return _exact_series_quotient(ns, ds, count)[1].float_coeffs()[count - 1]
 
 
 def _exact_series_quotient(ns: Poly, ds: Poly, count: int
-                           ) -> tuple[int, list[ExactComplex]]:
-    """Laurent coefficients of ns/ds around 0: returns (min_exponent,
-    coefficients). Both polynomials are already shifted to the point."""
-    a = ns.low_order()
-    b = ds.low_order()
-    n_ser = list(ns.coeffs[a:])
-    d_ser = list(ds.coeffs[b:])
-    count = max(count, 1)
-    inv = [EC_ONE / d_ser[0]]
-    for k in range(1, count):
-        s = EC_ZERO
-        for j in range(1, min(k, len(d_ser) - 1) + 1):
-            s = s + d_ser[j] * inv[k - j]
-        inv.append(-s / d_ser[0])
-    out = []
-    for k in range(count):
-        s = EC_ZERO
-        for j in range(0, min(k, len(n_ser) - 1) + 1):
-            s = s + n_ser[j] * inv[k - j]
-        out.append(s)
-    return a - b, out
+                           ) -> tuple[int, Poly]:
+    """Laurent expansion of ns/ds around 0, both polynomials already
+    shifted to the point: (min_exponent, q), where the coefficient of
+    w**(min_exponent + i) is q's coefficient at degree q.degree - i for
+    i < max(count, 1), so ``q.float_coeffs()`` lists them in order.
+
+    With ns = w**a n0 and ds = w**b d0, the reversals N(z) = z**deg n0 *
+    n0(1/z) and D likewise give N z**pad / D = sum_i c_i z**(deg q - i)
+    at infinity, c_i the series coefficients of n0/d0; its polynomial part
+    is the quotient of one Euclidean division, and pad makes deg q reach
+    count - 1.
+    """
+    a, b = ns.low_order(), ds.low_order()
+    pad = max(0, max(count, 1) - 1 - (ns.degree - a) + (ds.degree - b))
+    q = (ns.reverse() * Poly.monomial(pad)).divmod(ds.reverse())[0]
+    return a - b, q
+
+
+def _diophantine(a: Poly, b: Poly, c: Poly) -> tuple[Poly, Poly]:
+    """(s, t) with s*a + t*b = c and deg s < deg b, for coprime a and b
+    (half-extended Euclid, Bronstein, Symbolic Integration I, 1.3)."""
+    r0, r1, s0, s1 = a, b, Poly.one(), Poly.zero()
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+    if r0.degree != 0:
+        raise AssertionError("Hermite reduction met a non-coprime pair")
+    s = (s0 * c).divmod(b)[1].exact_div(r0)
+    return s, (c - s * a).exact_div(b)
 
 
 def _rational_antiderivative(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """Exact antiderivative of num/den as (num, den), or NonExactField.
 
-    Reduction with undetermined coefficients (no factorization): write the
-    proper part as (R/V)' + W/U with V = gcd(den, den'), U = den/V; a
-    single-valued antiderivative exists iff the simple-pole part W vanishes.
+    Hermite reduction, quadratic form (Bronstein, Symbolic Integration I,
+    2.2), with no factorization: the proper part r/D, D monic, becomes
+    (R/V)' + W/U with V = gcd(D, D'), U = D/V and deg R < deg V; a
+    single-valued antiderivative exists iff the simple-pole part W
+    vanishes.  Each step takes D- (first V) to D-2 = gcd(D-, D-') with
+    D-* = D-/D-2, solves B*(-U D-'/D-) + C*D-* = A for deg B < deg D-*,
+    and moves B/D- into R/V and C - B' U/D-* into A, which ends as W.
     """
     q, r = num.divmod(den)
     q_int = Poly([EC_ZERO] + [c / (k + 1) for k, c in enumerate(q.coeffs)])
     if r.is_zero():
         return q_int, Poly.one()
     dmonic = den.monic()
-    lead = den.lc
-    r = r.scale(EC_ONE / lead)  # now integrating q_int + r/dmonic
+    r = r.scale(EC_ONE / den.lc)  # now integrating q_int + r/dmonic
     V = poly_gcd(dmonic, dmonic.derivative())
     U = dmonic.exact_div(V)
-    u, v = U.degree, V.degree
-    if v == 0:
-        _raise_non_exact(r, U)
-    T = (U * V.derivative()).exact_div(V)
-    # unknowns: R (v coeffs), W (u coeffs); match coefficients of
-    #   r = R'*U - T*R + W*V   (degree < u + v on both sides)
-    size = u + v
-    rows = [[EC_ZERO] * size for _ in range(size)]
-    for i in range(v):  # column i: the basis monomial z^i of R
-        rp = Poly.monomial(i - 1, i) if i >= 1 else Poly.zero()
-        col_poly = rp * U - T * Poly.monomial(i)
-        for k, c in enumerate(col_poly.coeffs):
-            if k < size:
-                rows[k][i] = rows[k][i] + c
-    for j in range(u):  # W coefficient j -> column v + j
-        col_poly = Poly.monomial(j) * V
-        for k, c in enumerate(col_poly.coeffs):
-            if k < size:
-                rows[k][v + j] = rows[k][v + j] + c
-    rhs = [r.coeff(k) for k in range(size)]
-    sol = solve_linear(rows, rhs)
-    if sol is None:
-        raise AssertionError("antiderivative reduction system was singular")
-    R = Poly(sol[:v])
-    W = Poly(sol[v:])
-    if not W.is_zero():
-        _raise_non_exact(W, U)
+    R, A, dm = Poly.zero(), r, V
+    while dm.degree > 0:
+        dm2 = poly_gcd(dm, dm.derivative())
+        dms = dm.exact_div(dm2)
+        B, C = _diophantine(-(U * dm.derivative()).exact_div(dm), dms, A)
+        A = C - B.derivative() * U.exact_div(dms)
+        R = R + B * V.exact_div(dm)
+        dm = dm2
+    if not A.is_zero():
+        _raise_non_exact(A, U)
     # antiderivative = q_int + R/V  ->  (q_int*V + R)/V
     return q_int * V + R, V
 
@@ -710,7 +683,7 @@ def _raise_non_exact(W: Poly, U: Poly):
         res = W(p) / du(p)
         if best is None or abs(res) > abs(best[1]):
             best = (p, res)
-    if best is None:  # degenerate: constant U cannot happen with v==0 guard
+    if best is None:  # degenerate: U = D/gcd(D, D') has degree >= 1
         raise AssertionError("non-exact part without poles")
     p, res = best
     err = NonExactField(
@@ -737,6 +710,20 @@ def _clustered_roots(poly: Poly) -> list[tuple[complex, int]]:
         else:
             out.append([r, 1])
     return [(complex(s / m), m) for s, m in out]
+
+
+def _excess_roots(a: Poly, b: Poly) -> list[tuple[complex, int]]:
+    """Clustered roots of a whose multiplicity exceeds that of a root of b
+    within 1e-8, with the excess: the poles (a = den) or zeros (a = num)."""
+    if a.degree < 1:
+        return []
+    b_roots = _clustered_roots(b)
+    out = []
+    for p, ma in _clustered_roots(a):
+        mb = next((m for q, m in b_roots if abs(q - p) < 1e-8), 0)
+        if ma > mb:
+            out.append((p, ma - mb))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -251,9 +251,8 @@ def _shifted_rational(num, den, center: complex) -> MeroFunction:
                                    domain=punctured_disk())
     if center == 0:
         return f
-    from .exact import ExactComplex
-    c = ExactComplex.of(-center)
-    return MeroFunction.from_rational(f.rep.num.shift(c), f.rep.den.shift(c),
+    return MeroFunction.from_rational(f.rep.num.shift(-center),
+                                      f.rep.den.shift(-center),
                                       base_point=center,
                                       domain=punctured_disk())
 

@@ -21,7 +21,7 @@ from .errors import (
     EtaIdenticallyZero,
     NonExactField,
 )
-from .series import MeroFunction, ZERO_TOL
+from .series import MeroFunction, ZERO_TOL, _window_coeff
 
 _I = 1j
 
@@ -180,7 +180,8 @@ def is_flat(components, tol: float = ZERO_TOL) -> bool:
     hi = max(w.rep.truncation_order for w in windows)
     rows = []
     for w in windows:
-        rows.append([_coeff_or_zero(w, k) for k in range(lo, hi + 1)])
+        rows.append([_window_coeff(w.rep, k) or 0j
+                     for k in range(lo, hi + 1)])
     scale = max(max(abs(c) for c in row) for row in rows) or 1.0
     ref_row = max(rows, key=lambda row: max(abs(c) for c in row))
     for row in rows:
@@ -230,13 +231,6 @@ def _with_cycle(err: NonExactField) -> NonExactField:
     out = NonExactField(str(err), cycle=cycle, period=err.period)
     out.pole = pole
     return out
-
-
-def _coeff_or_zero(f: MeroFunction, k: int) -> complex:
-    w = f.rep
-    if k < w.min_exponent or k > w.truncation_order:
-        return 0j
-    return w.coeffs[k - w.min_exponent]
 
 
 def _common_zeros_list(funcs, excluded, tol) -> list[complex]:

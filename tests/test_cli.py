@@ -188,6 +188,27 @@ def test_validate_malformed_json_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "classify"])
+@pytest.mark.parametrize("defect", ["infinite_coefficient", "empty_den",
+                                    "zero_den"])
+def test_malformed_coefficients_are_input_errors(tmp_path, capsys, command,
+                                                 defect):
+    data = sl2_to_dict(end_model(2))
+    rational = data["F2"]["rational"]
+    if defect == "infinite_coefficient":
+        rational["num"][-1] = [float("inf"), 0.0]   # json writes Infinity
+    else:
+        rational["den"] = [] if defect == "empty_den" else [[0.0, 0.0]] * 2
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    center = ["--center", "0,0"] if command == "classify" else []
+    code = main([command, "--curve", str(path), *center])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------

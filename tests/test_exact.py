@@ -157,6 +157,18 @@ def test_deflate_rejects_a_point_that_is_not_a_root():
     assert Poly([-15, 2, 1]).deflate(3) == Poly([5, 1])   # (z - 3)(z + 5)
 
 
+@settings(deadline=None)
+@given(_poly)
+def test_reverse_matches_sympy(p):
+    # z**deg p(1/z): low-order zeros of p lower the degree of the reversal
+    flipped = sp.expand(X ** max(p.degree, 0)
+                        * to_sym(p).as_expr().subs(X, 1 / X))
+    assert to_sym(p.reverse()) == sp.Poly(flipped, X, domain=QQ_I)
+    if not p.is_zero():
+        assert p.reverse().degree == p.degree - p.low_order()
+        assert p.reverse().reverse() == p.drop_low(p.low_order())
+
+
 # ---------------------------------------------------------------------------
 # division and gcd
 # ---------------------------------------------------------------------------
