@@ -9,7 +9,7 @@ float is dyadic), so data that round-trips through JSON floats stays exact.
 A :class:`Poly` stores one positive integer denominator and two lists of
 Python ints, the real and imaginary numerators: its coefficients are
 Gaussian integers over one common denominator.  Every polynomial kernel is
-an integer loop: product, sum, derivative, Taylor shift, Horner
+an integer loop: product, sum, derivative, integral, Taylor shift, Horner
 evaluation, synthetic division (root multiplicity, deflation) and
 Euclidean pseudo-division (gcd).  A point p = P/d enters as the Gaussian
 integer P acting on d**deg * f(x/d).  The :class:`ExactComplex` view of the
@@ -24,8 +24,17 @@ antiderivatives) runs on these kernels: the ring operations, ``divmod``,
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Iterable, Sequence
+
+
+def _ratio(n: int, d: int) -> float:
+    """n / d for d > 0, correctly rounded; past the float range it is
+    +-inf, as IEEE round-to-nearest gives (Python raises OverflowError)."""
+    try:
+        return n / d
+    except OverflowError:
+        return inf if n > 0 else -inf
 
 
 def _frac(x) -> Fraction:
@@ -120,7 +129,9 @@ class ExactComplex:
     # -- conversion ---------------------------------------------------------
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        re, im = self.re, self.im
+        return complex(_ratio(re.numerator, re.denominator),
+                       _ratio(im.numerator, im.denominator))
 
     def __repr__(self) -> str:
         return f"ExactComplex({self.re!r}, {self.im!r})"
@@ -391,12 +402,13 @@ class Poly:
         return acc
 
     def float_coeffs(self) -> tuple[complex, ...]:
-        """Descending float coefficients (numpy/Horner order), cached.
-        ``r / den`` is correctly rounded, as ``float(Fraction)`` is."""
+        """Descending float coefficients (numpy/Horner order), cached:
+        each part correctly rounded, as ``complex(ExactComplex)`` is, and
+        +-inf past the float range."""
         cached = self._float_cache
         if cached is None:
             d = self._den
-            cached = tuple([complex(r / d, m / d) for r, m in
+            cached = tuple([complex(_ratio(r, d), _ratio(m, d)) for r, m in
                             zip(reversed(self._re), reversed(self._im))])
             object.__setattr__(self, "_float_cache", cached)
         return cached
@@ -407,6 +419,16 @@ class Poly:
         return Poly._make(self._den,
                           [k * r for k, r in enumerate(self._re)][1:],
                           [k * m for k, m in enumerate(self._im)][1:])
+
+    def integral(self) -> "Poly":
+        """The antiderivative with zero constant term: over den * L,
+        L = lcm(1, ..., degree + 1), numerator k moves to k + 1 times
+        L/(k + 1)."""
+        n = len(self._re)
+        scale = lcm(*range(1, n + 1))
+        re, im = _times(self._re, self._im,
+                        [scale // (k + 1) for k in range(n)])
+        return Poly._make(self._den * scale, [0] + re, [0] + im)
 
     # -- shifts, roots, division --------------------------------------------------
 

@@ -23,7 +23,9 @@ Laurent branch there.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._lazy import np
@@ -34,7 +36,7 @@ from .errors import (
     NonExactField,
     TruncationTooShort,
 )
-from .exact import EC_ONE, EC_ZERO, ExactComplex, Poly, poly_gcd
+from .exact import EC_ONE, ExactComplex, Poly, poly_gcd
 
 #: zero tolerance for floating coefficient tests
 ZERO_TOL = 1e-10
@@ -242,13 +244,29 @@ class MeroFunction:
     def is_identically_zero(self, tol: float = ZERO_TOL) -> bool:
         """Exact zero test for exact data; for float-contaminated data the
         numerator is compared against `tol` relative to the denominator
-        scale, so round-tripped coefficients keep their verdicts."""
+        scale, so round-tripped coefficients keep their verdicts.
+
+        At tol > 0 that scale is the stored denominator: the pair the
+        arithmetic left, not a reduced form.  A sum or difference over a
+        shared denominator D keeps D there, not D**2 (see
+        ``_binary_rational``).  Where a modulus is past the float range,
+        the squared moduli are compared exactly."""
         if self.is_rational:
-            if self.rep.num.is_zero():
+            num, den = self.rep.num, self.rep.den
+            if num.is_zero():
                 return True
-            nmax = max(abs(c) for c in self.rep.num.float_coeffs())
-            dmax = max(abs(c) for c in self.rep.den.float_coeffs())
-            return nmax <= tol * max(1.0, dmax)
+            try:
+                nmax = max(abs(c) for c in num.float_coeffs())
+                dmax = max(abs(c) for c in den.float_coeffs())
+            except OverflowError:   # a modulus past the float range
+                nmax = dmax = math.inf
+            if math.inf not in (nmax, dmax):
+                return nmax <= tol * max(1.0, dmax)
+            # inf <= tol * inf would hold: compare squared moduli exactly
+
+            def peak(p: Poly) -> Fraction:
+                return max(c.re * c.re + c.im * c.im for c in p.coeffs)
+            return peak(num) <= Fraction(tol) ** 2 * max(1, peak(den))
         return all(abs(c) <= tol for c in self.rep.coeffs)
 
     def __repr__(self) -> str:
@@ -653,7 +671,7 @@ def _rational_antiderivative(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     and moves B/D- into R/V and C - B' U/D-* into A, which ends as W.
     """
     q, r = num.divmod(den)
-    q_int = Poly([EC_ZERO] + [c / (k + 1) for k, c in enumerate(q.coeffs)])
+    q_int = q.integral()
     if r.is_zero():
         return q_int, Poly.one()
     dmonic = den.monic()
@@ -698,7 +716,12 @@ def _clustered_roots(poly: Poly) -> list[tuple[complex, int]]:
     """Numeric roots clustered to multiplicity (bookkeeping grade)."""
     if poly.degree < 1:
         return []
-    roots = sorted(np.roots(poly.float_coeffs()),
+    coeffs = poly.float_coeffs()
+    if not all(map(cmath.isfinite, coeffs)):
+        # a coefficient past the float range: np.roots refuses inf, and
+        # the monic companion entries are the exact ratios it would form
+        coeffs = poly.monic().float_coeffs()
+    roots = sorted(np.roots(coeffs),
                    key=lambda r: (round(r.real, 6), round(r.imag, 6)))
     out: list[list] = []
     for r in roots:
@@ -772,17 +795,34 @@ def _binary(op: str, f: MeroFunction, g: MeroFunction) -> MeroFunction:
 
 
 def _binary_rational(op: str, f: MeroFunction, g: MeroFunction) -> MeroFunction:
+    """f op g on the exact pairs, with a common z**t cancelled.
+
+    Over a shared denominator D (equal stored ``Poly``; a tuple compare)
+    the sum and difference stay over D and the quotient is a.num/b.num,
+    with no cross products (the gcd-free case of Henrici's rule, J. ACM 3,
+    1956); otherwise the pairs are cross-multiplied.  So the terms of
+    det F' or f1**2 + f2**2 + f3**2, where their denominators agree, sum
+    over D, not D**2, and D is the scale ``is_identically_zero`` weighs
+    at tol > 0.
+    """
     a, b = f.rep, g.rep
     dom = _merge_domain(f.domain, g.domain)
-    if op == "add":
+    if op == "div" and b.num.is_zero():
+        raise DivisionByZeroFunction("division by the zero function")
+    if op == "mul":
+        num, den = a.num * b.num, a.den * b.den
+    elif a.den == b.den:
+        if op == "add":
+            num, den = a.num + b.num, a.den
+        elif op == "sub":
+            num, den = a.num - b.num, a.den
+        else:
+            num, den = a.num, b.num
+    elif op == "add":
         num, den = a.num * b.den + b.num * a.den, a.den * b.den
     elif op == "sub":
         num, den = a.num * b.den - b.num * a.den, a.den * b.den
-    elif op == "mul":
-        num, den = a.num * b.num, a.den * b.den
     else:
-        if b.num.is_zero():
-            raise DivisionByZeroFunction("division by the zero function")
         num, den = a.num * b.den, a.den * b.num
     num, den = _cancel_monomial(num, den)
     return MeroFunction(Rational(num, den), f.base_point, dom)

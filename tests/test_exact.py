@@ -1,5 +1,6 @@
 """Exact polynomial layer: every Poly kernel against sympy over Q(i)."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,13 @@ def test_scale_matches_sympy(p, c):
 @given(_poly)
 def test_derivative_matches_sympy(p):
     assert to_sym(p.derivative()) == to_sym(p).diff(X)
+
+
+@settings(deadline=None)
+@given(_poly)
+def test_integral_matches_sympy(p):
+    assert to_sym(p.integral()) == to_sym(p).integrate()
+    assert p.integral().derivative() == p
 
 
 # ---------------------------------------------------------------------------
@@ -230,3 +238,16 @@ def test_float_coeffs_are_the_rounded_exact_coefficients(p):
         return [(c.real.hex(), c.imag.hex()) for c in cs]
     expected = tuple(complex(c) for c in reversed(p.coeffs))
     assert bits(p.float_coeffs()) == bits(expected)
+
+
+def test_float_views_round_past_the_range_to_inf():
+    # round to nearest: 2**1024 - 2**970 is the midpoint between the
+    # largest float and 2**1024, and ties go to the even 2**1024 (inf)
+    top, half = 2 ** 1024, 2 ** 970
+    for n, expected in ((top - half - 1, 1.7976931348623157e308),
+                        (top - half, math.inf), (-10 ** 400, -math.inf),
+                        (Fraction(10 ** 400, 3), math.inf)):
+        c = ExactComplex(n, -n)
+        assert complex(c) == complex(expected, -expected)
+        assert Poly([c]).float_coeffs() == (complex(c),)
+    assert complex(ExactComplex(Fraction(1, 10 ** 400))) == 0j

@@ -1,11 +1,12 @@
 """Exact-coefficient layer and meromorphic-function arithmetic."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nullsl2 import (
@@ -132,6 +133,35 @@ def test_zeros_and_poles_listing():
     assert any(abs(p + 1j) < 1e-9 for p in ps)
 
 
+_height = st.one_of(st.integers(min_value=-9, max_value=9),
+                    st.integers(min_value=-64, max_value=64).map(
+                        lambda n: n / 16),
+                    st.floats(min_value=-2.0, max_value=2.0,
+                              allow_nan=False))
+_shared_coeff = st.builds(complex, _height, _height)
+#: a nonzero constant term: no common z**t is cancelled
+_unit_coeffs = st.lists(_shared_coeff, min_size=1, max_size=4).filter(
+    lambda cs: cs[0] != 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_unit_coeffs, st.lists(_shared_coeff, max_size=4), _unit_coeffs)
+def test_shared_denominator_sum_and_quotient_skip_cross_products(
+        den, num1, num2):
+    f = MeroFunction.from_rational(num1, den)
+    g = MeroFunction.from_rational(num2, den)
+    a, b = f.rep, g.rep
+    assert a.den == b.den
+    cross = {"f+g": (f + g, a.num * b.den + b.num * a.den, a.den * b.den),
+             "f-g": (f - g, a.num * b.den - b.num * a.den, a.den * b.den),
+             "f/g": (f / g, a.num * b.den, a.den * b.num)}
+    for name, (h, num, den_) in cross.items():
+        assert h.rep.num * den_ == num * h.rep.den, name
+    assert (f + g).rep.den == a.den
+    assert (f - g).rep.den == a.den
+    assert (f / g).rep.den == b.num
+
+
 def test_derivative_antiderivative_round_trip():
     # (2+z)/(1+z)^3 = (z+1)^-3 + (z+1)^-2 has zero residue at -1
     f = MeroFunction.from_rational((2, 1), (1, 3, 3, 1))
@@ -242,6 +272,8 @@ _dyadic = st.integers(min_value=-16, max_value=16).map(lambda n: n / 8)
 @given(_float_coeffs, _float_coeffs, st.builds(complex, _dyadic, _dyadic),
        st.integers(min_value=-3, max_value=3),
        st.integers(min_value=1, max_value=6))
+# 1j / 2.225073858507203e-309j is past the float range: the head is inf
+@example(num=[1j], den=[2.225073858507203e-309j], p=0j, order=0, count=1)
 def test_exact_laurent_and_head_match_sympy_series(num, den, p, order, count):
     # sympy's power series over Q(i) of f(p + w), at a Gaussian-rational p
     sp = pytest.importorskip("sympy")
@@ -272,10 +304,14 @@ def test_exact_laurent_and_head_match_sympy_series(num, den, p, order, count):
                 for i in range(count)]
     assert [exact(c) for c in coeffs] == expected
 
-    def rounded(c):
+    def rounded(c):   # round to nearest: past the float range is +-inf
+        def part(q):
+            try:
+                return float(Fraction(int(q.p), int(q.q)))
+            except OverflowError:
+                return math.inf if q.p > 0 else -math.inf
         re, im = c.as_real_imag()
-        return complex(float(Fraction(int(re.p), int(re.q))),
-                       float(Fraction(int(im.p), int(im.q))))
+        return complex(part(re), part(im))
 
     head = f.laurent_head(p, n - 1, n + count - 1)
     assert head[n - 1] == 0j
@@ -292,6 +328,29 @@ def test_zero_test_at_tol_zero_is_exact():
     tiny = MeroFunction.constant(1e-30)
     assert not tiny.is_identically_zero(0.0)
     assert MeroFunction.zero().is_identically_zero(0.0)
+
+
+def test_coefficients_past_the_float_range_round_to_inf():
+    # 1e309 + 10 z: the exact pair is fine, its float view overflows
+    f = MeroFunction.from_poly([1e308, 1]) * 10
+    assert f.rep.num.float_coeffs() == (10 + 0j, complex(math.inf, 0))
+    assert not f.is_identically_zero()
+    assert not f.is_identically_zero(0.0)
+    assert f.evaluate(1.0).real == math.inf
+    assert f.zeros() == [(-1e308 + 0j, 1)]
+    assert (1 / f).poles() == [(-1e308 + 0j, 1)]
+    assert "inf" in repr(f)
+    # both parts past the range: the verdict weighs the exact moduli
+    ratio = f / (MeroFunction.from_poly([1e308, 2]) * 10)
+    assert not ratio.is_identically_zero()
+    assert (ratio - ratio).is_identically_zero()
+    tiny = MeroFunction.from_rational([1e290], [1.5e308, 1.5e308j]) / 10
+    assert tiny.is_identically_zero(1e-10)
+    assert not tiny.is_identically_zero(1e-30)
+    # finite parts whose modulus is past the range
+    big = MeroFunction.constant(complex(1.5e308, 1.5e308))
+    assert not big.is_identically_zero()
+    assert (big / big - 1).is_identically_zero(0.0)
 
 
 def test_zero_test_tolerates_float_noise_relative_to_denominator():

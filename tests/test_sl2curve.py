@@ -2,6 +2,8 @@
 rotations, and norm pushing."""
 
 import cmath
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from nullsl2 import (
     ThirdCoordinateZero,
     aux_rotations,
     check_null_sl2,
+    classify_end,
     end_model,
     min_sup_norm_on_circle,
     push_norm,
@@ -219,6 +222,29 @@ def test_end_model_recentering():
     assert F.pole_set == (c,)
     rep = check_null_sl2(F, tol=0.0)
     assert rep.unimodular and rep.null
+
+
+#: sha256 of the check_null_sl2 reports at four tolerances and the
+#: classify_end report of 120 end models (m = 1..8 at three centres, plain
+#: and under each shear kind), recorded when sums and quotients were still
+#: cross-multiplied over D**2: a shared denominator changes no verdict
+_END_REPORTS_SHA = \
+    "8204937d183e1ff56d606054bfe782ebc5b3fb655be19c2839b554f8f6551804"
+
+
+def test_end_reports_digest_is_pinned():
+    lines = []
+    for m in range(1, 9):
+        for center in (0j, 0.5 + 0.25j, 0.3137 + 0.2719j):
+            base = end_model(m, center)
+            for kind in (None,) + SHEAR_KINDS:
+                F = base if kind is None else shear(base, 0.5 + 0.25j, kind)
+                lines.append([check_null_sl2(F, tol=t).as_dict()
+                              for t in (0.0, 1e-12, 1e-8, 1e-4)]
+                             + [classify_end(F, center).as_dict()])
+    text = json.dumps(lines, sort_keys=True)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == \
+        _END_REPORTS_SHA
 
 
 def test_end_model_invalid_multiplicity():
