@@ -26,6 +26,14 @@ F1'(F4 + g F3) = F3'(F2 + g F1), i.e. omega_R = g^2 omega for
 R = (F2, -F1, F4, -F3), whose g_R = -1/g.  So classify_end computes Q once,
 and sorts the rotation normalization once, from the slot orders.
 
+Every quantity above is read from one derivative F', which each curve
+computes once, with det F' and omega (see SL2NullCurve).  The rotations
+share F' and det F' with the curve: a companion's F' is the same signed
+permutation of F' as its slots are of F, and its det F' is the same
+function.  So the det F' gate of both Gauss maps, the Hopf cross-check and
+the Maurer-Cartan trace all run on those shared values, and the end
+analysis differentiates each slot of the recentred curve once.
+
 Every exponent above is invariant under the translation z -> w + p: dz is
 unchanged, so ord, Laurent coefficients, omega and Q of G(w) = F(w + p) at
 0 are those of F at p.  The end analysis therefore recentres once: it
@@ -98,11 +106,11 @@ def _rank_one_quotient(F: SL2NullCurve, tol: float, first, second,
                        names: str) -> MeroFunction:
     """d[first[0]] / d[first[1]], or the second quotient where the first
     denominator vanishes, for d = F'; they agree exactly when det F' == 0."""
-    d = [s.differentiate() for s in F.slots()]
+    d = F._derivative
     den_a, den_b = d[first[1]], d[second[1]]
     if den_a.is_identically_zero(tol) and den_b.is_identically_zero(tol):
         raise DegenerateDenominator(f"both {names} vanish identically")
-    if not (d[0] * d[3] - d[1] * d[2]).is_identically_zero(tol):
+    if not F._det_derivative.is_identically_zero(tol):
         raise GaussMapMismatch("det F' != 0: the defining quotients disagree")
     if not den_a.is_identically_zero(tol):
         return d[first[0]] / den_a
@@ -121,7 +129,7 @@ def secondary_gauss(F: SL2NullCurve, tol: float = ZERO_TOL) -> MeroFunction:
 
 def omega(F: SL2NullCurve) -> MeroFunction:
     """The Wronskian one-form omega/dz = F1 F3' - F3 F1'."""
-    return F.F1 * F.F3.differentiate() - F.F3 * F.F1.differentiate()
+    return F._omega
 
 
 def hopf(F: SL2NullCurve, tol: float = ZERO_TOL) -> MeroFunction:
@@ -137,9 +145,9 @@ def hopf(F: SL2NullCurve, tol: float = ZERO_TOL) -> MeroFunction:
     g = secondary_gauss(F, tol)
     q_main = w * g.differentiate()
     f1, f3 = F.F1, F.F3
-    d1 = f1.differentiate()
+    d1 = F._derivative[0]
     dd1 = d1.differentiate()
-    dd3 = f3.differentiate().differentiate()
+    dd3 = F._derivative[2].differentiate()
     q_alt = dd1 / f1 - (d1 / f1) * ((dd3 * f1 - f3 * dd1) / w)
     if not (q_main - q_alt).is_identically_zero(max(tol, 1e-8)):
         raise HopfMismatch("the two Hopf computation paths disagree")
@@ -197,7 +205,7 @@ def _normalizations(F: SL2NullCurve, ords) -> list[SL2NullCurve]:
 
 def _maurer_cartan_min_ord(G: SL2NullCurve, tol: float) -> int:
     g1, g2, g3, g4 = G.slots()
-    d1, d2, d3, d4 = (s.differentiate() for s in G.slots())
+    d1, d2, d3, d4 = G._derivative
     a11 = d1 * g4 - d2 * g3
     a12 = d2 * g1 - d1 * g2
     a21 = d3 * g4 - d4 * g3

@@ -434,16 +434,17 @@ class MeroFunction:
         """Vectorized evaluation on an array of sample points."""
         zs = np.asarray(zs, dtype=complex)
         if self.is_rational:
-            nv = np.polyval(self.rep.num.float_coeffs() or (0j,), zs)
-            dv = np.polyval(self.rep.den.float_coeffs(), zs)
-            bad = dv == 0
             out = np.empty_like(zs)
-            out[~bad] = nv[~bad] / dv[~bad]
+            # a zero denominator or a value past the float range gives a
+            # non-finite quotient, which the scalar path redoes exactly
+            with np.errstate(all="ignore"):
+                np.divide(np.polyval(self.rep.num.float_coeffs() or (0j,), zs),
+                          np.polyval(self.rep.den.float_coeffs(), zs), out=out)
+            bad = ~np.isfinite(out)
             if bad.any():
                 flat = out.reshape(-1)
-                badf = bad.reshape(-1)
                 zf = zs.reshape(-1)
-                for i in np.nonzero(badf)[0]:
+                for i in np.nonzero(bad.reshape(-1))[0]:
                     flat[i] = self.evaluate(zf[i])
             return out
         w = self.rep
@@ -597,14 +598,19 @@ def _translated(f: MeroFunction, p: complex) -> MeroFunction:
 
 
 def _evaluate_rational(rep: Rational, z: complex) -> complex:
-    dv = rep.den(z)
-    if dv != 0 and abs(dv) > 1e-150:
-        if rep.num.is_zero():
-            return 0j
-        return rep.num(z) / dv
-    # exact fallback: decide removable vs genuine pole
     if rep.num.is_zero():
         return 0j
+    dv = rep.den(z)
+    try:
+        usable = abs(dv) > 1e-150
+    except OverflowError:   # finite parts whose modulus is past the range
+        usable = False
+    if usable:
+        v = rep.num(z) / dv
+        if cmath.isfinite(v):
+            return v
+    # exact fallback: decide removable vs genuine pole, and round a value
+    # past the float range part by part to +-inf
     ze = ExactComplex.of(z)
     md = rep.den.multiplicity_at(ze)
     if md == 0:
@@ -722,7 +728,7 @@ def _clustered_roots(poly: Poly) -> list[tuple[complex, int]]:
         # the monic companion entries are the exact ratios it would form
         coeffs = poly.monic().float_coeffs()
     roots = sorted(np.roots(coeffs),
-                   key=lambda r: (round(r.real, 6), round(r.imag, 6)))
+                   key=lambda r: (_rounded6(r.real), _rounded6(r.imag)))
     out: list[list] = []
     for r in roots:
         for entry in out:
@@ -733,6 +739,12 @@ def _clustered_roots(poly: Poly) -> list[tuple[complex, int]]:
         else:
             out.append([r, 1])
     return [(complex(s / m), m) for s, m in out]
+
+
+def _rounded6(x):
+    """round(x, 6) for a root part; a part past 1e300 is already an integer
+    and is kept as it is, since rounding it would overflow x * 10**6."""
+    return x if abs(x) > 1e300 else round(x, 6)
 
 
 def _excess_roots(a: Poly, b: Poly) -> list[tuple[complex, int]]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 from ._lazy import np
 from .errors import (
@@ -43,6 +44,17 @@ class SL2NullCurve:
     ``singular_set`` lists points where the homogeneous picture degenerates
     (the lift fails to be unimodular there).  Both are excluded from
     pointwise predicates like the immersion check.
+
+    The derivative F' = (F1', F2', F3', F4'), det F' = F1'F4' - F2'F3' and
+    omega = F1 F3' - F3 F1' are computed once per curve, on first use, and
+    every check that reads them (validity, both Gauss maps, the Hopf
+    cross-check, the Maurer-Cartan trace) shares them.  This is sound
+    because the slots are immutable and the three values do not depend on a
+    tolerance.  They are cached outside the fields, so equality, hashing,
+    repr and serialization see only the slots and the two point sets; a
+    new curve (a shear, ``dataclasses.replace``, a reload) starts without
+    them, except the ``aux_rotations`` companions, which inherit F' and
+    det F'.
     """
 
     F1: MeroFunction
@@ -62,6 +74,20 @@ class SL2NullCurve:
 
     def det(self) -> MeroFunction:
         return self.F1 * self.F4 - self.F2 * self.F3
+
+    @cached_property
+    def _derivative(self) -> tuple[MeroFunction, ...]:
+        return tuple(s.differentiate() for s in self.slots())
+
+    @cached_property
+    def _det_derivative(self) -> MeroFunction:
+        d1, d2, d3, d4 = self._derivative
+        return d1 * d4 - d2 * d3
+
+    @cached_property
+    def _omega(self) -> MeroFunction:
+        d = self._derivative
+        return self.F1 * d[2] - self.F3 * d[0]
 
 
 @dataclass(frozen=True)
@@ -152,9 +178,8 @@ def check_null_sl2(F: SL2NullCurve, tol: float = ZERO_TOL) -> SL2Report:
     """
     det = F.det()
     unimodular = (det - 1).is_identically_zero(tol)
-    d = [s.differentiate() for s in F.slots()]
-    det_d = d[0] * d[3] - d[1] * d[2]
-    null = det_d.is_identically_zero(tol)
+    d = F._derivative
+    null = F._det_derivative.is_identically_zero(tol)
     excluded = set(F.pole_set) | set(F.singular_set)
     immersion = not _has_common_zero(d, excluded, tol)
     nonflat = not is_flat(d, tol)
@@ -263,12 +288,24 @@ def _shifted_rational(num, den, center: complex) -> MeroFunction:
 
 def aux_rotations(F: SL2NullCurve) -> tuple[SL2NullCurve, SL2NullCurve, SL2NullCurve]:
     """Three constant unimodular companions of F whose first slots run
-    through F2, F3, F4 -- used to bring the minimum-order slot to front."""
+    through F2, F3, F4 -- used to bring the minimum-order slot to front.
+
+    Each companion inherits F' as the same signed permutation of F' and
+    the det F' of F.  Negation commutes exactly with the quotient rule on
+    a stored (num, den) pair, so these are the pairs differentiating the
+    companion would give.  omega is not inherited: two companions have
+    omega_R = g^2 omega."""
     F1, F2, F3, F4 = F.slots()
-    mk = lambda a, b, c, d: SL2NullCurve(a, b, c, d, F.pole_set, F.singular_set)
-    return (mk(F2, -F1, F4, -F3),
-            mk(F3, F4, -F1, -F2),
-            mk(F4, -F3, -F2, F1))
+    d1, d2, d3, d4 = F._derivative
+    det_d = F._det_derivative
+
+    def mk(slots, derivative):
+        R = SL2NullCurve(*slots, F.pole_set, F.singular_set)
+        R.__dict__.update(_derivative=derivative, _det_derivative=det_d)
+        return R
+    return (mk((F2, -F1, F4, -F3), (d2, -d1, d4, -d3)),
+            mk((F3, F4, -F1, -F2), (d3, d4, -d1, -d2)),
+            mk((F4, -F3, -F2, F1), (d4, -d3, -d2, d1)))
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,43 @@ def test_classify_end_computes_hopf_once(monkeypatch):
                 assert rep.smooth_candidate == (m == 1)
 
 
+def test_classify_end_differentiates_each_slot_once(monkeypatch):
+    # the recentred curve computes F' once and its rotations inherit it,
+    # so no slot of G or of a companion is differentiated a second time
+    calls = []
+    real_differentiate = MeroFunction.differentiate
+
+    def counted(self):
+        calls.append(self)
+        return real_differentiate(self)
+
+    normals = []
+    real_normalizations = invariants._normalizations
+
+    def captured(G, ords):
+        normals[:] = [G] + real_normalizations(G, ords)
+        return normals[1:]
+
+    monkeypatch.setattr(MeroFunction, "differentiate", counted)
+    monkeypatch.setattr(invariants, "_normalizations", captured)
+    for c in (0j, 0.5 + 0.25j):
+        for m in range(1, 9):
+            for kind in (None,) + SHEAR_KINDS:
+                F = end_model(m, c)
+                if kind is not None:
+                    F = shear(F, 0.5, kind)
+                calls.clear()
+                classify_end(F, c)
+                # normals[0] is the recentred curve G; a rotation shares
+                # two of its slot objects
+                slots = {id(s): s for R in normals for s in R.slots()}
+                count = {i: sum(f is s for f in calls)
+                         for i, s in slots.items()}
+                assert [count[id(s)] for s in normals[0].slots()] == \
+                    [1, 1, 1, 1], (m, c, kind)
+                assert max(count.values()) == 1, (m, c, kind)
+
+
 def test_hopf_cross_check_rejects_det_two():
     # doubling F1 and F2 keeps det F' == 0 but makes det F == 2, and the
     # two Hopf paths then differ by that factor

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from nullsl2 import (
     punctured_disk,
 )
 from nullsl2.exact import ExactComplex, Poly, poly_gcd
+from nullsl2.series import _rounded6
 
 from conftest import st_rational, st_window
 
@@ -351,6 +353,39 @@ def test_coefficients_past_the_float_range_round_to_inf():
     big = MeroFunction.constant(complex(1.5e308, 1.5e308))
     assert not big.is_identically_zero()
     assert (big / big - 1).is_identically_zero(0.0)
+
+
+def test_float_evaluation_past_the_range():
+    # a denominator whose parts are finite but whose modulus is not
+    f = MeroFunction.from_rational([1], [complex(1.5e308, 1.5e308)])
+    part = float(Fraction(1) / (2 * Fraction(1.5e308)))
+    assert f.evaluate(0.5) == complex(part, -part)
+    # a value past the range rounds part by part, as complex(ExactComplex)
+    g = MeroFunction.from_poly([1e308, 1]) * 10
+    v = g.evaluate(1.0)
+    assert (v.real, v.imag) == (math.inf, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vs = g.evaluate_many(np.array([1.0, 2.0]))
+    assert [(w.real, w.imag) for w in vs] == [(math.inf, 0.0)] * 2
+    # finite values keep the bits of the float quotient
+    h = MeroFunction.from_rational([1, 2], [3, 0, 1j])
+    zs = np.array([0.5, 1 + 1j, -2j])
+    float_path = (np.polyval(h.rep.num.float_coeffs(), zs)
+                  / np.polyval(h.rep.den.float_coeffs(), zs))
+    assert list(h.evaluate_many(zs)) == list(float_path)
+    assert [h.evaluate(z) for z in zs] == [h.rep.num(z) / h.rep.den(z)
+                                           for z in zs]
+
+
+def test_root_sort_key_past_the_range():
+    assert _rounded6(np.float64(1.5e308)) == 1.5e308
+    for x in (0.1234567, -3.14159265, 1e299, 2.5e-7):
+        assert _rounded6(np.float64(x)) == round(np.float64(x), 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert MeroFunction.from_poly([1.5e308, 1]).zeros() == \
+            [(-1.5e308 + 0j, 1)]
 
 
 def test_zero_test_tolerates_float_noise_relative_to_denominator():

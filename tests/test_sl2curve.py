@@ -2,6 +2,7 @@
 rotations, and norm pushing."""
 
 import cmath
+import dataclasses
 import hashlib
 import json
 
@@ -33,6 +34,7 @@ from nullsl2 import (
     tee_inv,
     tee_inv_curve,
 )
+from nullsl2.serialize import sl2_to_dict
 
 from conftest import random_sl2_curve, random_c3_curve
 
@@ -274,6 +276,42 @@ def test_aux_rotation_brings_min_order_slot_front():
     rots = aux_rotations(F)
     fronted = [R for R in rots if R.F1.ord(0) == -3]
     assert fronted, "some rotation must place the minimal-order slot first"
+
+
+def _same_pair(f: MeroFunction, g: MeroFunction) -> bool:
+    return f.rep.num == g.rep.num and f.rep.den == g.rep.den
+
+
+def test_rotations_inherit_derivative_and_its_determinant():
+    for center in (0j, 0.5 + 0.25j):
+        for m in range(1, 9):
+            base = end_model(m, center)
+            for kind in (None,) + SHEAR_KINDS:
+                F = base if kind is None else shear(base, 0.5 + 0.25j, kind)
+                for R in aux_rotations(F):
+                    d = [s.differentiate() for s in R.slots()]
+                    assert all(map(_same_pair, R._derivative, d)), \
+                        (m, center, kind)
+                    det_d = d[0] * d[3] - d[1] * d[2]
+                    assert _same_pair(R._det_derivative, det_d), \
+                        (m, center, kind)
+
+
+def test_derivative_memo_is_per_curve():
+    F = end_model(3, 0.5 + 0.25j)
+    before = json.dumps(sl2_to_dict(F), sort_keys=True)
+    rep, key = repr(F), hash(F)
+    check_null_sl2(F, tol=0.0)
+    assert F._omega is F._omega   # computed once, then shared
+    memo = {"_derivative", "_det_derivative", "_omega"}
+    assert memo <= set(vars(F))
+    same = SL2NullCurve(*F.slots(), F.pole_set, F.singular_set)
+    others = [same, dataclasses.replace(F, singular_set=(1j,))]
+    others += [shear(F, 0.5, kind) for kind in SHEAR_KINDS]
+    for G in others:
+        assert not memo & set(vars(G))
+    assert same == F and hash(same) == key and repr(F) == rep
+    assert json.dumps(sl2_to_dict(F), sort_keys=True) == before
 
 
 def test_rotations_of_identity_are_unimodular_constants():
