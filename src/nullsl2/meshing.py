@@ -17,6 +17,7 @@ from ._lazy import np
 from .errors import (DegenerateDenominator, EvaluationAtPole,
                      GaussMapMismatch, PoleOnGrid)
 from .invariants import omega, secondary_gauss
+from .series import _unit_roots
 from .sl2curve import SL2NullCurve
 from .spaceforms import _minkowski_coords
 
@@ -50,11 +51,11 @@ class SurfaceMesh:
 def grid_points(center: complex, radii: tuple[float, float],
                 grid: tuple[int, int]) -> np.ndarray:
     """Complex sample points, shape (rings, sectors); the angular seam is
-    not duplicated."""
+    not duplicated.  The sectors sit at the roots of unity of
+    `series._unit_roots`, scaled by each ring's radius."""
     n_r, n_a = grid
     rs = np.geomspace(radii[0], radii[1], n_r)
-    thetas = 2 * np.pi * np.arange(n_a) / n_a
-    return complex(center) + rs[:, None] * np.exp(1j * thetas)[None, :]
+    return complex(center) + rs[:, None] * _unit_roots(n_a)[None, :]
 
 
 def _check_radii_grid(radii, grid):

@@ -7,6 +7,13 @@ contour) and closed polylines (per-segment Gauss-Legendre).  For rational
 integrands every period is also 2*pi*i times a winding-weighted residue
 sum, and `period` cross-checks the quadrature against that value.
 
+Both rules depend on their size alone, so each is a read-only table built
+once per size: the roots of unity (`series._unit_roots`) for circles and
+the Gauss-Legendre rule moved to [0, 1] (`_unit_gauss_legendre`) for
+polyline segments.  Every call still builds its own nodes and weights from
+the table by the arithmetic it always used, so they come out with the same
+bits as a rule rebuilt per call; nothing is keyed by a cycle or integrand.
+
 The solver half of the module closes small periods:  a `SprayFamily`
 deforms spinor data (eta, f3) multiplicatively,
 
@@ -22,13 +29,14 @@ zeta), so it needs no step size.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass, field
 
 from ._lazy import np
 from .errors import (CrossCheckFailed, MaxIterExceeded, PoleOnContour,
                      SingularJacobian)
 from .series import (DomainTag, MeroFunction, annulus, _fft_expand,
-                     _residue_at_origin)
+                     _residue_at_origin, _unit_roots)
 from .spinor import SpinorData
 
 #: cross-check tolerance between quadrature and residue periods
@@ -47,6 +55,17 @@ _TWO_PI_I = 2j * cmath.pi
 # cycles
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def _unit_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule moved to [0, 1]: nodes t and
+    weights wt, built once per n and read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    t = (x + 1.0) / 2.0
+    wt = w / 2.0
+    t.flags.writeable = wt.flags.writeable = False
+    return t, wt
+
+
 @dataclass(frozen=True)
 class Cycle:
     """A closed integration contour: a circle or a closed polyline.
@@ -61,6 +80,12 @@ class Cycle:
     points: tuple[complex, ...] = ()
     nodes: int = 512
     per_segment: int = 32
+
+    def __post_init__(self):
+        if self.nodes < 1 or self.per_segment < 1:
+            raise ValueError("a cycle needs at least one quadrature node "
+                             f"(nodes={self.nodes}, "
+                             f"per_segment={self.per_segment})")
 
     @staticmethod
     def circle(center=0j, radius: float = 1.0, nodes: int = 512) -> "Cycle":
@@ -84,14 +109,11 @@ class Cycle:
         """Sample points z_j and weights w_j with ``sum w_j f(z_j)``
         approximating the contour integral of f dz."""
         if self.kind == "circle":
-            theta = 2 * np.pi * np.arange(self.nodes) / self.nodes
-            e = np.exp(1j * theta)
+            e = _unit_roots(self.nodes)
             zs = self.center + self.radius * e
             ws = (1j * self.radius * e) * (2 * np.pi / self.nodes)
             return zs, ws
-        x, w = np.polynomial.legendre.leggauss(self.per_segment)
-        t = (x + 1.0) / 2.0
-        wt = w / 2.0
+        t, wt = _unit_gauss_legendre(self.per_segment)
         zs_parts, ws_parts = [], []
         closed = self.points + (self.points[0],)
         for a, b in zip(closed[:-1], closed[1:]):
@@ -154,8 +176,7 @@ def _residue_near(f: MeroFunction, p: complex, clearance: float) -> complex:
     if den.low_order() > 0:
         return _residue_at_origin(f.rep.num.shift(p), den)
     rho = 0.45 * min(1.0, clearance)
-    theta = 2 * np.pi * np.arange(256) / 256
-    e = np.exp(1j * theta)
+    e = _unit_roots(256)
     vals = f.evaluate_many(p + rho * e)
     return complex(np.mean(vals * rho * e))
 

@@ -23,6 +23,7 @@ Laurent branch there.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +45,12 @@ ZERO_TOL = 1e-10
 DEFAULT_TERMS = 25
 #: relative threshold below which computed leading coefficients are stripped
 _STRIP_REL = 1e-13
+
+#: a float quotient is trusted only while both parts of its denominator
+#: stay below this: Smith's division, as Python and numpy run it, scales by
+#: a sum of the two parts, which overflows past it even when the quotient
+#: itself is finite (and then comes out as a signed zero)
+_SMITH_LIMIT = 2.0 ** 1022
 
 
 # ---------------------------------------------------------------------------
@@ -436,16 +443,18 @@ class MeroFunction:
         if self.is_rational:
             out = np.empty_like(zs)
             # a zero denominator or a value past the float range gives a
-            # non-finite quotient, which the scalar path redoes exactly
+            # non-finite quotient, and a denominator part at or past
+            # _SMITH_LIMIT an unreliable one: the scalar path redoes both
             with np.errstate(all="ignore"):
+                dv = np.polyval(self.rep.den.float_coeffs(), zs)
                 np.divide(np.polyval(self.rep.num.float_coeffs() or (0j,), zs),
-                          np.polyval(self.rep.den.float_coeffs(), zs), out=out)
+                          dv, out=out)
             bad = ~np.isfinite(out)
+            parts = np.abs(dv.ravel("K").view(np.float64))
+            if not parts.max(initial=0.0) < _SMITH_LIMIT:   # NaN trips too
+                bad |= ~(np.maximum(abs(dv.real), abs(dv.imag)) < _SMITH_LIMIT)
             if bad.any():
-                flat = out.reshape(-1)
-                zf = zs.reshape(-1)
-                for i in np.nonzero(bad.reshape(-1))[0]:
-                    flat[i] = self.evaluate(zf[i])
+                out[bad] = [self.evaluate(z) for z in zs[bad]]
             return out
         w = self.rep
         if not w.coeffs:
@@ -457,10 +466,7 @@ class MeroFunction:
                 vals = vals * dz ** float(w.min_exponent)
         zero = dz == 0
         if zero.any():
-            flat = vals.reshape(-1)
-            zf = zs.reshape(-1)
-            for i in np.nonzero(zero.reshape(-1))[0]:
-                flat[i] = self.evaluate(zf[i])
+            vals[zero] = [self.evaluate(z) for z in zs[zero]]
         return vals
 
     # -- conversions -----------------------------------------------------------------
@@ -601,11 +607,8 @@ def _evaluate_rational(rep: Rational, z: complex) -> complex:
     if rep.num.is_zero():
         return 0j
     dv = rep.den(z)
-    try:
-        usable = abs(dv) > 1e-150
-    except OverflowError:   # finite parts whose modulus is past the range
-        usable = False
-    if usable:
+    if (abs(dv.real) < _SMITH_LIMIT and abs(dv.imag) < _SMITH_LIMIT
+            and abs(dv) > 1e-150):
         v = rep.num(z) / dv
         if cmath.isfinite(v):
             return v
@@ -915,16 +918,24 @@ def _window_div(a: LaurentWindow, b: LaurentWindow, base: complex,
     return _window_mul(a, _window_reciprocal(b))
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_roots(n: int) -> np.ndarray:
+    """exp(2 pi i k / n) for k = 0 .. n-1, built once per n and read-only."""
+    e = np.exp(1j * (2 * np.pi * np.arange(n) / n))
+    e.flags.writeable = False
+    return e
+
+
 def _fft_expand(evaluate_many, base: complex, dom: DomainTag,
                 lo: int, hi: int) -> LaurentWindow:
-    """Laurent coefficients on an annulus by FFT on the geometric-mean circle."""
+    """Laurent coefficients on an annulus by FFT on the geometric-mean
+    circle, sampled at the n-th roots of unity of `_unit_roots`."""
     r = float(np.sqrt(dom.r_inner * dom.r_outer))
     span = hi - lo + 1
     n = 1024
     while n < 4 * span:
         n *= 2
-    theta = 2 * np.pi * np.arange(n) / n
-    zs = base + r * np.exp(1j * theta)
+    zs = base + r * _unit_roots(n)
     vals = np.asarray(evaluate_many(zs), dtype=complex)
     hat = np.fft.fft(vals) / n
     out = []

@@ -399,7 +399,8 @@ def test_cli_golden_pipeline(tmp_path, monkeypatch, capsys):
             "end2.obj.json": (tmp_path / "end2.obj.json").read_bytes(),
         }
         for name, blob in produced.items():
-            want = open(os.path.join(GOLDEN, name), "rb").read()
+            with open(os.path.join(GOLDEN, name), "rb") as fh:
+                want = fh.read()
             assert blob == want, f"golden mismatch: {name}"
 
         verts = read_obj_vertices(obj_path)

@@ -288,6 +288,22 @@ def test_solve_divergent_is_domain_failure(toy_solver_paths, capsys):
     assert "MaxIterExceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cycle", [
+    {"kind": "circle", "center": [0, 0], "radius": 1.0, "nodes": 0},
+    {"kind": "circle", "center": [0, 0], "radius": 1.0, "nodes": -3},
+    {"kind": "polyline", "points": [[1, 1], [-1, 1], [-1, -1], [1, -1]],
+     "per_segment": 0},
+], ids=["nodes0", "nodes-3", "per_segment0"])
+def test_solve_rejects_empty_quadrature_rule(toy_solver_paths, tmp_path,
+                                             cycle, capsys):
+    fam_path, _ = toy_solver_paths
+    cyc_path = tmp_path / "empty_rule.json"
+    save_json(cyc_path, {"cycles": [cycle]})
+    code = main(["solve", "--family", fam_path, "--cycles", str(cyc_path)])
+    assert code == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_solve_has_no_step_size_flag(toy_solver_paths):
     fam_path, cyc_path = toy_solver_paths
     with pytest.raises(SystemExit) as exc:

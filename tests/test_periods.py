@@ -13,6 +13,7 @@ Frozen solver oracles (derived by hand from residue calculus):
 """
 
 import cmath
+import hashlib
 import math
 import runpy
 from pathlib import Path
@@ -40,6 +41,7 @@ from nullsl2 import (
 )
 import nullsl2.periods
 from nullsl2.periods import PeriodReport, _spray_periods
+from nullsl2.series import _unit_roots
 
 TWO_PI_I = 2j * math.pi
 
@@ -84,6 +86,18 @@ def test_min_distance():
     assert abs(square.min_distance(0) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Cycle.circle(0, 1.0, nodes=0),
+    lambda: Cycle.circle(0, 1.0, nodes=-3),
+    lambda: Cycle.polyline([0, 1, 1j], per_segment=0),
+    lambda: Cycle.polyline([0, 1, 1j], per_segment=-1),
+    lambda: Cycle("circle", nodes=0),
+], ids=["nodes0", "nodes-3", "per_segment0", "per_segment-1", "direct"])
+def test_cycle_needs_a_quadrature_node(make):
+    with pytest.raises(ValueError, match="quadrature node"):
+        make()
+
+
 def test_cycle_as_dict_round_shape():
     d = Cycle.circle(1j, 2.0).as_dict()
     assert d["kind"] == "circle" and d["radius"] == 2.0
@@ -92,6 +106,61 @@ def test_cycle_as_dict_round_shape():
 # ---------------------------------------------------------------------------
 # periods and cross-checks
 # ---------------------------------------------------------------------------
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def test_nodes_and_weights_match_the_rules_written_out():
+    for nodes in (1, 64, 512, 4096):
+        for center in (0j, 0.3 - 1.7j, 1e3 + 2e-3j):
+            for radius in (1e-3, 0.7, 1.0, 12.5):
+                zs, ws = Cycle.circle(center, radius, nodes).nodes_and_weights()
+                theta = 2 * np.pi * np.arange(nodes) / nodes
+                e = np.exp(1j * theta)
+                assert _bits(zs) == _bits(center + radius * e)
+                assert _bits(ws) == _bits((1j * radius * e)
+                                          * (2 * np.pi / nodes))
+    square = [1 + 1j, -1.5 + 1j, -1 - 0.25j, 1 - 1j]
+    for per_segment in (1, 8, 32, 33):
+        zs, ws = Cycle.polyline(square, per_segment).nodes_and_weights()
+        x, w = np.polynomial.legendre.leggauss(per_segment)
+        t, wt = (x + 1.0) / 2.0, w / 2.0
+        closed = square + square[:1]
+        pairs = list(zip(closed[:-1], closed[1:]))
+        assert _bits(zs) == _bits(np.concatenate([a + t * (b - a)
+                                                  for a, b in pairs]))
+        assert _bits(ws) == _bits(np.concatenate([wt * (b - a)
+                                                  for a, b in pairs]))
+
+
+def test_gauss_legendre_rule_is_built_once_per_size(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    nullsl2.periods._unit_gauss_legendre.cache_clear()
+    f = MeroFunction.from_rational((1, 2), (-0.1j, 1))
+    for k in range(8):
+        shift = 0.05 * k
+        hexagon = [shift + cmath.exp(1j * math.pi * j / 3) for j in range(6)]
+        val = period(f, Cycle.polyline(hexagon, per_segment=32 if k < 6
+                                       else 16))
+        assert abs(val - TWO_PI_I * (1 + 0.2j)) < 1e-10
+    nullsl2.periods._unit_gauss_legendre.cache_clear()
+    assert sorted(calls) == [16, 32]
+
+
+def test_rule_tables_are_read_only():
+    t, wt = nullsl2.periods._unit_gauss_legendre(8)
+    for table in (t, wt, _unit_roots(16)):
+        with pytest.raises(ValueError):
+            table[0] = 0.0
 
 
 def test_period_cross_check_passes_on_rational():
@@ -408,3 +477,62 @@ def test_period_demo_checks_closed_form_roots():
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(script), run_name="__main__")
     assert exc.value.code == 0
+
+
+# ---------------------------------------------------------------------------
+# pinned float output of the spray path
+# ---------------------------------------------------------------------------
+
+
+#: sha256 of seeded circle and polyline periods (pole orders 1-2), solver
+#: iterates and residual histories, and sprayed window coefficients
+_SPRAY_DIGEST = \
+    "8a3cb7da74ff6da2ac59147190d44ce6b27468aad27e83ee5f6e711b50bfd5d7"
+
+
+def _spray_digest_records():
+    rng = np.random.default_rng(911)
+
+    def draw(scale=1.0):
+        return complex(*(scale * rng.normal(size=2)).tolist())
+
+    records = []
+    for order in (1, 2):
+        for on_origin in (True, False):
+            p = 0j if on_origin else 0.3 * draw()
+            lin = Poly([-p, 1])
+            den = Poly.one()
+            for _ in range(order):
+                den = den * lin
+            num = Poly([draw() for _ in range(order + 2)])
+            f = MeroFunction.from_rational(num.coeffs, den.coeffs)
+            square = [p + r * cmath.exp(1j * (t + k * math.pi / 2))
+                      for k, (r, t) in enumerate(
+                          zip(rng.uniform(0.6, 1.0, 4),
+                              rng.uniform(-0.2, 0.2, 4)))]
+            for cycle in (Cycle.circle(p + 0.1 * draw(), 0.9),
+                          Cycle.circle(p, 0.7, nodes=64),
+                          Cycle.polyline(square),
+                          Cycle.polyline(square, per_segment=16)):
+                records.append(repr(period(f, cycle)))
+    for fam in (toy_family(), quad_family(), square2_family(),
+                square2_family(conjugate_chart=True)):
+        for cycles in ([Cycle.circle(0, 1.0)],
+                       [Cycle.polyline([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])]):
+            res = period_solve(fam, cycles)
+            records.append(repr((res.zeta, res.residual_history)))
+    fam = square2_family()
+    for zeta in ([0.2 - 0.1j, 0.05j], [-0.1, 0.03 + 0.02j]):
+        w = spray_apply(fam, zeta).eta.rep
+        records.append(repr((w.min_exponent, w.truncation_order,
+                             tuple(w.coeffs))))
+    return records
+
+
+def test_spray_digest_is_pinned():
+    # recorded while every quadrature rule and root-of-unity table was
+    # still rebuilt on each call: building them once per size must not
+    # change a bit of any period, solver iterate or window coefficient
+    text = "\n".join(_spray_digest_records())
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == \
+        _SPRAY_DIGEST

@@ -142,6 +142,17 @@ def test_cycle_round_trips():
         cycle_from_dict({"kind": "spiral"})
 
 
+@pytest.mark.parametrize("data", [
+    {"kind": "circle", "nodes": 0},
+    {"kind": "circle", "nodes": -3},
+    {"kind": "polyline", "points": [[0, 0], [1, 0], [0, 1]],
+     "per_segment": 0},
+], ids=["nodes0", "nodes-3", "per_segment0"])
+def test_cycle_with_an_empty_rule_is_a_parse_error(data):
+    with pytest.raises(ParseError, match="quadrature node"):
+        cycle_from_dict(data)
+
+
 def test_spray_round_trip():
     eta = MeroFunction.from_rational([0.3, 1], [0, 1])  # (0.3+z)/z = 1+0.3/z
     f3 = MeroFunction.constant(1)

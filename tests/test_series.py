@@ -378,6 +378,42 @@ def test_float_evaluation_past_the_range():
                                            for z in zs]
 
 
+def _fraction_quotient(num: Fraction, den_re: Fraction, den_im: Fraction):
+    """num / (den_re + i den_im) for a real num, each part rounded once."""
+    mod2 = den_re * den_re + den_im * den_im
+    return complex(float(num * den_re / mod2), float(-num * den_im / mod2))
+
+
+def test_float_quotient_near_the_top_of_the_range():
+    # both parts of each denominator value are finite and at least 2**1022,
+    # where Smith's division overflows its scale factor to a signed zero
+    f = MeroFunction.from_rational([1], [complex(1.5e308, 1.5e308)])
+    want = _fraction_quotient(Fraction(1), Fraction(1.5e308),
+                              Fraction(1.5e308))
+    assert want.real > 0 and f.evaluate(0.5) == want
+    assert list(f.evaluate_many([0.5])) == [want]
+    # the numerator and denominator are 1 + z and 1e308 (1 + i) + z at z = 1/2
+    g = MeroFunction.from_rational([1, 1], [complex(1e308, 1e308), 1])
+    want = _fraction_quotient(Fraction(3, 2), Fraction(1e308) + Fraction(1, 2),
+                              Fraction(1e308))
+    assert want.real > 0 and g.evaluate(0.5) == want
+    assert list(g.evaluate_many([0.5, 2.0]))[0] == want
+
+
+def test_evaluate_many_redoes_entries_of_any_memory_layout():
+    # a Fortran-ordered input: the redone entries must land in the output
+    g = MeroFunction.from_rational([1, 1], [complex(1e308, 1e308), 1])
+    zs = (np.arange(24).reshape(4, 6) * 0.1 + 0j).T
+    assert not zs.flags.c_contiguous
+    vals = g.evaluate_many(zs)
+    assert vals.shape == zs.shape
+    assert all(vals[i, j] == g.evaluate(zs[i, j])
+               for i in range(6) for j in range(4))
+    h = MeroFunction.from_poly([1e308, 1]) * 10
+    assert all(v == complex(math.inf, 0.0)
+               for v in h.evaluate_many(np.ones((2, 3), complex).T).flat)
+
+
 def test_root_sort_key_past_the_range():
     assert _rounded6(np.float64(1.5e308)) == 1.5e308
     for x in (0.1234567, -3.14159265, 1e299, 2.5e-7):
