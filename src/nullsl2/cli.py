@@ -20,6 +20,7 @@ variable (which outranks everything for the seed).
 from __future__ import annotations
 
 import argparse
+import cmath
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -58,10 +59,14 @@ def _parse_complex(text: str) -> complex:
     try:
         if "," in text:
             re_s, im_s = text.split(",")
-            return complex(float(re_s), float(im_s))
-        return complex(text.replace("i", "j"))
+            z = complex(float(re_s), float(im_s))
+        else:
+            z = complex(text.replace("i", "j"))
     except ValueError as err:
         raise ParseError(f"cannot parse complex number {text!r}") from err
+    if not cmath.isfinite(z):
+        raise ParseError(f"complex number {text!r} is not finite")
+    return z
 
 
 def _parse_grid(text) -> tuple[int, int]:

@@ -86,6 +86,10 @@ class Cycle:
             raise ValueError("a cycle needs at least one quadrature node "
                              f"(nodes={self.nodes}, "
                              f"per_segment={self.per_segment})")
+        closed = self.points + self.points[:1]
+        for a, b in zip(closed, closed[1:]):
+            if abs(b - a) ** 2 == 0:   # min_distance divides by it
+                raise ValueError(f"polyline has a zero-length edge at {a}")
 
     @staticmethod
     def circle(center=0j, radius: float = 1.0, nodes: int = 512) -> "Cycle":

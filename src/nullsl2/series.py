@@ -11,7 +11,12 @@
     below ``min_exponent`` are known to vanish; coefficients above
     ``truncation_order`` are unknown.  Arithmetic tracks the certified range
     (sum: min of tops; product: ``min(T1+n2, T2+n1)``; etc.), so a window
-    never claims digits it cannot certify.
+    never claims digits it cannot certify.  Window kernels read it through
+    one accessor, ``_window_slice(w, lo, hi)``: an array zero-padded on
+    both sides, so a kernel that must not read past the certified top
+    checks that itself.  Magnitudes are ``np.hypot(re, im)``, which equals
+    Python's complex ``abs`` bit for bit (``np.abs`` does not), so strip
+    decisions match a scalar loop's.
 
 Every function carries a ``base_point`` and a ``DomainTag``.  Annulus-tagged
 windows are genuine two-sided Laurent series: their division (and the
@@ -27,7 +32,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ._lazy import np
 from .errors import (
@@ -143,25 +148,20 @@ class LaurentWindow:
             raise ValueError("truncation_order inconsistent with coefficient count")
 
 
-def _normalized_window(min_exp: int, coeffs: Sequence[complex],
+def _normalized_window(min_exp: int, coeffs,
                        strip_rel: float = 0.0) -> LaurentWindow:
-    cs = [complex(c) for c in coeffs]
-    if not cs:
-        return LaurentWindow(min_exp, (), min_exp - 1)
-    peak = max(abs(c) for c in cs)
-    thr = strip_rel * peak
+    """A window starting at the first entry above strip_rel * peak (at 0
+    if none is: an identically zero window).  With strip_rel > 0 every
+    entry at or below it becomes 0j, not only at the front: FFT round-off
+    junk at high exponents is amplified by r^k near the annulus edges."""
+    cs = np.asarray(coeffs, dtype=complex)
+    mags = np.hypot(cs.real, cs.imag)
+    thr = strip_rel * mags.max(initial=0.0)
+    tiny = mags <= thr
     if thr > 0:
-        # zero out sub-threshold entries everywhere, not only at the front:
-        # FFT round-off junk at high exponents is amplified by r^k when the
-        # window is evaluated near the annulus edges
-        cs = [0j if abs(c) <= thr else c for c in cs]
-    lead = 0
-    if peak > 0:
-        while lead < len(cs) - 1 and abs(cs[lead]) <= thr:
-            lead += 1
-        if abs(cs[lead]) <= thr:
-            lead = 0  # all coefficients tiny: keep as an identically-zero window
-    return LaurentWindow(min_exp + lead, tuple(cs[lead:]),
+        cs = np.where(tiny, 0j, cs)
+    lead = 0 if tiny.all() else int(tiny.argmin())
+    return LaurentWindow(min_exp + lead, tuple(cs[lead:].tolist()),
                          min_exp + len(cs) - 1)
 
 
@@ -336,9 +336,9 @@ class MeroFunction:
             num, den = _cancel_monomial(num, d * d)
             return MeroFunction(Rational(num, den), self.base_point, self.domain)
         w = self.rep
-        coeffs = [(w.min_exponent + i) * c for i, c in enumerate(w.coeffs)]
-        return MeroFunction(_normalized_window(w.min_exponent - 1, coeffs),
-                            self.base_point, self.domain)
+        ks = np.arange(w.min_exponent, w.truncation_order + 1)
+        win = _normalized_window(w.min_exponent - 1, ks * np.asarray(w.coeffs))
+        return MeroFunction(win, self.base_point, self.domain)
 
     def antiderivative(self) -> "MeroFunction":
         """Termwise/exact antiderivative with zero integration constant.
@@ -351,21 +351,18 @@ class MeroFunction:
             num, den = _rational_antiderivative(self.rep.num, self.rep.den)
             return MeroFunction(Rational(num, den), self.base_point, self.domain)
         w = self.rep
-        res = _window_coeff(w, -1)
-        if res is not None and abs(res) > ZERO_TOL:
+        res = _window_slice(w, -1, -1)[0].item()
+        if abs(res) > ZERO_TOL:
             err = NonExactField(
                 "window has a nonzero z^-1 coefficient; periods do not vanish",
                 period=2j * cmath.pi * res)
             err.pole = self.base_point
             raise err
-        coeffs = []
-        for j in range(w.min_exponent + 1, w.truncation_order + 2):
-            if j == 0:
-                coeffs.append(0j)
-            else:
-                c = _window_coeff(w, j - 1)
-                coeffs.append((c or 0j) / j)
-        return MeroFunction(_normalized_window(w.min_exponent + 1, coeffs),
+        # Python's complex / int: numpy's multiplies by 1/j, rounding apart
+        lo, hi = w.min_exponent, w.truncation_order
+        coeffs = [c / j if j else 0j for j, c in
+                  enumerate(_window_slice(w, lo, hi).tolist(), lo + 1)]
+        return MeroFunction(_normalized_window(lo + 1, coeffs),
                             self.base_point, self.domain)
 
     # -- order / residue / evaluation ----------------------------------------------
@@ -404,15 +401,12 @@ class MeroFunction:
             t = _translated(self, p).rep
             return _residue_at_origin(t.num, t.den)
         w = self.rep
-        if abs(complex(p) - self.base_point) <= 1e-12:
-            c = _window_coeff(w, -1)
-            if c is not None:
-                return c
-            if w.truncation_order < -1 and w.coeffs:
-                raise TruncationTooShort(
-                    "window ends below exponent -1; residue not certified")
-            return 0j
-        return 0j  # windows are regular away from their base point
+        if abs(complex(p) - self.base_point) > 1e-12:
+            return 0j  # windows are regular away from their base point
+        if w.truncation_order < -1 and w.coeffs:
+            raise TruncationTooShort(
+                "window ends below exponent -1; residue not certified")
+        return _window_slice(w, -1, -1)[0].item()
 
     def evaluate(self, z: complex) -> complex:
         """Pointwise value; removable singularities of Rational are filled
@@ -424,12 +418,10 @@ class MeroFunction:
         if not w.coeffs:
             return 0j
         if dz == 0:
-            if w.min_exponent < 0 and any(
-                    abs(c) > ZERO_TOL
-                    for c in w.coeffs[:max(0, -w.min_exponent)]):
+            if any(abs(c) > ZERO_TOL
+                   for c in w.coeffs[:max(0, -w.min_exponent)]):
                 raise EvaluationAtPole("window has a pole at its base point")
-            c0 = _window_coeff(w, 0)
-            return c0 if c0 is not None else 0j
+            return _window_slice(w, 0, 0)[0].item()
         acc = 0j
         for c in reversed(w.coeffs):
             acc = acc * dz + c
@@ -515,19 +507,16 @@ class MeroFunction:
             t = _translated(self, p).rep
             n = t.num.low_order() - t.den.low_order()
             _, q = _exact_series_quotient(t.num, t.den, hi - n + 1)
-            coeffs = q.float_coeffs()
-            out = {}
-            for k in range(lo, hi + 1):
-                idx = k - n
-                out[k] = coeffs[idx] if 0 <= idx < len(coeffs) else 0j
-            return out
+            cs = q.float_coeffs()
+            return {k: cs[k - n] if 0 <= k - n < len(cs) else 0j
+                    for k in range(lo, hi + 1)}
         w = self.rep
         if abs(complex(p) - self.base_point) > 1e-12:
             raise ValueError("window coefficients exist only at the base point")
         if hi > w.truncation_order and w.coeffs:
             raise TruncationTooShort(
                 f"window certified through {w.truncation_order}, need {hi}")
-        return {k: (_window_coeff(w, k) or 0j) for k in range(lo, hi + 1)}
+        return dict(zip(range(lo, hi + 1), _window_slice(w, lo, hi).tolist()))
 
     # -- pole / zero bookkeeping --------------------------------------------------------
 
@@ -768,14 +757,19 @@ def _excess_roots(a: Poly, b: Poly) -> list[tuple[complex, int]]:
 # window helpers
 # ---------------------------------------------------------------------------
 
-def _window_coeff(w: LaurentWindow, k: int) -> complex | None:
-    """Certified coefficient at exponent k: complex, or 0 below the window,
-    or None when k exceeds the certified top."""
-    if k < w.min_exponent:
-        return 0j
-    if k > w.truncation_order:
-        return None
-    return w.coeffs[k - w.min_exponent]
+def _window_slice(w: LaurentWindow, lo: int, hi: int) -> np.ndarray:
+    """The coefficients of w for exponents lo..hi as a new complex array,
+    zero below ``min_exponent`` and above ``truncation_order``; callers
+    that must not read past the certified top check it themselves.  A
+    stored zero comes out as 0j, whatever the signs of its parts, as the
+    scalar ``c or 0j`` readers had it: sums keep their bits."""
+    out = np.zeros(max(0, hi - lo + 1), dtype=complex)
+    a, b = max(lo, w.min_exponent), min(hi, w.truncation_order)
+    if a <= b:
+        out[a - lo:b - lo + 1] = w.coeffs[a - w.min_exponent:
+                                          b - w.min_exponent + 1]
+        out[out == 0] = 0
+    return out
 
 
 def _as_window(f: MeroFunction, like: MeroFunction) -> LaurentWindow:
@@ -855,24 +849,19 @@ def _window_add(a: LaurentWindow, b: LaurentWindow, sign: int) -> LaurentWindow:
         return a
     lo = min(a.min_exponent, b.min_exponent)
     hi = min(a.truncation_order, b.truncation_order)
-    out = []
-    for k in range(lo, hi + 1):
-        ca = _window_coeff(a, k) or 0j
-        cb = _window_coeff(b, k) or 0j
-        out.append(ca + sign * cb)
-    return _normalized_window(lo, out, _STRIP_REL)
+    return _normalized_window(
+        lo, _window_slice(a, lo, hi) + sign * _window_slice(b, lo, hi),
+        _STRIP_REL)
 
 
 def _window_mul(a: LaurentWindow, b: LaurentWindow) -> LaurentWindow:
-    if not a.coeffs or not b.coeffs:
-        lo = a.min_exponent + b.min_exponent
-        return LaurentWindow(lo, (), lo - 1)
     lo = a.min_exponent + b.min_exponent
+    if not a.coeffs or not b.coeffs:
+        return LaurentWindow(lo, (), lo - 1)
     hi = min(a.truncation_order + b.min_exponent,
              b.truncation_order + a.min_exponent)
     full = np.convolve(np.asarray(a.coeffs), np.asarray(b.coeffs))
-    keep = hi - lo + 1
-    return _normalized_window(lo, list(full[:keep]), _STRIP_REL)
+    return _normalized_window(lo, full[:hi - lo + 1], _STRIP_REL)
 
 
 def _window_reciprocal(a: LaurentWindow) -> LaurentWindow:
@@ -903,7 +892,6 @@ def _window_div(a: LaurentWindow, b: LaurentWindow, base: complex,
         # stripped on normalization
         lo = a.min_exponent - b.truncation_order - DEFAULT_TERMS
         hi = a.truncation_order - b.min_exponent + DEFAULT_TERMS
-        length = hi - lo + 1
 
         def quot(zs):
             va = fa.evaluate_many(zs)
@@ -914,7 +902,7 @@ def _window_div(a: LaurentWindow, b: LaurentWindow, base: complex,
                     "denominator vanishes on the annulus sampling circle")
             return va / vb
 
-        return _fft_expand(quot, base, dom, lo, lo + length - 1)
+        return _fft_expand(quot, base, dom, lo, hi)
     return _window_mul(a, _window_reciprocal(b))
 
 
@@ -931,15 +919,14 @@ def _fft_expand(evaluate_many, base: complex, dom: DomainTag,
     """Laurent coefficients on an annulus by FFT on the geometric-mean
     circle, sampled at the n-th roots of unity of `_unit_roots`."""
     r = float(np.sqrt(dom.r_inner * dom.r_outer))
-    span = hi - lo + 1
     n = 1024
-    while n < 4 * span:
+    while n < 4 * (hi - lo + 1):
         n *= 2
     zs = base + r * _unit_roots(n)
     vals = np.asarray(evaluate_many(zs), dtype=complex)
     hat = np.fft.fft(vals) / n
-    out = []
-    for k in range(lo, hi + 1):
-        idx = k % n
-        out.append(hat[idx] / r ** k)
-    return _normalized_window(lo, out, _STRIP_REL)
+    # Python's pow, not np.power: numpy's SIMD loop rounds apart on ~9% of
+    # these values (|k| <= 60, AVX-512 build); an overflow raises here
+    rk = np.array([r ** k for k in range(lo, hi + 1)], dtype=float)
+    return _normalized_window(lo, hat[np.arange(lo, hi + 1) % n] / rk,
+                              _STRIP_REL)

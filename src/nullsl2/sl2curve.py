@@ -30,7 +30,7 @@ from .errors import (
     ThirdCoordinateZero,
     EvaluationAtPole,
 )
-from .series import MeroFunction, ZERO_TOL, punctured_disk
+from .series import MeroFunction, ZERO_TOL, _unit_roots, punctured_disk
 from .spinor import C3NullCurve, _has_common_zero, _sorted_points, is_flat
 
 _I = 1j
@@ -361,22 +361,22 @@ def push_norm(F: SL2NullCurve, fixed_slot: int, delta: float, samples,
 def min_sup_norm_on_circle(F: SL2NullCurve, radius: float,
                            n_samples: int = 256,
                            center: complex = 0j) -> float:
-    """min over the circle of the entrywise sup norm of F.
+    """min over the circle of the entrywise sup norm of F, sampled at
+    center + radius * exp(2 pi i k / n_samples), k = 0 .. n_samples - 1.
 
     Raises PoleOnContour when the circle passes through a declared or
     detected pole.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
     for p in tuple(F.pole_set) + tuple(F.singular_set):
         if abs(abs(p - center) - radius) < 1e-9:
             raise PoleOnContour(f"declared pole {p} lies on the circle")
-    worst = float("inf")
-    for k in range(n_samples):
-        z = center + radius * cmath.exp(2j * cmath.pi * k / n_samples)
-        try:
-            sup = max(abs(s.evaluate(z)) for s in F.slots())
-        except EvaluationAtPole as exc:
-            raise PoleOnContour(f"pole on the sample circle at {z}") from exc
-        worst = min(worst, sup)
-    return worst
+    zs = center + radius * _unit_roots(n_samples)
+    try:
+        sup = np.max([np.abs(s.evaluate_many(zs)) for s in F.slots()], axis=0)
+    except EvaluationAtPole as exc:
+        raise PoleOnContour(f"pole on the sample circle: {exc}") from exc
+    return float(sup.min())

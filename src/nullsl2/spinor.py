@@ -21,7 +21,8 @@ from .errors import (
     EtaIdenticallyZero,
     NonExactField,
 )
-from .series import MeroFunction, ZERO_TOL, _window_coeff
+from ._lazy import np
+from .series import MeroFunction, ZERO_TOL, _window_slice
 
 _I = 1j
 
@@ -82,15 +83,13 @@ class C3Report:
 
 
 def from_spinor(s: SpinorData) -> DirectionField:
-    """Rebuild the null direction field from (eta, f3)."""
+    """Rebuild the null direction field from (eta, f3); its pole set is
+    that of eta, f3 and q = f3^2/eta, as f1 +- i*f2 are eta and -q."""
     q = (s.f3 * s.f3) / s.eta
     f1 = (s.eta - q) * 0.5
     sign = 1 if s.conjugate_chart else -1
     f2 = (s.eta + q) * (sign * 0.5j)
-    poles = set()
-    for g in (s.eta, s.f3):
-        poles.update(p for p, _ in g.poles())
-    poles.update(p for p, _ in s.eta.zeros())  # q may blow up there
+    poles = {p for g in (s.eta, s.f3, q) for p, _ in g.poles()}
     return DirectionField(f1, f2, s.f3, _sorted_points(poles))
 
 
@@ -174,23 +173,23 @@ def is_flat(components, tol: float = ZERO_TOL) -> bool:
             nonzero, key=lambda c: c.rep.num.degree + c.rep.den.degree)
         return all((c / ref).differentiate().is_identically_zero(tol)
                    for c in rest)
-    # window path: coefficient matrix, rows = components
+    # window path: minors row[i]*ref[j] - row[j]*ref[i], i < j, against the
+    # row of largest peak, in real parts rounded one by one as Python's
+    # complex product rounds them (numpy's fuses them on FMA hardware)
     windows = [c if c.is_window else c.to_laurent() for c in comps]
     lo = min(w.rep.min_exponent for w in windows)
     hi = max(w.rep.truncation_order for w in windows)
-    rows = []
-    for w in windows:
-        rows.append([_window_coeff(w.rep, k) or 0j
-                     for k in range(lo, hi + 1)])
-    scale = max(max(abs(c) for c in row) for row in rows) or 1.0
-    ref_row = max(rows, key=lambda row: max(abs(c) for c in row))
-    for row in rows:
-        for i in range(len(row)):
-            for j in range(i + 1, len(row)):
-                minor = row[i] * ref_row[j] - row[j] * ref_row[i]
-                if abs(minor) > tol * scale * scale:
-                    return False
-    return True
+    rows = np.array([_window_slice(w.rep, lo, hi) for w in windows])
+    peaks = np.hypot(rows.real, rows.imag).max(axis=1)
+    scale = peaks.max() or 1.0
+    ref = rows[peaks.argmax()]
+    i, j = np.triu_indices(hi - lo + 1, 1)
+    a, b, ri, rj = rows[:, i], rows[:, j], ref[i], ref[j]
+    re = ((a.real * rj.real - a.imag * rj.imag)
+          - (b.real * ri.real - b.imag * ri.imag))
+    im = ((a.real * rj.imag + a.imag * rj.real)
+          - (b.real * ri.imag + b.imag * ri.real))
+    return not (np.hypot(re, im) > tol * scale * scale).any()
 
 
 def spinor_common_zero_points(s: SpinorData, tol: float = 1e-8

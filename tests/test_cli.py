@@ -293,7 +293,8 @@ def test_solve_divergent_is_domain_failure(toy_solver_paths, capsys):
     {"kind": "circle", "center": [0, 0], "radius": 1.0, "nodes": -3},
     {"kind": "polyline", "points": [[1, 1], [-1, 1], [-1, -1], [1, -1]],
      "per_segment": 0},
-], ids=["nodes0", "nodes-3", "per_segment0"])
+    {"kind": "polyline", "points": [[1, 0], [1, 0], [0, 1], [-1, 0]]},
+], ids=["nodes0", "nodes-3", "per_segment0", "zero_length_edge"])
 def test_solve_rejects_empty_quadrature_rule(toy_solver_paths, tmp_path,
                                              cycle, capsys):
     fam_path, _ = toy_solver_paths
@@ -302,6 +303,26 @@ def test_solve_rejects_empty_quadrature_rule(toy_solver_paths, tmp_path,
     code = main(["solve", "--family", fam_path, "--cycles", str(cyc_path)])
     assert code == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf,0", "0,-inf", "1e400,0", "nan,0",
+                                   "1e999+0j", "nan+1j"])
+@pytest.mark.parametrize("command", ["classify", "endmodel", "mesh",
+                                     "solve"])
+def test_non_finite_complex_argument_is_input_error(
+        command, value, end1_path, toy_solver_paths, tmp_path, capsys):
+    fam_path, cyc_path = toy_solver_paths
+    argv = {
+        "classify": ["classify", "--curve", end1_path, "--center", value],
+        "endmodel": ["endmodel", "--multiplicity", "1", "--center", value,
+                     "--out", str(tmp_path / "e.json")],
+        "mesh": ["mesh", "--curve", end1_path, "--grid", "4x6",
+                 "--center", value, "--out", str(tmp_path / "m.obj")],
+        "solve": ["solve", "--family", fam_path, "--cycles", cyc_path,
+                  "--zeta0", value],
+    }[command]
+    assert main(argv) == 2
+    assert "is not finite" in capsys.readouterr().err
 
 
 def test_solve_has_no_step_size_flag(toy_solver_paths):

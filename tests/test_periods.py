@@ -79,6 +79,18 @@ def test_polyline_requires_three_vertices():
         Cycle.polyline([0, 1])
 
 
+@pytest.mark.parametrize("points", [
+    [1, 1, 1j, -1],                  # a repeated vertex
+    [1, 1j, -1, 1, 1],               # the closing edge, after the repeat
+    [1, 1j, 1j, -1],
+], ids=["first", "closing", "middle"])
+def test_polyline_rejects_zero_length_edge(points):
+    with pytest.raises(ValueError, match="zero-length edge"):
+        Cycle.polyline(points)
+    with pytest.raises(ValueError, match="zero-length edge"):
+        Cycle("polyline", points=tuple(complex(p) for p in points))
+
+
 def test_min_distance():
     c = Cycle.circle(0, 1.0)
     assert abs(c.min_distance(0) - 1.0) < 1e-12

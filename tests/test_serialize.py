@@ -140,6 +140,9 @@ def test_cycle_round_trips():
     assert q.as_dict() == p.as_dict()
     with pytest.raises(ParseError):
         cycle_from_dict({"kind": "spiral"})
+    with pytest.raises(ParseError, match="zero-length edge"):
+        cycle_from_dict({"kind": "polyline",
+                         "points": [[1, 0], [1, 0], [0, 1], [-1, 0]]})
 
 
 @pytest.mark.parametrize("data", [

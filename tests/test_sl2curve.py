@@ -411,3 +411,28 @@ def test_min_sup_norm_pole_on_contour():
     F = end_model(1, center=0.5)
     with pytest.raises(PoleOnContour):
         min_sup_norm_on_circle(F, 0.5)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_min_sup_norm_rejects_empty_sampling(n):
+    with pytest.raises(ValueError):
+        min_sup_norm_on_circle(end_model(1), 0.5, n_samples=n)
+
+
+class _UndeclaredPole:
+    """Slots with a pole at 0.5 that no pole set declares."""
+
+    pole_set = singular_set = ()
+
+    def slots(self):
+        return (MeroFunction.from_poly([1, 1j]),
+                MeroFunction.from_rational([1], [-0.5, 1]))
+
+
+def test_min_sup_norm_pole_on_sampled_point():
+    # sample k = 0 of every circle is center + radius exactly
+    with pytest.raises(PoleOnContour):
+        min_sup_norm_on_circle(_UndeclaredPole(), 0.25, n_samples=5,
+                               center=0.25)
+    assert min_sup_norm_on_circle(_UndeclaredPole(), 0.25, n_samples=5,
+                                  center=0.75j) > 0

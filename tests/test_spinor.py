@@ -80,6 +80,29 @@ def test_from_spinor_pole_bookkeeping_includes_eta_zeros():
     assert any(abs(p) < 1e-12 for p in field.pole_set)
 
 
+@pytest.mark.parametrize("eta, f3", [
+    ((0, 0, 1), (0, 0, 0, 1)),      # z^2, z^3: q = z^4
+    ((0, 0, 1), (0, 0, 1)),         # z^2, z^2: q = z^2
+])
+def test_from_spinor_pole_set_omits_cancelled_eta_zeros(eta, f3):
+    # a zero of eta that f3^2 cancels is no pole of the field: polynomial
+    # data give an empty pole set, and the immersion verdict sees the
+    # branch point, where f vanishes
+    field = from_spinor(SpinorData(MeroFunction.from_poly(eta),
+                                   MeroFunction.from_poly(f3)))
+    assert field.pole_set == ()
+    assert check_null_c3(integrate_null(field), tol=0).immersion is False
+
+
+def test_from_spinor_pole_set_is_the_pole_of_q():
+    # eta = (z - 1/2)(z + 1), f3 = z - 1/2: q = (z - 1/2)/(z + 1) is
+    # regular at 1/2 and has its one pole at -1
+    field = from_spinor(SpinorData(MeroFunction.from_poly([-0.5, 0.5, 1]),
+                                   MeroFunction.from_poly([-0.5, 1])))
+    assert len(field.pole_set) == 1
+    assert abs(field.pole_set[0] + 1) < 1e-9
+
+
 def test_extract_spinor_round_trip():
     s = SpinorData(
         MeroFunction.from_rational((1, 2), (1, 0, 1)),
