@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -81,15 +82,16 @@ def _parse_grid(text) -> tuple[int, int]:
 
 
 def _parse_radii(text) -> tuple[float, float]:
-    if isinstance(text, (list, tuple)):
-        a, b = text
-        return (float(a), float(b))
     try:
-        a, b = str(text).split(":")
-        return (float(a), float(b))
-    except ValueError as err:
+        pair = isinstance(text, (list, tuple))
+        a, b = text if pair else str(text).split(":")
+        radii = (float(a), float(b))
+    except (TypeError, ValueError) as err:
         raise ParseError(
             f"radii must look like 0.25:1.0, got {text!r}") from err
+    if not all(map(math.isfinite, radii)):
+        raise ParseError(f"radii must be finite, got {text!r}")
+    return radii
 
 
 def _load_config(args) -> RunConfig:
@@ -113,8 +115,11 @@ def _load_config(args) -> RunConfig:
             raise ParseError(
                 f"NULLSL2_SEED must be an integer, got {env_seed!r}") from err
     parse = {"grid": _parse_grid, "radii": _parse_radii}
-    return RunConfig(**{key: parse.get(key, type(DEFAULTS[key]))(value)
-                        for key, value in values.items()})
+    cfg = RunConfig(**{key: parse.get(key, type(DEFAULTS[key]))(value)
+                       for key, value in values.items()})
+    if not (math.isfinite(cfg.tol) and cfg.tol >= 0):
+        raise ParseError(f"tol must be finite and non-negative, got {cfg.tol}")
+    return cfg
 
 
 def _load_curve(path):

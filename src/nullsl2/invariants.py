@@ -23,15 +23,16 @@ invariant, so it is asserted only where applicable.
 
 Q is invariant under aux_rotations when d(det F) = 0, since that reads
 F1'(F4 + g F3) = F3'(F2 + g F1), i.e. omega_R = g^2 omega for
-R = (F2, -F1, F4, -F3), whose g_R = -1/g.  So classify_end computes Q once,
-and sorts the rotation normalization once, from the slot orders.
+R = (F2, -F1, F4, -F3), whose g_R = -1/g.  So classify_end computes Q once.
 
-Every quantity above is read from one derivative F', which each curve
-computes once, with det F' and omega (see SL2NullCurve).  The rotations
-share F' and det F' with the curve: a companion's F' is the same signed
-permutation of F' as its slots are of F, and its det F' is the same
-function.  So the det F' gate of both Gauss maps, the Hopf cross-check and
-the Maurer-Cartan trace all run on those shared values, and the end
+With J = [[0, 1], [-1, 0]] the rotations F J^-1, J F and J F J^-1 are
+signed permutations of the slots of F.  The one with slot i in front has
+F1 = +-Fi, F3 = +-F(i+2 mod 4) and omega = +-(F1 F3' - F3 F1') for even i,
++-(F2 F4' - F4 F2') for odd i.  A sign changes no order and no zero test at
+any tol, so the end analysis reads that slot pair and builds no rotated
+curve.  The entries of a rotation's F' F^-1 are a signed permutation of
+those of F, so its Maurer-Cartan order and trace test are those of F.  F',
+det F' and omega are computed once per curve (see SL2NullCurve), so the end
 analysis differentiates each slot of the recentred curve once.
 
 Every exponent above is invariant under the translation z -> w + p: dz is
@@ -186,21 +187,14 @@ def _slot_ord(f: MeroFunction) -> float:
         return math.inf
 
 
-def _pole_ords(G: SL2NullCurve, p: complex) -> list[float]:
-    """ord_0 of each slot of the recentred curve G; NotAnEnd when no slot
-    has a pole there (the message names the puncture p of the caller)."""
+def _slot_order(G: SL2NullCurve, p: complex) -> list[int]:
+    """The slot indices of the recentred curve G by ord_0, lowest first
+    (the first index wins ties); NotAnEnd when no slot has a pole there
+    (the message names the puncture p of the caller)."""
     ords = [_slot_ord(s) for s in G.slots()]
     if min(ords) >= 0:
         raise NotAnEnd(f"no slot has a pole at {p}")
-    return ords
-
-
-def _normalizations(F: SL2NullCurve, ords) -> list[SL2NullCurve]:
-    """The curve and its rotations, ordered so the first entry has the
-    minimum-order slot in front (first index wins ties).  Candidate i has
-    slot i of F in front, so the slot orders ``ords`` of F sort them."""
-    candidates = (F,) + aux_rotations(F)
-    return [candidates[i] for i in sorted(range(4), key=lambda i: (ords[i], i))]
+    return sorted(range(4), key=lambda i: (ords[i], i))
 
 
 def _maurer_cartan_min_ord(G: SL2NullCurve, tol: float) -> int:
@@ -222,36 +216,37 @@ def _maurer_cartan_min_ord(G: SL2NullCurve, tol: float) -> int:
 
 def maurer_cartan_min_ord(F: SL2NullCurve, p: complex,
                           tol: float = ZERO_TOL) -> int:
-    """min over slots of ord_p of F' F^-1, after rotation normalization.
+    """min over slots of ord_p of F' F^-1, the same for F and each of its
+    rotations (module docstring).
 
     F^-1 is the adjugate [[F4, -F2], [-F3, F1]] (det F == 1), and the trace
     of F' F^-1 must vanish identically -- checked as a sanity condition.
     """
-    G = _recentred(F, p)
-    ords = [_slot_ord(s) for s in G.slots()]
-    return _maurer_cartan_min_ord(_normalizations(G, ords)[0], tol)
+    return _maurer_cartan_min_ord(_recentred(F, p), tol)
 
 
-def _multiplicity(normals, Q, tol: float) -> int:
-    """m = |l+1| at 0 on the first rotation normalization (of a recentred
-    curve) where it is defined, exactly cross-checked against
+def _multiplicity(G: SL2NullCurve, order, Q, tol: float) -> int:
+    """m = |l+1| at 0 on the first slot of ``order`` of the recentred curve
+    G whose rotation normalization defines it, exactly cross-checked against
     m^2 = (ord omega + 1)^2 + 4 q_hat(-2).  Q is the (rotation invariant)
-    Hopf differential, or None to compute it on the first rotation where it
-    is defined."""
-    for G in normals:
-        if G.F1.is_identically_zero(tol):
+    Hopf differential, or None to compute it on that rotation."""
+    slots, d = G.slots(), G._derivative
+    for i in order:
+        f1, f3 = slots[i], slots[(i + 2) % 4]
+        if f1.is_identically_zero(tol):
             continue
-        w = omega(G)
+        even = i % 2 == 0
+        w = G._omega if even else G.F2 * d[3] - G.F4 * d[1]
         if w.is_identically_zero(tol):
             continue
         if Q is None:
-            Q = hopf(G, tol)
+            Q = hopf(G if even else aux_rotations(G)[0], tol)
         if Q.is_identically_zero(tol):
             raise UmbilicInput("the Hopf differential vanishes identically")
-        ratio_d = (G.F3 / G.F1).differentiate()
+        ratio_d = (f3 / f1).differentiate()
         if ratio_d.is_identically_zero(tol):
             continue
-        k = G.F1.ord(0)
+        k = f1.ord(0)
         l = ratio_d.ord(0)
         m = abs(l + 1)
         ord_w = w.ord(0)
@@ -267,7 +262,7 @@ def _multiplicity(normals, Q, tol: float) -> int:
                 f"(ord omega + 1)^2 + 4 q_hat(-2) = {rhs}")
         # The slot-order difference form is not shear invariant; assert it
         # only when the orders actually differ (models and rotations).
-        o1, o3 = _slot_ord(G.F1), _slot_ord(G.F3)
+        o1, o3 = _slot_ord(f1), _slot_ord(f3)
         if o3 != o1 and math.isfinite(o3) and abs(o3 - o1) != m:
             raise HypothesisViolation(
                 f"|ord F3 - ord F1| = {abs(o3 - o1)} disagrees with m = {m}")
@@ -282,7 +277,7 @@ def end_multiplicity(F: SL2NullCurve, p: complex,
     normalization, exactly cross-checked against
     m^2 = (ord omega + 1)^2 + 4 q_hat(-2)."""
     G = _recentred(F, p)
-    return _multiplicity(_normalizations(G, _pole_ords(G, p)), None, tol)
+    return _multiplicity(G, _slot_order(G, p), None, tol)
 
 
 def classify_end(F: SL2NullCurve, p: complex,
@@ -294,7 +289,7 @@ def classify_end(F: SL2NullCurve, p: complex,
     curve G(w) = F(w + p)."""
     p = complex(p)
     G = _recentred(F, p)
-    normals = _normalizations(G, _pole_ords(G, p))
+    order = _slot_order(G, p)
     g = secondary_gauss(G, tol)
     if not g.is_identically_zero(tol) and g.ord(0) < 0:
         raise HypothesisViolation(
@@ -312,12 +307,12 @@ def classify_end(F: SL2NullCurve, p: complex,
             "omega == 0 for the given slot order; rotate the curve first")
     ord_w = w.ord(0)
     Q = hopf(G, tol)  # F1 and omega are nonzero, so Q is defined
-    mult = _multiplicity(normals, Q, tol)
+    mult = _multiplicity(G, order, Q, tol)
     if Q.ord(0) < -2:
         raise HypothesisViolation(
             "ord Q < -2: the end is not of the admissible type")
     head = Q.laurent_head(0, -2, 2)
-    min_mc = _maurer_cartan_min_ord(normals[0], tol)
+    min_mc = _maurer_cartan_min_ord(G, tol)
     return EndReport(
         center=p,
         k=int(k),

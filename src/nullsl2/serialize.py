@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import io
 import json
+import math
 
 from .errors import ParseError
 from .meshing import SurfaceMesh, sidecar_dict
@@ -32,11 +33,16 @@ def complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _finite(x) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {x!r}")
+    return x
+
+
 def _as_complex(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    re, im = v
-    return complex(float(re), float(im))
+    re, im = (v, 0.0) if isinstance(v, (int, float)) else v
+    return complex(_finite(re), _finite(im))
 
 
 def _guard(fn):
@@ -69,7 +75,7 @@ def domain_to_dict(d: DomainTag) -> dict:
 def domain_from_dict(data: dict) -> DomainTag:
     kind = data["kind"]
     if kind == "annulus":
-        return annulus(data["r_inner"], data["r_outer"])
+        return annulus(_finite(data["r_inner"]), _finite(data["r_outer"]))
     return {"disk": disk, "punctured_disk": punctured_disk,
             "plane": plane}[kind]()
 
@@ -180,7 +186,7 @@ def cycle_to_dict(c: Cycle) -> dict:
 def cycle_from_dict(data: dict) -> Cycle:
     if data["kind"] == "circle":
         return Cycle.circle(_as_complex(data.get("center", 0)),
-                            float(data.get("radius", 1.0)),
+                            _finite(data.get("radius", 1.0)),
                             int(data.get("nodes", 512)))
     if data["kind"] == "polyline":
         pts = [_as_complex(p) for p in data["points"]]

@@ -52,9 +52,8 @@ class SL2NullCurve:
     because the slots are immutable and the three values do not depend on a
     tolerance.  They are cached outside the fields, so equality, hashing,
     repr and serialization see only the slots and the two point sets; a
-    new curve (a shear, ``dataclasses.replace``, a reload) starts without
-    them, except the ``aux_rotations`` companions, which inherit F' and
-    det F'.
+    new curve (a shear, a rotation, ``dataclasses.replace``, a reload)
+    starts without them.
     """
 
     F1: MeroFunction
@@ -288,24 +287,13 @@ def _shifted_rational(num, den, center: complex) -> MeroFunction:
 
 def aux_rotations(F: SL2NullCurve) -> tuple[SL2NullCurve, SL2NullCurve, SL2NullCurve]:
     """Three constant unimodular companions of F whose first slots run
-    through F2, F3, F4 -- used to bring the minimum-order slot to front.
-
-    Each companion inherits F' as the same signed permutation of F' and
-    the det F' of F.  Negation commutes exactly with the quotient rule on
-    a stored (num, den) pair, so these are the pairs differentiating the
-    companion would give.  omega is not inherited: two companions have
-    omega_R = g^2 omega."""
+    through F2, F3, F4: F J^-1, J F and J F J^-1 for J = [[0, 1], [-1, 0]].
+    Each is a signed permutation of the slots of F (see the invariants
+    module docstring for what the end analysis reads from that)."""
     F1, F2, F3, F4 = F.slots()
-    d1, d2, d3, d4 = F._derivative
-    det_d = F._det_derivative
-
-    def mk(slots, derivative):
-        R = SL2NullCurve(*slots, F.pole_set, F.singular_set)
-        R.__dict__.update(_derivative=derivative, _det_derivative=det_d)
-        return R
-    return (mk((F2, -F1, F4, -F3), (d2, -d1, d4, -d3)),
-            mk((F3, F4, -F1, -F2), (d3, d4, -d1, -d2)),
-            mk((F4, -F3, -F2, F1), (d4, -d3, -d2, d1)))
+    return tuple(SL2NullCurve(*slots, F.pole_set, F.singular_set)
+                 for slots in ((F2, -F1, F4, -F3), (F3, F4, -F1, -F2),
+                               (F4, -F3, -F2, F1)))
 
 
 # ---------------------------------------------------------------------------

@@ -188,25 +188,42 @@ def test_validate_malformed_json_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("command", ["validate", "classify"])
+@pytest.mark.parametrize("command", ["validate", "classify", "mesh"])
 @pytest.mark.parametrize("defect", ["infinite_coefficient", "empty_den",
-                                    "zero_den"])
+                                    "zero_den", "nan_window_coefficient",
+                                    "nan_pole", "infinite_base_point",
+                                    "infinite_annulus_radius"])
 def test_malformed_coefficients_are_input_errors(tmp_path, capsys, command,
                                                  defect):
     data = sl2_to_dict(end_model(2))
     rational = data["F2"]["rational"]
+    nan, inf = float("nan"), float("inf")   # json writes NaN, Infinity
     if defect == "infinite_coefficient":
-        rational["num"][-1] = [float("inf"), 0.0]   # json writes Infinity
-    else:
+        rational["num"][-1] = [inf, 0.0]
+    elif defect in ("empty_den", "zero_den"):
         rational["den"] = [] if defect == "empty_den" else [[0.0, 0.0]] * 2
+    elif defect == "nan_window_coefficient":
+        del data["F4"]["rational"]
+        data["F4"]["laurent"] = {"min_exp": 0,
+                                 "coeffs": [[nan, 0.0], [1.0, 0.0]]}
+    elif defect == "nan_pole":
+        data["poles"].append([nan, 0.0])
+    elif defect == "infinite_base_point":
+        data["F1"]["base_point"] = [0.0, inf]
+    else:
+        data["F3"]["domain"] = {"kind": "annulus", "r_inner": 0.5,
+                                "r_outer": inf}
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(data))
-    center = ["--center", "0,0"] if command == "classify" else []
-    code = main([command, "--curve", str(path), *center])
+    out = tmp_path / "m.obj"
+    extra = {"validate": [], "classify": ["--center", "0,0"],
+             "mesh": ["--grid", "4x6", "--out", str(out)]}[command]
+    code = main([command, "--curve", str(path), *extra])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("input error")
     assert "Traceback" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +322,29 @@ def test_solve_rejects_empty_quadrature_rule(toy_solver_paths, tmp_path,
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which, payload", [
+    ("cycles", {"cycles": [{"kind": "circle", "center": [0, 0],
+                            "radius": float("inf")}]}),
+    ("cycles", {"cycles": [{"kind": "circle", "center": [float("nan"), 0],
+                            "radius": 1.0}]}),
+    ("family", {"domain": {"kind": "annulus", "r_inner": float("nan"),
+                           "r_outer": 2.0}}),
+], ids=["infinite_radius", "nan_center", "nan_annulus_radius"])
+def test_non_finite_number_in_solver_file_is_input_error(
+        toy_solver_paths, tmp_path, which, payload, capsys):
+    fam_path, cyc_path = toy_solver_paths
+    if which == "family":
+        payload = {**load_json(fam_path), **payload}
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(payload))
+    paths = {"family": fam_path, "cycles": cyc_path, which: str(path)}
+    code = main(["solve", "--family", paths["family"],
+                 "--cycles", paths["cycles"]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error") and "non-finite" in err
+
+
 @pytest.mark.parametrize("value", ["inf,0", "0,-inf", "1e400,0", "nan,0",
                                    "1e999+0j", "nan+1j"])
 @pytest.mark.parametrize("command", ["classify", "endmodel", "mesh",
@@ -323,6 +363,37 @@ def test_non_finite_complex_argument_is_input_error(
     }[command]
     assert main(argv) == 2
     assert "is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key, value", [
+    ("radii", "0.25:inf"), ("radii", "nan:1"), ("radii", "-inf:1"),
+    ("tol", "nan"), ("tol", "-1"), ("tol", "inf"),
+])
+def test_non_finite_or_negative_setting_is_input_error(
+        source, key, value, end2_path, tmp_path, capsys):
+    out = tmp_path / "m.obj"
+    if key == "radii":
+        command = ["mesh", "--curve", end2_path, "--grid", "4x6",
+                   "--out", str(out)]
+        setting = [float(v) for v in value.split(":")]
+    else:
+        command = ["validate", "--curve", end2_path]
+        setting = float(value)
+    if source == "config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: setting}))
+        argv = ["--config", str(config), *command]
+    elif key == "radii":
+        argv = [*command, f"--radii={value}"]
+    else:
+        argv = [f"--tol={value}", *command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"input error: {key} must")
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_solve_has_no_step_size_flag(toy_solver_paths):

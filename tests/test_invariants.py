@@ -212,9 +212,20 @@ def test_classify_end_computes_hopf_once(monkeypatch):
                 assert rep.smooth_candidate == (m == 1)
 
 
+def _end_models():
+    """(curve, centre) for end_model m = 1..8 at 0 and at 0.5+0.25j, plain
+    and under each shear kind."""
+    for c in (0j, 0.5 + 0.25j):
+        for m in range(1, 9):
+            for kind in (None,) + SHEAR_KINDS:
+                F = end_model(m, c)
+                yield (F if kind is None else shear(F, 0.5, kind)), c
+
+
 def test_classify_end_differentiates_each_slot_once(monkeypatch):
-    # the recentred curve computes F' once and its rotations inherit it,
-    # so no slot of G or of a companion is differentiated a second time
+    # the recentred curve computes F' once and the end analysis reads its
+    # slot pairs, so no slot of G nor any other object is differentiated
+    # a second time
     calls = []
     real_differentiate = MeroFunction.differentiate
 
@@ -222,31 +233,54 @@ def test_classify_end_differentiates_each_slot_once(monkeypatch):
         calls.append(self)
         return real_differentiate(self)
 
-    normals = []
-    real_normalizations = invariants._normalizations
+    recentred = []
+    real_recentred = invariants._recentred
 
-    def captured(G, ords):
-        normals[:] = [G] + real_normalizations(G, ords)
-        return normals[1:]
+    def captured(F, p):
+        recentred.append(real_recentred(F, p))
+        return recentred[-1]
 
     monkeypatch.setattr(MeroFunction, "differentiate", counted)
-    monkeypatch.setattr(invariants, "_normalizations", captured)
-    for c in (0j, 0.5 + 0.25j):
-        for m in range(1, 9):
-            for kind in (None,) + SHEAR_KINDS:
-                F = end_model(m, c)
-                if kind is not None:
-                    F = shear(F, 0.5, kind)
-                calls.clear()
-                classify_end(F, c)
-                # normals[0] is the recentred curve G; a rotation shares
-                # two of its slot objects
-                slots = {id(s): s for R in normals for s in R.slots()}
-                count = {i: sum(f is s for f in calls)
-                         for i, s in slots.items()}
-                assert [count[id(s)] for s in normals[0].slots()] == \
-                    [1, 1, 1, 1], (m, c, kind)
-                assert max(count.values()) == 1, (m, c, kind)
+    monkeypatch.setattr(invariants, "_recentred", captured)
+    for F, c in _end_models():
+        calls.clear()
+        recentred.clear()
+        classify_end(F, c)
+        assert len(recentred) == 1
+        G = recentred[0]
+        assert [sum(f is s for f in calls) for s in G.slots()] == \
+            [1, 1, 1, 1], (F, c)
+        assert len({id(f) for f in calls}) == len(calls), (F, c)
+
+
+def test_end_analysis_builds_no_rotated_curve(monkeypatch):
+    before = [(classify_end(F, c), maurer_cartan_min_ord(F, c))
+              for F, c in _end_models()]
+
+    def refused(F):
+        raise AssertionError("the end analysis built a rotated curve")
+
+    monkeypatch.setattr(invariants, "aux_rotations", refused)
+    after = [(classify_end(F, c), maurer_cartan_min_ord(F, c))
+             for F, c in _end_models()]
+    assert after == before
+
+
+def test_maurer_cartan_order_is_rotation_invariant():
+    for F, c in _end_models():
+        mc = maurer_cartan_min_ord(F, c)
+        for R in aux_rotations(F):
+            assert maurer_cartan_min_ord(R, c) == mc, (F, c)
+
+
+def test_umbilic_multiplicity_through_odd_front_slot():
+    # slot order [3, 1, 2, 0] and omega_13 == 0, so the Hopf differential
+    # comes from the rotation with F2 in front, and it vanishes
+    inv = MeroFunction.from_rational((1,), (0, 1))
+    F = SL2NullCurve(MeroFunction.zero(), MeroFunction.constant(1),
+                     MeroFunction.constant(-1), inv, pole_set=(0j,))
+    with pytest.raises(UmbilicInput):
+        end_multiplicity(F, 0)
 
 
 def test_hopf_cross_check_rejects_det_two():
