@@ -70,28 +70,35 @@ def _parse_complex(text: str) -> complex:
     return z
 
 
-def _parse_grid(text) -> tuple[int, int]:
-    if isinstance(text, (list, tuple)):
-        a, b = text
-        return (int(a), int(b))
-    try:
-        a, b = str(text).lower().split("x")
-        return (int(a), int(b))
-    except ValueError as err:
-        raise ParseError(f"grid must look like 16x32, got {text!r}") from err
+def _number(kind, value, low=-math.inf):
+    """kind(value) for kind int or float, refusing a bool, a non-integral
+    float for an int, a non-finite number and one below low."""
+    x = kind(value)
+    if (isinstance(value, bool) or not math.isfinite(x) or x < low
+            or isinstance(value, float) and x != value):
+        raise ValueError(value)
+    return x
 
 
-def _parse_radii(text) -> tuple[float, float]:
-    try:
-        pair = isinstance(text, (list, tuple))
-        a, b = text if pair else str(text).split(":")
-        radii = (float(a), float(b))
-    except (TypeError, ValueError) as err:
-        raise ParseError(
-            f"radii must look like 0.25:1.0, got {text!r}") from err
-    if not all(map(math.isfinite, radii)):
-        raise ParseError(f"radii must be finite, got {text!r}")
-    return radii
+def _pair(kind, sep: str):
+    """Converter of a two-item list, or of a string 'a<sep>b', to kind."""
+    def convert(text):
+        a, b = text if isinstance(text, (list, tuple)) else \
+            str(text).lower().split(sep)
+        return _number(kind, a), _number(kind, b)
+    return convert
+
+
+#: each setting's converter and what its value must be; a TypeError,
+#: ValueError or OverflowError of the converter is an input error
+_SETTINGS = {
+    "seed": (lambda v: _number(int, v, 0), "a non-negative integer"),
+    "tol": (lambda v: _number(float, v, 0), "finite and non-negative"),
+    "max_iter": (lambda v: _number(int, v, 1), "an integer >= 1"),
+    "target": (str, "a string"),
+    "grid": (_pair(int, "x"), "two integers, like 16x32"),
+    "radii": (_pair(float, ":"), "two finite numbers, like 0.25:1.0"),
+}
 
 
 def _load_config(args) -> RunConfig:
@@ -114,12 +121,14 @@ def _load_config(args) -> RunConfig:
         except ValueError as err:
             raise ParseError(
                 f"NULLSL2_SEED must be an integer, got {env_seed!r}") from err
-    parse = {"grid": _parse_grid, "radii": _parse_radii}
-    cfg = RunConfig(**{key: parse.get(key, type(DEFAULTS[key]))(value)
-                       for key, value in values.items()})
-    if not (math.isfinite(cfg.tol) and cfg.tol >= 0):
-        raise ParseError(f"tol must be finite and non-negative, got {cfg.tol}")
-    return cfg
+    fields = {}
+    for key, value in values.items():
+        convert, what = _SETTINGS[key]
+        try:
+            fields[key] = convert(value)
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ParseError(f"{key} must be {what}, got {value!r}") from err
+    return RunConfig(**fields)
 
 
 def _load_curve(path):

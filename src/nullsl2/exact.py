@@ -10,9 +10,10 @@ A :class:`Poly` stores one positive integer denominator and two lists of
 Python ints, the real and imaginary numerators: its coefficients are
 Gaussian integers over one common denominator.  Every polynomial kernel is
 an integer loop: product, sum, derivative, integral, Taylor shift, Horner
-evaluation, synthetic division (root multiplicity, deflation) and
-Euclidean pseudo-division (gcd).  A point p = P/d enters as the Gaussian
-integer P acting on d**deg * f(x/d).  The :class:`ExactComplex` view of the
+evaluation, synthetic division (root multiplicity, deflation), Euclidean
+pseudo-division (gcd) and the coefficient-size test behind the zero test
+(``_peak_within``).  A point p = P/d enters as the Gaussian integer P
+acting on d**deg * f(x/d).  The :class:`ExactComplex` view of the
 coefficients is built only on request.
 
 Only what the package needs is implemented.  The exact calculus of
@@ -24,7 +25,7 @@ antiderivatives) runs on these kernels: the ring operations, ``divmod``,
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, inf, isfinite, lcm
 from typing import Iterable, Sequence
 
 
@@ -540,6 +541,25 @@ class Poly:
         lr, li = self._re[-1], self._im[-1]
         return Poly._make(lr * lr + li * li,
                           *_gmul(self._re, self._im, lr, -li))
+
+
+def _peak_within(num: Poly, den: Poly, tol) -> bool:
+    """max|num coeff| <= tol * max(1, max|den coeff|), exactly: squared
+    integer moduli against the dyadic value of float(tol).  A tol <= 0
+    admits only the zero polynomial; a NaN or infinite tol raises
+    ValueError."""
+    if not isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
+    if not num._re:
+        return True
+    if tol <= 0:
+        return False
+    a, b = float(tol).as_integer_ratio()
+    dn, dd = num._den, den._den
+    n2 = max([r * r + m * m for r, m in zip(num._re, num._im)])
+    d2 = max([r * r + m * m for r, m in zip(den._re, den._im)])
+    # n2 / dn**2 <= (a / b)**2 * max(1, d2 / dd**2)
+    return n2 * (b * dd) ** 2 <= (a * dn) ** 2 * max(dd * dd, d2)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

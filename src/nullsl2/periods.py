@@ -36,7 +36,7 @@ from ._lazy import np
 from .errors import (CrossCheckFailed, MaxIterExceeded, PoleOnContour,
                      SingularJacobian)
 from .series import (DomainTag, MeroFunction, annulus, _fft_expand,
-                     _residue_at_origin, _unit_roots)
+                     _unit_roots)
 from .spinor import SpinorData
 
 #: cross-check tolerance between quadrature and residue periods
@@ -170,15 +170,14 @@ class Cycle:
 def _residue_near(f: MeroFunction, p: complex, clearance: float) -> complex:
     """Residue at a numerically located pole.
 
-    The denominator is Taylor-shifted to p once.  If p is exactly a root of
-    it, the numerator is shifted too and the residue comes from the exact
-    Laurent expansion of the translate at 0; otherwise it is recovered by a
-    small trapezoid circle around p, which tolerates root-finding error.
+    If p is exactly a root of the denominator (an exact synthetic-division
+    test, no shift), the residue is ``f.residue(p)``, read from the exact
+    Laurent head of the translate; otherwise it is recovered by a small
+    trapezoid circle around p, which tolerates root-finding error.
     """
     p = complex(p)
-    den = f.rep.den.shift(p)
-    if den.low_order() > 0:
-        return _residue_at_origin(f.rep.num.shift(p), den)
+    if f.rep.den.multiplicity_at(p):
+        return f.residue(p)
     rho = 0.45 * min(1.0, clearance)
     e = _unit_roots(256)
     vals = f.evaluate_many(p + rho * e)

@@ -4,6 +4,8 @@
     An exact quotient of polynomials with complex-rational coefficients
     (see :mod:`nullsl2.exact`).  Identity checks on this representation are
     genuine algebraic facts: ``det F - 1 == 0`` means *equal*, not "small".
+    The zero test compares integer numerators, exact at every magnitude;
+    residues and values at a point are read from the translate to it.
 
 ``LaurentWindow``
     A finite floating window of Laurent coefficients around ``base_point``:
@@ -29,9 +31,7 @@ from __future__ import annotations
 
 import cmath
 import functools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from ._lazy import np
@@ -42,7 +42,7 @@ from .errors import (
     NonExactField,
     TruncationTooShort,
 )
-from .exact import EC_ONE, ExactComplex, Poly, poly_gcd
+from .exact import EC_ONE, ExactComplex, Poly, _peak_within, poly_gcd
 
 #: zero tolerance for floating coefficient tests
 ZERO_TOL = 1e-10
@@ -249,31 +249,15 @@ class MeroFunction:
         return MeroFunction(self.rep, self.base_point, domain)
 
     def is_identically_zero(self, tol: float = ZERO_TOL) -> bool:
-        """Exact zero test for exact data; for float-contaminated data the
-        numerator is compared against `tol` relative to the denominator
-        scale, so round-tripped coefficients keep their verdicts.
-
-        At tol > 0 that scale is the stored denominator: the pair the
-        arithmetic left, not a reduced form.  A sum or difference over a
-        shared denominator D keeps D there, not D**2 (see
-        ``_binary_rational``).  Where a modulus is past the float range,
-        the squared moduli are compared exactly."""
+        """max|num coeff| <= tol * max(1, max|den coeff|), so round-tripped
+        coefficients keep their verdicts; a window compares each coefficient
+        with tol.  For a Rational it is decided exactly on the integer
+        numerators (``exact._peak_within``): tol <= 0 means the numerator is
+        exactly zero, and a NaN or infinite tol raises ValueError.  The
+        scale is the stored denominator, not a reduced form: a sum or
+        difference over a shared D keeps D (see ``_binary_rational``)."""
         if self.is_rational:
-            num, den = self.rep.num, self.rep.den
-            if num.is_zero():
-                return True
-            try:
-                nmax = max(abs(c) for c in num.float_coeffs())
-                dmax = max(abs(c) for c in den.float_coeffs())
-            except OverflowError:   # a modulus past the float range
-                nmax = dmax = math.inf
-            if math.inf not in (nmax, dmax):
-                return nmax <= tol * max(1.0, dmax)
-            # inf <= tol * inf would hold: compare squared moduli exactly
-
-            def peak(p: Poly) -> Fraction:
-                return max(c.re * c.re + c.im * c.im for c in p.coeffs)
-            return peak(num) <= Fraction(tol) ** 2 * max(1, peak(den))
+            return _peak_within(self.rep.num, self.rep.den, tol)
         return all(abs(c) <= tol for c in self.rep.coeffs)
 
     def __repr__(self) -> str:
@@ -394,19 +378,12 @@ class MeroFunction:
             "a window certifies orders only at its base point")
 
     def residue(self, p: complex) -> complex:
-        """Coefficient of (z-p)^-1; exact (then floated) for Rational."""
-        if self.is_rational:
-            if self.rep.num.is_zero():
-                return 0j
-            t = _translated(self, p).rep
-            return _residue_at_origin(t.num, t.den)
-        w = self.rep
-        if abs(complex(p) - self.base_point) > 1e-12:
-            return 0j  # windows are regular away from their base point
-        if w.truncation_order < -1 and w.coeffs:
-            raise TruncationTooShort(
-                "window ends below exponent -1; residue not certified")
-        return _window_slice(w, -1, -1)[0].item()
+        """Coefficient of (z-p)^-1: ``laurent_head(p, -1, -1)[-1]``, exact
+        (then floated) for Rational.  A window is regular away from its
+        base point, so its residue there is 0j."""
+        if self.is_window and abs(complex(p) - self.base_point) > 1e-12:
+            return 0j
+        return self.laurent_head(p, -1, -1)[-1]
 
     def evaluate(self, z: complex) -> complex:
         """Pointwise value; removable singularities of Rational are filled
@@ -502,12 +479,13 @@ class MeroFunction:
         """Coefficients for exponents lo..hi at p (zero-filled below the
         window; TruncationTooShort beyond a window's certified top)."""
         if self.is_rational:
-            if self.rep.num.is_zero():
-                return {k: 0j for k in range(lo, hi + 1)}
-            t = _translated(self, p).rep
-            n = t.num.low_order() - t.den.low_order()
-            _, q = _exact_series_quotient(t.num, t.den, hi - n + 1)
-            cs = q.float_coeffs()
+            n, cs = 0, ()
+            if not self.rep.num.is_zero():
+                t = _translated(self, p).rep
+                n = t.num.low_order() - t.den.low_order()
+                if hi >= n:   # else every requested exponent is below ord
+                    cs = _exact_series_quotient(t.num, t.den,
+                                                hi - n + 1)[1].float_coeffs()
             return {k: cs[k - n] if 0 <= k - n < len(cs) else 0j
                     for k in range(lo, hi + 1)}
         w = self.rep
@@ -593,6 +571,9 @@ def _translated(f: MeroFunction, p: complex) -> MeroFunction:
 
 
 def _evaluate_rational(rep: Rational, z: complex) -> complex:
+    """num(z)/den(z) in floats while trusted; else exactly from the
+    translates to z: a pole, or their ratio at d0 = ord den (a removable
+    point filled; past the float range, +-inf part by part)."""
     if rep.num.is_zero():
         return 0j
     dv = rep.den(z)
@@ -601,28 +582,11 @@ def _evaluate_rational(rep: Rational, z: complex) -> complex:
         v = rep.num(z) / dv
         if cmath.isfinite(v):
             return v
-    # exact fallback: decide removable vs genuine pole, and round a value
-    # past the float range part by part to +-inf
-    ze = ExactComplex.of(z)
-    md = rep.den.multiplicity_at(ze)
-    if md == 0:
-        dvE = rep.den(ze)
-        return complex(rep.num(ze) / dvE)
-    mn = rep.num.multiplicity_at(ze)
-    if mn < md:
-        raise EvaluationAtPole(f"pole of order {md - mn} at {z}")
-    n, d = rep.num, rep.den
-    for _ in range(md):
-        n, d = n.deflate(ze), d.deflate(ze)
-    return complex(n(ze) / d(ze))
-
-
-def _residue_at_origin(ns: Poly, ds: Poly) -> complex:
-    """Coefficient of w^-1 in ns/ds (ns nonzero), exact, then floated."""
-    count = ds.low_order() - ns.low_order()
-    if count <= 0:
-        return 0j
-    return _exact_series_quotient(ns, ds, count)[1].float_coeffs()[count - 1]
+    n, d = rep.num.shift(z), rep.den.shift(z)
+    n0, d0 = n.low_order(), d.low_order()
+    if n0 < d0:
+        raise EvaluationAtPole(f"pole of order {d0 - n0} at {z}")
+    return complex(n.coeff(d0) / d.coeff(d0))
 
 
 def _exact_series_quotient(ns: Poly, ds: Poly, count: int

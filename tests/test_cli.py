@@ -396,6 +396,32 @@ def test_non_finite_or_negative_setting_is_input_error(
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("key, setting", [
+    ("seed", '{"seed": null}'), ("tol", '{"tol": null}'),
+    ("max_iter", '{"max_iter": 1.5e400}'), ("seed", '{"seed": 1.9}'),
+    ("seed", '{"seed": true}'), ("grid", '{"grid": [1.5, 40]}'),
+    ("max_iter", '{"max_iter": 0}'), ("max_iter", "--max-iter=0"),
+    ("max_iter", "--max-iter=-3"), ("seed", '{"seed": -1}'),
+])
+def test_setting_that_does_not_convert_exactly_is_input_error(
+        key, setting, toy_solver_paths, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("NULLSL2_SEED", raising=False)
+    fam_path, cyc_path = toy_solver_paths
+    argv = ["solve", "--family", fam_path, "--cycles", cyc_path]
+    if setting.startswith("--"):
+        argv.append(setting)
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(setting)
+        argv = ["--config", str(config), *argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"input error: {key} must")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_solve_has_no_step_size_flag(toy_solver_paths):
     fam_path, cyc_path = toy_solver_paths
     with pytest.raises(SystemExit) as exc:

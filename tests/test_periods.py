@@ -220,27 +220,34 @@ def test_residue_near_shift_counts(monkeypatch):
     # 1/(z-p)^2 + 2/(z-p) at a dyadic p.  At p itself, an exact root of the
     # denominator: one Taylor shift each of numerator and denominator, and
     # the exact residue.  At a located pole off by 1e-13 (as root finders
-    # return it): only the denominator is shifted, and the trapezoid circle
-    # gives the residue.
+    # return it): no Taylor shift at all, one exact root test on the
+    # denominator, and the trapezoid circle gives the residue.
     p = 0.25 + 0.5j
     zp = MeroFunction.from_poly((-p, 1))
     f = 1 / (zp * zp) + 2 / zp
-    shifts = []
-    real_shift = Poly.shift
+    shifts, root_tests = [], []
+    real_shift, real_multiplicity = Poly.shift, Poly.multiplicity_at
 
     def counted(self, q):
         if q:
             shifts.append(self)
         return real_shift(self, q)
 
+    def counted_multiplicity(self, q):
+        root_tests.append(self)
+        return real_multiplicity(self, q)
+
     monkeypatch.setattr(Poly, "shift", counted)
+    monkeypatch.setattr(Poly, "multiplicity_at", counted_multiplicity)
     assert nullsl2.periods._residue_near(f, p, 1.0) == 2
     assert len(shifts) == 2
     assert {id(s) for s in shifts} == {id(f.rep.num), id(f.rep.den)}
     shifts.clear()
+    root_tests.clear()
     r = nullsl2.periods._residue_near(f, p + 1e-13, 1.0)
     assert abs(r - 2) < 1e-9
-    assert len(shifts) == 1 and shifts[0] is f.rep.den
+    assert shifts == []
+    assert len(root_tests) == 1 and root_tests[0] is f.rep.den
 
 
 def test_period_window_residue():

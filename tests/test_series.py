@@ -16,6 +16,7 @@ from nullsl2 import (
     IdenticallyZero,
     MeroFunction,
     NonExactField,
+    TruncationTooShort,
     annulus,
     disk,
     plane,
@@ -424,6 +425,40 @@ def test_root_sort_key_past_the_range():
             [(-1.5e308 + 0j, 1)]
 
 
+def test_zero_test_boundary_is_exact():
+    # max|num| <= tol * max(1, max|den|) holds with equality at 1e-10 and
+    # fails one float above it
+    assert MeroFunction.from_rational([1e-10]).is_identically_zero(1e-10)
+    above = math.nextafter(1e-10, math.inf)
+    assert not MeroFunction.from_rational([above]).is_identically_zero(1e-10)
+    # the same boundary relative to a denominator scale of 4
+    f = MeroFunction.from_rational([4e-10j], [0.5, -4])
+    assert f.is_identically_zero(1e-10)
+    assert not f.is_identically_zero(math.nextafter(1e-10, 0))
+
+
+def test_zero_test_sees_numerators_that_underflow_to_zero():
+    # each numerator's float view is 0.0; only the exact test sees them
+    tiny = MeroFunction.from_rational([Fraction(1, 2 ** 1100)], [1, 1j])
+    assert tiny.rep.num.float_coeffs() == (0j,)
+    assert not tiny.is_identically_zero(0.0)
+    assert tiny.is_identically_zero(1e-300)
+    over_tiny = MeroFunction.from_rational([-1 + 0j],
+                                           [3.348466452943302e-279j])
+    assert not over_tiny.is_identically_zero(0.0)
+    assert not over_tiny.is_identically_zero(1e-10)
+
+
+def test_zero_test_negative_and_non_finite_tol():
+    tiny = MeroFunction.from_rational([1e-300], [1, 2])
+    assert not tiny.is_identically_zero(-1.0)
+    assert MeroFunction.zero().is_identically_zero(-1.0)
+    for tol in (math.nan, math.inf, -math.inf):
+        for f in (tiny, MeroFunction.zero()):
+            with pytest.raises(ValueError):
+                f.is_identically_zero(tol)
+
+
 def test_zero_test_tolerates_float_noise_relative_to_denominator():
     # noise far below the default tolerance counts as zero ...
     noisy = MeroFunction.from_rational((1e-16,), (1,))
@@ -431,6 +466,115 @@ def test_zero_test_tolerates_float_noise_relative_to_denominator():
     # ... and the comparison scales with the denominator
     scaled = MeroFunction.from_rational((1e-16,), (1e6,))
     assert scaled.is_identically_zero(1e-10)
+
+
+# ---------------------------------------------------------------------------
+# residues and values at a point: one exact Laurent head
+# ---------------------------------------------------------------------------
+
+
+def test_residue_reads_the_laurent_head_on_the_pool():
+    # at every exact pole of the pool (its denominator's roots, snapped to
+    # the dyadic grid they were drawn on) and at two regular points: the
+    # residue is the head's z**-1 entry and the exact coefficient, rounded
+    checked = 0
+    for f in _antiderivative_pool(30, 2024):
+        den = f.rep.den
+        points = {0.5 - 0.25j, -1 + 0.75j}
+        points |= {complex(round(p.real * 32) / 32, round(p.imag * 32) / 32)
+                   for p, _ in f.poles()}
+        for p in points:
+            if not den.multiplicity_at(p):
+                continue
+            r = f.residue(p)
+            assert r == f.laurent_head(p, -1, -1)[-1]
+            n, cs = f.exact_laurent(p, 1 - f.ord(p))
+            assert r == (complex(cs[-1 - n]) if n <= -1 else 0j)
+            checked += 1
+        for p in (0.5 - 0.25j, -1 + 0.75j):
+            if not den.multiplicity_at(p):
+                assert f.residue(p) == f.laurent_head(p, -1, -1)[-1] == 0j
+    assert checked > 10
+
+
+def test_window_residue_reads_the_head_at_its_base_point():
+    base = 0.25 + 0.5j
+    w = MeroFunction.from_laurent(-2, [0.7, 2.5, 1.0], base_point=base,
+                                  domain=annulus(0.5, 2.0))
+    assert w.residue(base) == w.laurent_head(base, -1, -1)[-1] == 2.5
+    assert w.residue(base + 0.5) == 0j     # regular off its base point
+    short = MeroFunction.from_laurent(-3, [1.0], base_point=base)
+    assert short.rep.truncation_order == -3
+    with pytest.raises(TruncationTooShort):
+        short.residue(base)
+    assert short.residue(0j) == 0j
+
+
+def _sympy_value(f, z):
+    """f(z) from sympy: the cancelled quotient at z, None at a pole (then
+    with the pole order), each part rounded to nearest, +-inf past the
+    float range."""
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol("x")
+
+    def exact(c):
+        c = ExactComplex.of(c)
+        return sp.Rational(c.re.numerator, c.re.denominator) \
+            + sp.I * sp.Rational(c.im.numerator, c.im.denominator)
+
+    def poly(p):
+        return sp.Poly([exact(c) for c in reversed(p.coeffs)], x,
+                       domain=sp.QQ_I)
+    num, den = poly(f.rep.num), poly(f.rep.den)
+    g = sp.gcd(num, den)
+    num, den = num.quo(g), den.quo(g)
+    at = exact(z)
+    lin = sp.Poly(x - at, x, domain=sp.QQ_I)
+    order = 0
+    while den.rem(lin).is_zero:
+        den, order = den.quo(lin), order + 1
+    if order:
+        return None, order
+    re, im = sp.expand(num.eval(at) / den.eval(at)).as_real_imag()
+
+    def part(q):
+        try:
+            return float(Fraction(int(q.p), int(q.q)))
+        except OverflowError:
+            return math.inf if q.p > 0 else -math.inf
+    return complex(part(re), part(im)), None
+
+
+@pytest.mark.parametrize("num_order, den_order, num_rest, den_rest", [
+    (1, 1, [2, 1], [1, 3]),             # removable, nonzero value
+    (3, 2, [1], [1, 1]),                # removable, value zero
+    (1, 3, [1, 1], [1]),                # pole of order 2
+    (2, 4, [3j], [2, -1]),              # pole of order 2, complex data
+    (1, 1, [1e300], [1e-100]),          # removable, value past the range
+    (0, 0, [1e300, -1e300j], [1e-100]),     # regular, past the range
+], ids=["removable", "zero", "pole2", "pole2_complex", "removable_inf",
+        "regular_inf"])
+@pytest.mark.parametrize("p", [0.5 + 0.25j, -0.75 + 1.5j, 3.0])
+def test_evaluate_fills_removable_points_and_names_pole_orders(
+        num_order, den_order, num_rest, den_rest, p):
+    # (z - p)**num_order * num_rest / ((z - p)**den_order * den_rest), not
+    # cancelled, at a dyadic p: the float path cannot decide these points
+    lin = MeroFunction.from_poly([-p, 1])
+    num = MeroFunction.from_poly(num_rest)
+    den = MeroFunction.from_poly(den_rest)
+    for _ in range(num_order):
+        num = num * lin
+    for _ in range(den_order):
+        den = den * lin
+    f = num / den
+    assert f.rep.den.multiplicity_at(p) == den_order
+    want, order = _sympy_value(f, p)
+    if want is None:
+        with pytest.raises(EvaluationAtPole, match=f"pole of order {order} "):
+            f.evaluate(p)
+    else:
+        got = f.evaluate(p)
+        assert (got.real, got.imag) == (want.real, want.imag)
 
 
 # ---------------------------------------------------------------------------

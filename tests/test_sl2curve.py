@@ -5,6 +5,7 @@ import cmath
 import dataclasses
 import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -302,6 +303,18 @@ def test_rotations_of_identity_are_unimodular_constants():
         assert rep.unimodular
         det = R.det()
         assert (det - 1).is_identically_zero(0.0)
+
+
+def test_validity_at_tol_zero_sees_a_perturbation_below_the_float_range():
+    # F4 + 2**-1100 z: det F = 1 + 2**-1100 z F1 and det F' != 0, but
+    # every numerator coefficient of det F - 1 rounds to 0.0 in floats
+    F = end_model(2)
+    tiny = MeroFunction.from_poly([0, Fraction(1, 2 ** 1100)])
+    H = dataclasses.replace(F, F4=F.F4 + tiny)
+    assert set((H.det() - 1).rep.num.float_coeffs()) == {0j}
+    rep = check_null_sl2(H, 0)
+    assert not rep.unimodular and not rep.null
+    assert check_null_sl2(F, 0).unimodular and check_null_sl2(F, 0).null
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,16 @@ def test_prop_is_flat_matches_sympy(comps):
     assert is_flat(comps, 0.0) == _sympy_flat(comps)
 
 
+def test_is_flat_at_tol_zero_sees_numerators_below_the_float_range():
+    # a falsifying example of the property above: the quotients' numerators
+    # read as 0.0 in floats, but they are not zero
+    comps = [MeroFunction.from_rational([1.3654785986177085e-157j], [0j, 1j]),
+             MeroFunction.from_rational([], [3.348466452943302e-279j]),
+             MeroFunction.from_rational([-1 + 0j], [3.348466452943302e-279j])]
+    assert not is_flat(comps, 0.0)
+    assert is_flat(comps, 0.0) == _sympy_flat(comps)
+
+
 def test_is_flat_differentiates_quotients_not_components(monkeypatch):
     seen = []
     differentiate = MeroFunction.differentiate
