@@ -25,7 +25,7 @@ antiderivatives) runs on these kernels: the ring operations, ``divmod``,
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, isfinite, lcm
+from math import gcd, inf, lcm
 from typing import Iterable, Sequence
 
 
@@ -545,11 +545,8 @@ class Poly:
 
 def _peak_within(num: Poly, den: Poly, tol) -> bool:
     """max|num coeff| <= tol * max(1, max|den coeff|), exactly: squared
-    integer moduli against the dyadic value of float(tol).  A tol <= 0
-    admits only the zero polynomial; a NaN or infinite tol raises
-    ValueError."""
-    if not isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol}")
+    integer moduli against the dyadic value of float(tol), which must be
+    finite.  A tol <= 0 admits only the zero polynomial."""
     if not num._re:
         return True
     if tol <= 0:

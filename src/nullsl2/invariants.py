@@ -23,7 +23,7 @@ invariant, so it is asserted only where applicable.
 
 Q is invariant under aux_rotations when d(det F) = 0, since that reads
 F1'(F4 + g F3) = F3'(F2 + g F1), i.e. omega_R = g^2 omega for
-R = (F2, -F1, F4, -F3), whose g_R = -1/g.  So classify_end computes Q once.
+R = (F2, -F1, F4, -F3), whose g_R = -1/g.
 
 With J = [[0, 1], [-1, 0]] the rotations F J^-1, J F and J F J^-1 are
 signed permutations of the slots of F.  The one with slot i in front has
@@ -31,9 +31,7 @@ F1 = +-Fi, F3 = +-F(i+2 mod 4) and omega = +-(F1 F3' - F3 F1') for even i,
 +-(F2 F4' - F4 F2') for odd i.  A sign changes no order and no zero test at
 any tol, so the end analysis reads that slot pair and builds no rotated
 curve.  The entries of a rotation's F' F^-1 are a signed permutation of
-those of F, so its Maurer-Cartan order and trace test are those of F.  F',
-det F' and omega are computed once per curve (see SL2NullCurve), so the end
-analysis differentiates each slot of the recentred curve once.
+those of F, so its Maurer-Cartan order and trace test are those of F.
 
 Every exponent above is invariant under the translation z -> w + p: dz is
 unchanged, so ord, Laurent coefficients, omega and Q of G(w) = F(w + p) at
@@ -45,12 +43,22 @@ the shift is exact; a window slot keeps its coefficients and only its base
 point moves.  The tolerance checks (F1, (F3/F1)' and omega == 0, det F',
 the Maurer-Cartan trace) compare coefficients of G, so for float-rounded
 input a curve and its exact translate get the same verdicts.
+
+The end analysis reads each quantity of G once per call: F', det F' and
+omega once per curve (see SL2NullCurve), so each slot is differentiated
+once; the order of each slot, which gives k and the orders of the
+multiplicity pair; (F3/F1)', l, omega and ord omega of a slot pair, so the
+multiplicity reuses classify_end's reading when slot 0 leads; and Q, whose
+Laurent head at 0 gives q_hat(-2) to both the m^2 check and the report.  Q
+comes from the public hopf, which recomputes g: the benchmark's tracer
+counts hopf calls per classification by that name.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DegenerateDenominator,
@@ -160,9 +168,13 @@ def induced_metric_factor(F: SL2NullCurve, z: complex) -> float:
     w = omega(F)
     if w.is_identically_zero():
         return 0.0
-    g = secondary_gauss(F)
-    gv = g.evaluate(z)
-    wv = w.evaluate(z)
+    return _metric_factor(secondary_gauss(F).evaluate(z), w.evaluate(z))
+
+
+def _metric_factor(gv: complex, wv: complex) -> float:
+    """(1+|g|^2)^2 |omega/dz|^2 from the values of g and omega at a point,
+    with Python's abs: numpy's array abs differs in the last bits on about
+    a third of the mesh points, which would change the sidecar bytes."""
     return float((1.0 + abs(gv) ** 2) ** 2 * abs(wv) ** 2)
 
 
@@ -187,14 +199,41 @@ def _slot_ord(f: MeroFunction) -> float:
         return math.inf
 
 
-def _slot_order(G: SL2NullCurve, p: complex) -> list[int]:
-    """The slot indices of the recentred curve G by ord_0, lowest first
-    (the first index wins ties); NotAnEnd when no slot has a pole there
-    (the message names the puncture p of the caller)."""
+def _slot_orders(G: SL2NullCurve, p: complex) -> list[float]:
+    """ord_0 of each slot of the recentred curve G, inf for a zero slot;
+    NotAnEnd, naming the caller's puncture p, when none has a pole there."""
     ords = [_slot_ord(s) for s in G.slots()]
     if min(ords) >= 0:
         raise NotAnEnd(f"no slot has a pole at {p}")
-    return sorted(range(4), key=lambda i: (ords[i], i))
+    return ords
+
+
+class _SlotPair:
+    """(F3/F1)', l, omega and ord omega at 0 of the normalization with slot
+    i of the recentred curve G in front (module docstring), each computed
+    when first read and then kept: a caller keeps its own order of zero
+    tests, and a second caller reuses the reading."""
+
+    def __init__(self, G: SL2NullCurve, i: int):
+        self.G, self.i = G, i
+
+    @cached_property
+    def ratio_d(self) -> MeroFunction:
+        s = self.G.slots()
+        return (s[(self.i + 2) % 4] / s[self.i]).differentiate()
+
+    @cached_property
+    def l(self) -> int:
+        return self.ratio_d.ord(0)
+
+    @cached_property
+    def w(self) -> MeroFunction:
+        G, d = self.G, self.G._derivative
+        return G._omega if self.i % 2 == 0 else G.F2 * d[3] - G.F4 * d[1]
+
+    @cached_property
+    def ord_w(self) -> int:
+        return self.w.ord(0)
 
 
 def _maurer_cartan_min_ord(G: SL2NullCurve, tol: float) -> int:
@@ -225,47 +264,44 @@ def maurer_cartan_min_ord(F: SL2NullCurve, p: complex,
     return _maurer_cartan_min_ord(_recentred(F, p), tol)
 
 
-def _multiplicity(G: SL2NullCurve, order, Q, tol: float) -> int:
-    """m = |l+1| at 0 on the first slot of ``order`` of the recentred curve
-    G whose rotation normalization defines it, exactly cross-checked against
+def _multiplicity(G: SL2NullCurve, ords, Q, tol: float, head=None,
+                  lead=None) -> int:
+    """m = |l+1| at 0 on the first slot of the recentred curve G, by its
+    order ``ords`` (lowest first, the first index winning ties), whose
+    rotation normalization defines it, exactly cross-checked against
     m^2 = (ord omega + 1)^2 + 4 q_hat(-2).  Q is the (rotation invariant)
-    Hopf differential, or None to compute it on that rotation."""
-    slots, d = G.slots(), G._derivative
-    for i in order:
-        f1, f3 = slots[i], slots[(i + 2) % 4]
-        if f1.is_identically_zero(tol):
+    Hopf differential, or None to compute it on that rotation; ``head``, Q's
+    Laurent head at 0 from -2, and ``lead``, the _SlotPair of slot 0, are
+    the caller's readings, if made."""
+    for i in sorted(range(4), key=lambda i: (ords[i], i)):
+        if G.slots()[i].is_identically_zero(tol):
             continue
-        even = i % 2 == 0
-        w = G._omega if even else G.F2 * d[3] - G.F4 * d[1]
-        if w.is_identically_zero(tol):
+        pair = lead if i == 0 and lead is not None else _SlotPair(G, i)
+        if pair.w.is_identically_zero(tol):
             continue
         if Q is None:
-            Q = hopf(G if even else aux_rotations(G)[0], tol)
+            Q = hopf(G if i % 2 == 0 else aux_rotations(G)[0], tol)
         if Q.is_identically_zero(tol):
             raise UmbilicInput("the Hopf differential vanishes identically")
-        ratio_d = (f3 / f1).differentiate()
-        if ratio_d.is_identically_zero(tol):
+        if pair.ratio_d.is_identically_zero(tol):
             continue
-        k = f1.ord(0)
-        l = ratio_d.ord(0)
-        m = abs(l + 1)
-        ord_w = w.ord(0)
-        if ord_w != l + 2 * k:
+        k, m = ords[i], abs(pair.l + 1)
+        if pair.ord_w != pair.l + 2 * k:
             raise HypothesisViolation(
-                f"ord omega = {ord_w} != l + 2k = {l + 2 * k}; "
+                f"ord omega = {pair.ord_w} != l + 2k = {pair.l + 2 * k}; "
                 "the input does not satisfy the end hypotheses")
-        q2 = Q.laurent_head(0, -2, -2)[-2]
-        rhs = (ord_w + 1) ** 2 + 4 * q2
+        q2 = (Q.laurent_head(0, -2, -2) if head is None else head)[-2]
+        rhs = (pair.ord_w + 1) ** 2 + 4 * q2
         if abs(m * m - rhs) > 1e-6 * max(1.0, abs(rhs)):
             raise HypothesisViolation(
                 f"m^2 = {m * m} inconsistent with "
                 f"(ord omega + 1)^2 + 4 q_hat(-2) = {rhs}")
         # The slot-order difference form is not shear invariant; assert it
         # only when the orders actually differ (models and rotations).
-        o1, o3 = _slot_ord(f1), _slot_ord(f3)
-        if o3 != o1 and math.isfinite(o3) and abs(o3 - o1) != m:
+        o3 = ords[(i + 2) % 4]
+        if o3 != k and math.isfinite(o3) and abs(o3 - k) != m:
             raise HypothesisViolation(
-                f"|ord F3 - ord F1| = {abs(o3 - o1)} disagrees with m = {m}")
+                f"|ord F3 - ord F1| = {abs(o3 - k)} disagrees with m = {m}")
         return m
     raise UmbilicInput(
         "flat/umbilic input: end exponents are undefined in every rotation")
@@ -277,7 +313,7 @@ def end_multiplicity(F: SL2NullCurve, p: complex,
     normalization, exactly cross-checked against
     m^2 = (ord omega + 1)^2 + 4 q_hat(-2)."""
     G = _recentred(F, p)
-    return _multiplicity(G, _slot_order(G, p), None, tol)
+    return _multiplicity(G, _slot_orders(G, p), None, tol)
 
 
 def classify_end(F: SL2NullCurve, p: complex,
@@ -289,33 +325,35 @@ def classify_end(F: SL2NullCurve, p: complex,
     curve G(w) = F(w + p)."""
     p = complex(p)
     G = _recentred(F, p)
-    order = _slot_order(G, p)
+    ords = _slot_orders(G, p)
     g = secondary_gauss(G, tol)
     if not g.is_identically_zero(tol) and g.ord(0) < 0:
         raise HypothesisViolation(
             f"the secondary Gauss map has a pole at {p}")
     if G.F1.is_identically_zero(tol):
         raise HypothesisViolation("F1 == 0; rotate the curve before classifying")
-    k = G.F1.ord(0)
-    ratio_d = (G.F3 / G.F1).differentiate()
-    if ratio_d.is_identically_zero(tol):
+    lead = _SlotPair(G, 0)  # each order is read right after its zero test
+    if lead.ratio_d.is_identically_zero(tol):
         raise HypothesisViolation("(F3/F1)' == 0; rotate the curve first")
-    l = ratio_d.ord(0)
-    w = omega(G)
-    if w.is_identically_zero(tol):
+    l = lead.l
+    if lead.w.is_identically_zero(tol):
         raise HypothesisViolation(
             "omega == 0 for the given slot order; rotate the curve first")
-    ord_w = w.ord(0)
+    ord_w = lead.ord_w
     Q = hopf(G, tol)  # F1 and omega are nonzero, so Q is defined
-    mult = _multiplicity(G, order, Q, tol)
+    # one series quotient; a window raises TruncationTooShort past its top,
+    # so its head is read where each check needs it, only as far as it needs
+    head = Q.laurent_head(0, -2, 2) if Q.is_rational else None
+    mult = _multiplicity(G, ords, Q, tol, head, lead)
     if Q.ord(0) < -2:
         raise HypothesisViolation(
             "ord Q < -2: the end is not of the admissible type")
-    head = Q.laurent_head(0, -2, 2)
+    if head is None:
+        head = Q.laurent_head(0, -2, 2)
     min_mc = _maurer_cartan_min_ord(G, tol)
     return EndReport(
         center=p,
-        k=int(k),
+        k=int(ords[0]),
         l=int(l),
         ord_omega=int(ord_w),
         q_hat_minus2=head[-2],

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from ._lazy import np
 from .errors import (DegenerateDenominator, EvaluationAtPole,
                      GaussMapMismatch, PoleOnGrid)
-from .invariants import omega, secondary_gauss
+from .invariants import _metric_factor, omega, secondary_gauss
 from .series import _unit_roots
 from .sl2curve import SL2NullCurve
 from .spaceforms import _minkowski_coords
@@ -97,16 +97,11 @@ def _metric_samples(F: SL2NullCurve, zs: np.ndarray, warnings: list[str]):
     try:
         gv = g.evaluate_many(zs)
         wv = w.evaluate_many(zs)
-        # Python's complex abs, not np.abs: they differ in the last bits on
-        # about a third of the points, which would change the sidecar bytes
-        out = [float((1.0 + abs(a) ** 2) ** 2 * abs(b) ** 2)
-               for a, b in zip(gv, wv)]
+        out = [_metric_factor(a, b) for a, b in zip(gv, wv)]
     except EvaluationAtPole:
         for z in zs:
             try:
-                a = g.evaluate(z)
-                b = w.evaluate(z)
-                out.append(float((1.0 + abs(a) ** 2) ** 2 * abs(b) ** 2))
+                out.append(_metric_factor(g.evaluate(z), w.evaluate(z)))
             except EvaluationAtPole:
                 out.append(math.inf)
                 bad += 1

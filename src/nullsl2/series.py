@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import functools
 from dataclasses import dataclass
+from math import isfinite
 from typing import Iterable
 
 from ._lazy import np
@@ -253,9 +254,11 @@ class MeroFunction:
         coefficients keep their verdicts; a window compares each coefficient
         with tol.  For a Rational it is decided exactly on the integer
         numerators (``exact._peak_within``): tol <= 0 means the numerator is
-        exactly zero, and a NaN or infinite tol raises ValueError.  The
+        exactly zero.  A NaN or infinite tol raises ValueError.  The
         scale is the stored denominator, not a reduced form: a sum or
         difference over a shared D keeps D (see ``_binary_rational``)."""
+        if not isfinite(tol):
+            raise ValueError(f"tol must be finite, got {tol}")
         if self.is_rational:
             return _peak_within(self.rep.num, self.rep.den, tol)
         return all(abs(c) <= tol for c in self.rep.coeffs)
@@ -883,14 +886,23 @@ def _fft_expand(evaluate_many, base: complex, dom: DomainTag,
     """Laurent coefficients on an annulus by FFT on the geometric-mean
     circle, sampled at the n-th roots of unity of `_unit_roots`."""
     r = float(np.sqrt(dom.r_inner * dom.r_outer))
+    # Python's pow, not np.power: numpy's SIMD loop rounds apart on ~9% of
+    # these values (|k| <= 60, AVX-512 build); it raises on an overflow and
+    # gives 0.0 on an underflow
+    try:
+        rk = np.array([r ** k for k in range(lo, hi + 1)], dtype=float)
+        representable = rk.all()
+    except OverflowError:
+        representable = False
+    if not representable:
+        raise ValueError(
+            f"cannot read a window on the circle of radius {r!r}: some r**k "
+            f"for k in [{lo}, {hi}] is not a finite nonzero float")
     n = 1024
     while n < 4 * (hi - lo + 1):
         n *= 2
     zs = base + r * _unit_roots(n)
     vals = np.asarray(evaluate_many(zs), dtype=complex)
     hat = np.fft.fft(vals) / n
-    # Python's pow, not np.power: numpy's SIMD loop rounds apart on ~9% of
-    # these values (|k| <= 60, AVX-512 build); an overflow raises here
-    rk = np.array([r ** k for k in range(lo, hi + 1)], dtype=float)
     return _normalized_window(lo, hat[np.arange(lo, hi + 1) % n] / rk,
                               _STRIP_REL)

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import nullsl2.invariants as invariants
+import nullsl2.series as series
 from nullsl2 import (
     SHEAR_KINDS,
     DegenerateDenominator,
@@ -251,6 +252,83 @@ def test_classify_end_differentiates_each_slot_once(monkeypatch):
         assert [sum(f is s for f in calls) for s in G.slots()] == \
             [1, 1, 1, 1], (F, c)
         assert len({id(f) for f in calls}) == len(calls), (F, c)
+
+
+@pytest.mark.parametrize("F, lead", [
+    (end_model(1), 0), (shear(end_model(3), 0.5, "col1+col2"), 2)])
+def test_classify_end_reads_each_slot_order_pair_and_head_once(
+        monkeypatch, F, lead):
+    # the slot orders give k and the multiplicity pair's orders, slot 0's
+    # (F3/F1)' and omega are read once, and Q's Laurent head comes from one
+    # series quotient; ``lead`` is the slot with the lowest order
+    valued, divided, differentiated, quotients, hopfs, recentred = \
+        [], [], [], [], [], []
+    real_ord, real_div = MeroFunction.ord, MeroFunction.__truediv__
+    real_differentiate = MeroFunction.differentiate
+    real_quotient = series._exact_series_quotient
+    real_hopf, real_recentred = invariants.hopf, invariants._recentred
+
+    def counted_ord(self, p):
+        valued.append(self)
+        return real_ord(self, p)
+
+    def counted_div(self, other):
+        divided.append((self, other))
+        return real_div(self, other)
+
+    def counted_differentiate(self):
+        differentiated.append(self)
+        return real_differentiate(self)
+
+    def counted_quotient(ns, ds, count):
+        quotients.append(ns)
+        return real_quotient(ns, ds, count)
+
+    def captured_hopf(G, tol=invariants.ZERO_TOL):
+        hopfs.append(real_hopf(G, tol))
+        return hopfs[-1]
+
+    def captured_recentred(F, p):
+        recentred.append(real_recentred(F, p))
+        return recentred[-1]
+
+    monkeypatch.setattr(MeroFunction, "ord", counted_ord)
+    monkeypatch.setattr(MeroFunction, "__truediv__", counted_div)
+    monkeypatch.setattr(MeroFunction, "differentiate", counted_differentiate)
+    monkeypatch.setattr(series, "_exact_series_quotient", counted_quotient)
+    monkeypatch.setattr(invariants, "hopf", captured_hopf)
+    monkeypatch.setattr(invariants, "_recentred", captured_recentred)
+    rep = classify_end(F, 0)
+    (G,), (Q,) = recentred, hopfs
+    assert min(range(4), key=lambda i: (real_ord(G.slots()[i], 0), i)) == lead
+    assert rep.multiplicity == (1 if lead == 0 else 3)
+    assert [sum(f is s for f in valued) for s in G.slots()] == [1, 1, 1, 1]
+    assert len(valued) == (12 if lead == 0 else 14)
+    assert sum(a is G.F3 and b is G.F1 for a, b in divided) == 1
+    assert sum(ns is Q.rep.num for ns in quotients) == 1
+    if lead == 0:
+        assert len(differentiated) == 8
+
+
+def test_end_checks_keep_their_order_on_window_slots():
+    # (F3/F1)' = (2 eps/3) w is zero at tol = eps, and omega = 6 eps/w is
+    # not, but lies below the order threshold of a window, so reading its
+    # order before the (F3/F1)' test would raise TruncationTooShort
+    eps = 1e-12
+    F = SL2NullCurve(MeroFunction.from_laurent(-1, [3.0, 0, 0, 0, 0]),
+                     MeroFunction.from_laurent(0, [1.0, 0, 0, 0]),
+                     MeroFunction.from_laurent(-1, [3.0, 0, eps, 0, 0]),
+                     MeroFunction.from_laurent(0, [1.0, 0, 0, 0]),
+                     pole_set=(0j,))
+    with pytest.raises(HypothesisViolation, match=r"\(F3/F1\)' == 0"):
+        classify_end(F, 0, eps)
+    # a window Q certified only through w^-2 fails the m^2 check before
+    # its head through w^2 is read
+    slots = [s.to_laurent(0j, 2) for s in end_model(1).slots()]
+    slots[1] = slots[1] + MeroFunction.from_laurent(0, [1e-6, 1e-6])
+    W = SL2NullCurve(*slots, pole_set=(0j,))
+    with pytest.raises(HypothesisViolation, match=r"m\^2 = 1 inconsistent"):
+        classify_end(W, 0, 1e-4)
 
 
 def test_end_analysis_builds_no_rotated_curve(monkeypatch):

@@ -451,10 +451,13 @@ def test_zero_test_sees_numerators_that_underflow_to_zero():
 
 def test_zero_test_negative_and_non_finite_tol():
     tiny = MeroFunction.from_rational([1e-300], [1, 2])
+    window = MeroFunction.from_laurent(0, [5.0])
     assert not tiny.is_identically_zero(-1.0)
+    assert not window.is_identically_zero(-1.0)
     assert MeroFunction.zero().is_identically_zero(-1.0)
     for tol in (math.nan, math.inf, -math.inf):
-        for f in (tiny, MeroFunction.zero()):
+        for f in (tiny, MeroFunction.zero(), window,
+                  MeroFunction.from_laurent(0, [])):
             with pytest.raises(ValueError):
                 f.is_identically_zero(tol)
 

@@ -12,6 +12,8 @@ empty windows.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,17 @@ def test_fft_expand_matches_scalar_readout(r_in, r_out):
         lo, hi = sorted(int(k) for k in rng.integers(-40, 40, size=2))
         assert _same(_fft_expand(f.evaluate_many, 0j, dom, lo, hi),
                      ref_fft_expand(f.evaluate_many, 0j, dom, lo, hi))
+
+
+@pytest.mark.parametrize("r_in, r_out", [(1e5, 1e7), (1e-7, 1e-5)])
+def test_fft_expand_refuses_radii_without_float_powers(r_in, r_out):
+    # r = 1e6 (or 1e-6) has no finite nonzero float r**k for |k| = 59: a
+    # named ValueError, not an OverflowError or a division by 0.0
+    f = MeroFunction.from_rational([1], [0, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"radius .* \[-59, 59\]"):
+            f.to_laurent(terms=60, domain=annulus(r_in, r_out))
 
 
 def test_is_flat_window_minors_match_scalar_loop():
