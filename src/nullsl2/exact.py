@@ -224,10 +224,16 @@ class Poly:
     """Dense univariate polynomial with exact Gaussian-rational coefficients.
 
     Coefficient k is ``(re[k] + i*im[k]) / den`` with integers ``re[k]``,
-    ``im[k]`` and one positive integer ``den``.  Trailing zero coefficients
-    are trimmed and ``gcd(den, re..., im...)`` is divided out on
-    construction, so ``degree`` is well defined and equal polynomials are
-    stored alike.  The zero polynomial has empty lists.
+    ``im[k]`` and one positive integer ``den``.  Every constructor ends in
+    ``_init``, which keeps the normal form: trailing zero coefficients are
+    trimmed and ``gcd(den, re..., im...)`` is divided out (no gcd is taken
+    when ``den == 1``, where it is 1), so ``degree`` is well defined and
+    equal polynomials are stored alike, as tuples.  The zero polynomial
+    has empty tuples and ``den == 1``.
+
+    Immutability is the ``__setattr__`` guard: ``_init`` and the two
+    cached views write the slots through the slot descriptors, bound once
+    below the class.
     """
 
     __slots__ = ("_den", "_re", "_im", "_coeffs", "_float_cache")
@@ -244,15 +250,19 @@ class Poly:
             n -= 1
         if n < len(re):
             re, im = re[:n], im[:n]
-        g = gcd(den, *re, *im) if n else den
-        if g != 1:
-            # lists, not generators: tuple(generator) grows by reallocation,
-            # and that fragmented the heap of long runs (peak RSS +8%)
-            re, im = [r // g for r in re], [m // g for m in im]
-        re, im = tuple(re), tuple(im)
-        for name, value in (("_den", den // g), ("_re", re), ("_im", im),
-                            ("_coeffs", None), ("_float_cache", None)):
-            object.__setattr__(self, name, value)
+        if den != 1:
+            g = gcd(den, *re, *im) if n else den
+            if g != 1:
+                # lists, not generators: tuple(generator) grows by
+                # reallocation, and that fragmented the heap of long runs
+                # (peak RSS +8%)
+                re, im = [r // g for r in re], [m // g for m in im]
+                den //= g
+        _set_den(self, den)
+        _set_re(self, tuple(re))
+        _set_im(self, tuple(im))
+        _set_coeffs(self, None)
+        _set_float_cache(self, None)
 
     @staticmethod
     def _make(den: int, re: Sequence[int], im: Sequence[int]) -> "Poly":
@@ -261,7 +271,7 @@ class Poly:
         p._init(den, re, im)
         return p
 
-    def __setattr__(self, name, value):  # immutable by convention
+    def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @property
@@ -272,18 +282,18 @@ class Poly:
             d = self._den
             cs = tuple([ExactComplex(Fraction(r, d), Fraction(m, d))
                         for r, m in zip(self._re, self._im)])
-            object.__setattr__(self, "_coeffs", cs)
+            _set_coeffs(self, cs)
         return cs
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly(())
+        return Poly._make(1, (), ())
 
     @staticmethod
     def one() -> "Poly":
-        return Poly((1,))
+        return Poly._make(1, (1,), (0,))
 
     @staticmethod
     def monomial(k: int, c=1) -> "Poly":
@@ -349,7 +359,7 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         a_re, a_im, b_re, b_im = self._re, self._im, other._re, other._im
         if not a_re or not b_re:
-            return Poly.zero()
+            return Poly._make(1, (), ())
         re = _conv(a_re, b_re)
         a_cx, b_cx = any(a_im), any(b_im)
         if a_cx and b_cx:     # Gauss: three real products, not four
@@ -411,7 +421,7 @@ class Poly:
             d = self._den
             cached = tuple([complex(_ratio(r, d), _ratio(m, d)) for r, m in
                             zip(reversed(self._re), reversed(self._im))])
-            object.__setattr__(self, "_float_cache", cached)
+            _set_float_cache(self, cached)
         return cached
 
     # -- calculus ---------------------------------------------------------------
@@ -541,6 +551,15 @@ class Poly:
         lr, li = self._re[-1], self._im[-1]
         return Poly._make(lr * lr + li * li,
                           *_gmul(self._re, self._im, lr, -li))
+
+
+# the slot writers behind the immutable Poly: each is a slot descriptor's
+# __set__, which bypasses Poly.__setattr__
+_set_den = Poly._den.__set__
+_set_re = Poly._re.__set__
+_set_im = Poly._im.__set__
+_set_coeffs = Poly._coeffs.__set__
+_set_float_cache = Poly._float_cache.__set__
 
 
 def _peak_within(num: Poly, den: Poly, tol) -> bool:

@@ -66,7 +66,12 @@ _SMITH_LIMIT = 2.0 ** 1022
 @dataclass(frozen=True)
 class DomainTag:
     """Where a function is considered to live: disk, punctured disk,
-    annulus(r_inner, r_outer) or the full plane."""
+    annulus(r_inner, r_outer) or the full plane.
+
+    Tags are frozen and compare by value.  The named kinds are shared
+    values: ``disk()``, ``punctured_disk()`` and ``plane()`` each return
+    one module-level tag, so building a function builds no tag.
+    """
 
     kind: str
     r_inner: float | None = None
@@ -85,12 +90,22 @@ class DomainTag:
         return self.kind == "annulus"
 
 
+_DISK = DomainTag("disk")
+_PUNCTURED_DISK = DomainTag("punctured_disk")
+_PLANE = DomainTag("plane")
+
+#: the narrower of two named kinds wins a merge
+_KIND_ORDER = {"punctured_disk": 0, "disk": 1, "plane": 2}
+
+
 def disk() -> DomainTag:
-    return DomainTag("disk")
+    """The shared disk tag."""
+    return _DISK
 
 
 def punctured_disk() -> DomainTag:
-    return DomainTag("punctured_disk")
+    """The shared punctured-disk tag."""
+    return _PUNCTURED_DISK
 
 
 def annulus(r_inner: float, r_outer: float) -> DomainTag:
@@ -98,10 +113,14 @@ def annulus(r_inner: float, r_outer: float) -> DomainTag:
 
 
 def plane() -> DomainTag:
-    return DomainTag("plane")
+    """The shared plane tag (named kinds are shared values; see
+    ``DomainTag``)."""
+    return _PLANE
 
 
 def _merge_domain(a: DomainTag, b: DomainTag) -> DomainTag:
+    if a is b:
+        return a
     if a.is_annulus and b.is_annulus:
         ri, ro = max(a.r_inner, b.r_inner), min(a.r_outer, b.r_outer)
         if not ri < ro:
@@ -111,8 +130,7 @@ def _merge_domain(a: DomainTag, b: DomainTag) -> DomainTag:
         return a
     if b.is_annulus:
         return b
-    order = {"punctured_disk": 0, "disk": 1, "plane": 2}
-    return a if order[a.kind] <= order[b.kind] else b
+    return a if _KIND_ORDER[a.kind] <= _KIND_ORDER[b.kind] else b
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +197,14 @@ class MeroFunction:
                  domain: DomainTag | None = None):
         if not isinstance(rep, (Rational, LaurentWindow)):
             raise TypeError("rep must be Rational or LaurentWindow")
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "base_point", complex(base_point))
+        _set_rep(self, rep)
+        _set_base_point(self, complex(base_point))
         if domain is None:
             if isinstance(rep, Rational):
-                domain = plane()
+                domain = _PLANE
             else:
-                domain = punctured_disk() if rep.min_exponent < 0 else disk()
-        object.__setattr__(self, "domain", domain)
+                domain = _PUNCTURED_DISK if rep.min_exponent < 0 else _DISK
+        _set_domain(self, domain)
 
     def __setattr__(self, name, value):
         raise AttributeError("MeroFunction is immutable")
@@ -519,6 +537,12 @@ class MeroFunction:
         return _excess_roots(self.rep.num, self.rep.den)
 
 
+# the slot writers behind the immutable MeroFunction, as for exact.Poly
+_set_rep = MeroFunction.rep.__set__
+_set_base_point = MeroFunction.base_point.__set__
+_set_domain = MeroFunction.domain.__set__
+
+
 # ---------------------------------------------------------------------------
 # the arith dispatcher (spec-facing entry point)
 # ---------------------------------------------------------------------------
@@ -555,7 +579,9 @@ def _cancel_monomial(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     monomial-denominator chains from growing)."""
     if num.is_zero() or den.is_zero():
         return num, den
-    t = min(num.low_order(), den.low_order())
+    t = den.low_order()
+    if t:  # where den(0) != 0, t is 0 and num is not scanned
+        t = min(t, num.low_order())
     if t == 0:
         return num, den
     return num.drop_low(t), den.drop_low(t)

@@ -231,6 +231,46 @@ def test_normal_form_is_structural(p, q):
         assert hash(same_value) == hash(p)
 
 
+_int = st.integers(min_value=-10**20, max_value=10**20)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=10**6) | st.just(1),
+       st.lists(st.tuples(_int, _int), max_size=6),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=10**4) | st.just(1))
+def test_make_keeps_the_normal_form(den, pairs, zeros, content):
+    re = [content * r for r, _ in pairs] + [0] * zeros
+    im = [content * m for _, m in pairs] + [0] * zeros
+    p = Poly._make(content * den, re, im)
+    assert p._den > 0
+    assert math.gcd(p._den, *p._re, *p._im) == 1
+    assert type(p._re) is tuple and type(p._im) is tuple
+    assert all(type(c) is int for c in p._re + p._im)
+    assert p.is_zero() or p._re[-1] or p._im[-1]
+    public = Poly([ExactComplex(Fraction(r, content * den),
+                                Fraction(m, content * den))
+                   for r, m in zip(re, im)])
+    assert p == public
+    assert hash(p) == hash(public)
+
+
+def test_zero_and_one_keep_their_stored_form():
+    for p, stored in ((Poly.zero(), (1, (), ())), (Poly.one(), (1, (1,), (0,))),
+                      (Poly([1, 2j]) * Poly.zero(), (1, (), ())),
+                      (Poly.zero() * Poly([3]), (1, (), ()))):
+        assert (p._den, p._re, p._im) == stored
+    assert Poly.zero() == Poly(()) and Poly.one() == Poly((1,))
+
+
+def test_poly_rejects_attribute_writes():
+    p = Poly([1, 2j])
+    for name in ("_den", "_re", "_im", "_coeffs", "_float_cache", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, None)
+    assert p == Poly([1, 2j])
+
+
 @settings(deadline=None)
 @given(_poly)
 def test_float_coeffs_are_the_rounded_exact_coefficients(p):

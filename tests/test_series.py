@@ -23,7 +23,7 @@ from nullsl2 import (
     punctured_disk,
 )
 from nullsl2.exact import ExactComplex, Poly, poly_gcd
-from nullsl2.series import _rounded6
+from nullsl2.series import DomainTag, _merge_domain, _rounded6
 
 from conftest import st_rational, st_window
 
@@ -674,6 +674,58 @@ def test_domain_constructors():
 def test_annulus_ordering_validated():
     with pytest.raises(ValueError):
         annulus(2.0, 1.0)
+
+
+def test_named_domains_equal_fresh_tags():
+    for make, kind in ((plane, "plane"), (disk, "disk"),
+                       (punctured_disk, "punctured_disk")):
+        assert make() == DomainTag(kind)
+        assert hash(make()) == hash(DomainTag(kind))
+
+
+_D, _P, _PL = disk(), punctured_disk(), plane()
+_A1, _A2, _A3 = annulus(0.5, 2), annulus(1, 3), annulus(3, 4)
+#: (a, b) -> merged tag, None where the annuli do not overlap; written out
+#: from the rule: annuli intersect, an annulus beats a named kind, and of
+#: two named kinds punctured disk < disk < plane wins the smaller
+_MERGED = {
+    (_D, _D): _D, (_D, _P): _P, (_D, _PL): _D,
+    (_P, _D): _P, (_P, _P): _P, (_P, _PL): _P,
+    (_PL, _D): _D, (_PL, _P): _P, (_PL, _PL): _PL,
+    (_A1, _A1): _A1, (_A1, _A2): annulus(1, 2), (_A1, _A3): None,
+    (_A2, _A1): annulus(1, 2), (_A2, _A2): _A2, (_A2, _A3): None,
+    (_A3, _A1): None, (_A3, _A2): None, (_A3, _A3): _A3,
+}
+for _a in (_A1, _A2, _A3):
+    for _n in (_D, _P, _PL):
+        _MERGED[_a, _n] = _MERGED[_n, _a] = _a
+
+
+def test_merge_domain_table():
+    tags = (_D, _P, _PL, _A1, _A2, _A3)
+    assert len(_MERGED) == len(tags) ** 2
+    for a in tags:
+        for b in tags:
+            expected = _MERGED[a, b]
+            if expected is None:
+                with pytest.raises(ValueError):
+                    _merge_domain(a, b)
+            else:
+                assert _merge_domain(a, b) == expected
+
+
+def test_default_domain_by_representation():
+    assert MeroFunction.from_rational((1, 2), (3, 1)).domain == plane()
+    assert MeroFunction.monomial(-2).domain == plane()
+    assert MeroFunction.from_laurent(-1, (1.0, 2.0)).domain == punctured_disk()
+    assert MeroFunction.from_laurent(0, (1.0, 2.0)).domain == disk()
+
+
+def test_mero_function_rejects_attribute_writes():
+    f = MeroFunction.from_rational((1, 2), (3, 1))
+    for name in ("rep", "base_point", "domain", "other"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
 
 
 def test_evaluate_many_matches_scalar():
