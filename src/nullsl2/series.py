@@ -20,6 +20,11 @@
     Python's complex ``abs`` bit for bit (``np.abs`` does not), so strip
     decisions match a scalar loop's.
 
+One tolerance per verdict: a zero test (``is_identically_zero``) takes the
+caller's ``tol``, the only tolerance on stored coefficients.  Orders,
+poles, residues and division guards read the stored coefficients exactly,
+on both representations.  Computed values keep their noise floors.
+
 Every function carries a ``base_point`` and a ``DomainTag``.  Annulus-tagged
 windows are genuine two-sided Laurent series: their division (and the
 rational-to-window conversion) goes through FFT re-expansion on the
@@ -45,7 +50,9 @@ from .errors import (
 )
 from .exact import EC_ONE, ExactComplex, Poly, _peak_within, poly_gcd
 
-#: zero tolerance for floating coefficient tests
+#: default ``tol`` of the zero tests, and the floor below which a window's
+#: computed value away from its base point counts as zero (stored
+#: coefficients are read exactly; see the module docstring)
 ZERO_TOL = 1e-10
 #: default number of certified window terms (leading exponent + 24 more)
 DEFAULT_TERMS = 25
@@ -271,7 +278,7 @@ class MeroFunction:
         """max|num coeff| <= tol * max(1, max|den coeff|), so round-tripped
         coefficients keep their verdicts; a window compares each coefficient
         with tol.  For a Rational it is decided exactly on the integer
-        numerators (``exact._peak_within``): tol <= 0 means the numerator is
+        numerators (``exact._peak_within``).  On both, tol <= 0 means
         exactly zero.  A NaN or infinite tol raises ValueError.  The
         scale is the stored denominator, not a reduced form: a sum or
         difference over a shared D keeps D (see ``_binary_rational``)."""
@@ -279,7 +286,7 @@ class MeroFunction:
             raise ValueError(f"tol must be finite, got {tol}")
         if self.is_rational:
             return _peak_within(self.rep.num, self.rep.den, tol)
-        return all(abs(c) <= tol for c in self.rep.coeffs)
+        return all(abs(c) <= tol or not c for c in self.rep.coeffs)
 
     def __repr__(self) -> str:
         if self.is_rational:
@@ -357,7 +364,7 @@ class MeroFunction:
             return MeroFunction(Rational(num, den), self.base_point, self.domain)
         w = self.rep
         res = _window_slice(w, -1, -1)[0].item()
-        if abs(res) > ZERO_TOL:
+        if res:
             err = NonExactField(
                 "window has a nonzero z^-1 coefficient; periods do not vanish",
                 period=2j * cmath.pi * res)
@@ -387,10 +394,10 @@ class MeroFunction:
                 "empty window cannot certify a vanishing order")
         if abs(complex(p) - self.base_point) <= 1e-12:
             for i, c in enumerate(w.coeffs):
-                if abs(c) > ZERO_TOL:
+                if c:
                     return w.min_exponent + i
             raise TruncationTooShort(
-                "all window coefficients are below tolerance; "
+                "every window coefficient is zero; "
                 "the order (if any) exceeds the truncation order")
         val = self.evaluate(p)
         if abs(val) > ZERO_TOL:
@@ -416,8 +423,7 @@ class MeroFunction:
         if not w.coeffs:
             return 0j
         if dz == 0:
-            if any(abs(c) > ZERO_TOL
-                   for c in w.coeffs[:max(0, -w.min_exponent)]):
+            if any(w.coeffs[:max(0, -w.min_exponent)]):
                 raise EvaluationAtPole("window has a pole at its base point")
             return _window_slice(w, 0, 0)[0].item()
         acc = 0j
@@ -523,7 +529,7 @@ class MeroFunction:
         """Numeric pole list [(location, order)], for bookkeeping."""
         if self.is_window:
             w = self.rep
-            if w.min_exponent < 0 and any(abs(c) > ZERO_TOL for c in w.coeffs):
+            if w.min_exponent < 0 and any(w.coeffs):
                 k = self.ord(self.base_point)
                 return [(self.base_point, -k)] if k < 0 else []
             return []
@@ -766,10 +772,10 @@ def _window_slice(w: LaurentWindow, lo: int, hi: int) -> np.ndarray:
 
 
 def _as_window(f: MeroFunction, like: MeroFunction) -> LaurentWindow:
+    """f's window, or f re-expanded at the base point of the window like."""
     if f.is_window:
         return f.rep
-    terms = max(DEFAULT_TERMS, len(like.rep.coeffs)) if like.is_window \
-        else DEFAULT_TERMS
+    terms = max(DEFAULT_TERMS, len(like.rep.coeffs))
     dom = _merge_domain(f.domain, like.domain)
     return f.to_laurent(like.base_point, terms, dom).rep
 
@@ -783,8 +789,7 @@ def _binary(op: str, f: MeroFunction, g: MeroFunction) -> MeroFunction:
             abs(f.base_point - g.base_point) > 1e-12:
         raise ValueError("window arithmetic needs matching base points")
     dom = _merge_domain(f.domain, g.domain)
-    wf = _as_window(f, g if g.is_window else f)
-    wg = _as_window(g, f if f.is_window else g)
+    wf, wg = _as_window(f, g), _as_window(g, f)
     if op == "add":
         win = _window_add(wf, wg, 1)
     elif op == "sub":
@@ -858,9 +863,6 @@ def _window_mul(a: LaurentWindow, b: LaurentWindow) -> LaurentWindow:
 
 
 def _window_reciprocal(a: LaurentWindow) -> LaurentWindow:
-    peak = max((abs(c) for c in a.coeffs), default=0.0)
-    if peak <= ZERO_TOL:
-        raise DivisionByZeroFunction("reciprocal of a (numerically) zero window")
     c = list(a.coeffs)
     L = len(c)
     inv = [1.0 / c[0]]
@@ -874,8 +876,8 @@ def _window_reciprocal(a: LaurentWindow) -> LaurentWindow:
 
 def _window_div(a: LaurentWindow, b: LaurentWindow, base: complex,
                 dom: DomainTag) -> LaurentWindow:
-    if all(abs(c) <= ZERO_TOL for c in b.coeffs):
-        raise DivisionByZeroFunction("division by a (numerically) zero window")
+    if not any(b.coeffs):
+        raise DivisionByZeroFunction("division by a zero window")
     if dom.is_annulus:
         fa = MeroFunction(a, base, dom)
         fb = MeroFunction(b, base, dom)

@@ -30,6 +30,7 @@ from .errors import (
     ThirdCoordinateZero,
     EvaluationAtPole,
 )
+from .exact import Poly
 from .series import MeroFunction, ZERO_TOL, _unit_roots, punctured_disk
 from .spinor import C3NullCurve, _has_common_zero, _sorted_points, is_flat
 
@@ -271,12 +272,8 @@ def end_model(spec, center: complex = 0j) -> SL2NullCurve:
 
 
 def _shifted_rational(num, den, center: complex) -> MeroFunction:
-    f = MeroFunction.from_rational(num, den, base_point=center,
-                                   domain=punctured_disk())
-    if center == 0:
-        return f
-    return MeroFunction.from_rational(f.rep.num.shift(-center),
-                                      f.rep.den.shift(-center),
+    return MeroFunction.from_rational(Poly(num).shift(-center),
+                                      Poly(den).shift(-center),
                                       base_point=center,
                                       domain=punctured_disk())
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .errors import (
     DegenerateEta,
     EtaIdenticallyZero,
+    EvaluationAtPole,
     NonExactField,
 )
 from ._lazy import np
@@ -197,7 +198,8 @@ def spinor_common_zero_points(s: SpinorData, tol: float = 1e-8
     """Common zeros of eta and q = f3^2/eta (bookkeeping helper; the type
     itself only validates eta != 0 at construction)."""
     q = (s.f3 * s.f3) / s.eta
-    return _common_zeros_list([s.eta, q], set(), tol)
+    return _common_zeros_list(
+        [f for f in (s.eta, q) if not f.is_identically_zero()], set(), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +234,8 @@ def _with_cycle(err: NonExactField) -> NonExactField:
     return out
 
 
-def _common_zeros_list(funcs, excluded, tol) -> list[complex]:
-    """Numeric candidates where every listed function vanishes."""
-    nonzero = [f for f in funcs if not f.is_identically_zero()]
+def _common_zeros_list(nonzero, excluded, tol) -> list[complex]:
+    """Numeric candidates where every listed (nonzero) function vanishes."""
     if not nonzero:
         return []  # callers treat "all components zero" separately
     candidates = [p for p, _ in nonzero[0].zeros()]
@@ -246,7 +247,7 @@ def _common_zeros_list(funcs, excluded, tol) -> list[complex]:
         for g in nonzero:
             try:
                 vals.append(abs(g.evaluate(p)))
-            except Exception:
+            except EvaluationAtPole:
                 vals.append(float("inf"))
         if all(v < tol for v in vals):
             out.append(p)
@@ -258,13 +259,11 @@ def _has_common_zero(derivs, excluded, tol) -> bool:
     if not nonzero:
         return True  # the zero field vanishes everywhere
     if any(d.is_window for d in nonzero):
-        # windows certify behaviour at the base point only
-        base = nonzero[0].base_point
+        # windows certify behaviour at the base point only; the callers'
+        # arithmetic has refused windows at different base points
+        base = next(d.base_point for d in nonzero if d.is_window)
         if any(abs(base - e) < 1e-8 for e in excluded):
             return False
-        try:
-            return all(d.ord(base) >= 1 for d in nonzero)
-        except Exception:
-            return False
+        return all(d.ord(base) >= 1 for d in nonzero)
     scale = 1e-6  # evaluation tolerance for clustered numeric roots
     return bool(_common_zeros_list(nonzero, excluded, scale))

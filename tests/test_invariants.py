@@ -331,6 +331,21 @@ def test_end_checks_keep_their_order_on_window_slots():
         classify_end(W, 0, 1e-4)
 
 
+def test_window_end_checks_at_tol_zero_reach_a_domain_verdict():
+    # the window curve above at tol 0: (F3/F1)' = (2 eps/3) w is nonzero,
+    # so its order and the division by it read the stored coefficients,
+    # and det F = -eps w makes the two Hopf paths disagree
+    eps = 1e-12
+    F = SL2NullCurve(MeroFunction.from_laurent(-1, [3.0, 0, 0, 0, 0]),
+                     MeroFunction.from_laurent(0, [1.0, 0, 0, 0]),
+                     MeroFunction.from_laurent(-1, [3.0, 0, eps, 0, 0]),
+                     MeroFunction.from_laurent(0, [1.0, 0, 0, 0]),
+                     pole_set=(0j,))
+    for check in (classify_end, end_multiplicity):
+        with pytest.raises(HopfMismatch):
+            check(F, 0, 0.0)
+
+
 def test_end_analysis_builds_no_rotated_curve(monkeypatch):
     before = [(classify_end(F, c), maurer_cartan_min_ord(F, c))
               for F, c in _end_models()]

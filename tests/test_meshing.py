@@ -162,6 +162,19 @@ def test_horosphere_metric_is_unit():
     assert all(m == pytest.approx(1.0) for m in mesh.metric_factor)
 
 
+def test_metric_warning_for_windows_at_different_base_points():
+    # omega(F) multiplies a window at 0 by one at 1, which window
+    # arithmetic refuses with ValueError: the mesh is built without it
+    F = SL2NullCurve(MeroFunction.from_laurent(0, [1.0, 1.0, 0]),
+                     MeroFunction.zero(),
+                     MeroFunction.from_laurent(0, [0, 1.0, 0], base_point=1),
+                     MeroFunction.constant(1))
+    mesh = build_surface_mesh(F, "h3", (3, 6), (0.5, 1.0))
+    assert mesh.metric_factor is None
+    assert ("metric factor unavailable: window arithmetic needs matching "
+            "base points") in mesh.warnings
+
+
 def test_flat_curve_metric_warning():
     mesh = build_surface_mesh(flat_curve(), "h3", (3, 6), (0.5, 1.0))
     assert any("flat" in w for w in mesh.warnings)

@@ -649,6 +649,30 @@ def test_window_nonzero_residue_blocks_antiderivative():
         f.antiderivative()
 
 
+@pytest.mark.parametrize("k", range(15))
+def test_window_reads_stored_coefficients_at_every_scale(k):
+    # (1e-12 + z)/z: the window and the equal rational agree on the order,
+    # and a scale 10^-k changes no order, pole, residue or division verdict
+    rat = MeroFunction.from_rational([1e-12, 1], [0, 1])
+    f = MeroFunction.from_laurent(-1, [1e-12, 1]) * 10.0 ** -k
+    assert f.ord(0) == rat.ord(0) == -1
+    assert f.poles() == [(0j, 1)]
+    assert (1 / f).ord(0) == 1
+    for g in (f, rat):
+        with pytest.raises(NonExactField):
+            g.antiderivative()
+    deep = MeroFunction.from_laurent(-2, [1, 0, 2, 3]) * 10.0 ** -k
+    assert (deep.ord(0), deep.poles(), (1 / deep).ord(0)) == (-2, [(0j, 2)], 2)
+
+
+def test_zero_test_at_negative_tol_is_exact_on_both_representations():
+    for tol in (0.0, -1.0):
+        assert MeroFunction.from_laurent(0, [0.0, 0.0]).is_identically_zero(tol)
+        assert MeroFunction.zero().is_identically_zero(tol)
+        assert not MeroFunction.from_laurent(0, [0.0, 1e-300]) \
+            .is_identically_zero(tol)
+
+
 def test_rational_to_laurent_conversion():
     f = MeroFunction.from_rational((1,), (0.3, 1))
     w = f.to_laurent(domain=annulus(0.5, 2.0), terms=20)

@@ -203,6 +203,24 @@ def test_window_immersion_ignores_base_point_in_pole_set():
     assert check_null_sl2(F).immersion
 
 
+def test_immersion_keeps_a_tiny_nonzero_component_at_tol_zero():
+    # X' = (1e-12, z, 0) never vanishes: at tol 0 the constant 1e-12 is
+    # nonzero and has no zero to share with z
+    X = C3NullCurve(MeroFunction.from_poly([0, 1e-12]),
+                    MeroFunction.from_poly([0, 0, 0.5]), MeroFunction.zero())
+    assert check_null_c3(X, tol=0.0).immersion is True
+
+
+def test_window_immersion_reads_orders_at_the_window_base_point():
+    # X' = (z, z, 0) with the second slot a window at base 1: the window
+    # branch reads every order at 1, where z does not vanish, and never
+    # asks the window for an order away from its base point
+    X = C3NullCurve(MeroFunction.from_poly([0, 0, 0.5]),
+                    MeroFunction.from_laurent(0, [0, 1, 0.5], base_point=1),
+                    MeroFunction.zero())
+    assert check_null_c3(X, tol=0.0).immersion is True
+
+
 def test_is_flat_on_proportional_and_generic():
     f = MeroFunction.from_rational((1, 1), (2,))
     assert is_flat((f, f * 2, f * (1 + 1j)))
