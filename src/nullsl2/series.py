@@ -593,6 +593,34 @@ def _cancel_monomial(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return num.drop_low(t), den.drop_low(t)
 
 
+def _common_denominator(fs) -> tuple[list[Poly], Poly]:
+    """(nums, D) with f == nums[k] / D for each Rational f in fs, exactly.
+
+    D is the product of the distinct (by ``Poly`` equality) non-constant
+    stored denominators, not their lcm: no gcd is taken.  Each numerator is
+    num * (D / den): num times the other distinct factors, divided by den's
+    value where den is a constant.
+    """
+    dens: list[Poly] = []
+    for f in fs:
+        d = f.rep.den
+        if d.degree > 0 and d not in dens:
+            dens.append(d)
+    D = Poly.one()
+    for d in dens:
+        D = D * d
+    nums = []
+    for f in fs:
+        num, den = f.rep.num, f.rep.den
+        for d in dens:
+            if d != den:
+                num = num * d
+        if den.degree == 0 and den.lc != EC_ONE:
+            num = num.scale(EC_ONE / den.lc)
+        nums.append(num)
+    return nums, D
+
+
 def _translated(f: MeroFunction, p: complex) -> MeroFunction:
     """w -> f(w + p), exactly.  A Rational has its numerator and denominator
     Taylor-shifted by p (p is a float, hence Gaussian-rational, so the shift
@@ -740,15 +768,26 @@ def _rounded6(x):
 
 def _excess_roots(a: Poly, b: Poly) -> list[tuple[complex, int]]:
     """Clustered roots of a whose multiplicity exceeds that of a root of b
-    within 1e-8, with the excess: the poles (a = den) or zeros (a = num)."""
+    within 1e-8, with the excess: the poles (a = den) or zeros (a = num).
+
+    The root at 0 is read exactly, from ``low_order`` of both, and only
+    the polynomials stripped of it go to ``np.roots``; the origin keeps
+    its place in the sorted list.  So z = 0 is neither matched with a
+    nearby root of b nor clustered with a nearby root of a.
+    """
     if a.degree < 1:
         return []
-    b_roots = _clustered_roots(b)
+    a0, b0 = a.low_order(), b.low_order()
+    b_roots = _clustered_roots(b.drop_low(b0))
     out = []
-    for p, ma in _clustered_roots(a):
+    for p, ma in _clustered_roots(a.drop_low(a0)):
         mb = next((m for q, m in b_roots if abs(q - p) < 1e-8), 0)
         if ma > mb:
             out.append((p, ma - mb))
+    if a0 > b0:
+        at = sum((_rounded6(p.real), _rounded6(p.imag)) < (0, 0)
+                 for p, _ in out)
+        out.insert(at, (0j, a0 - b0))
     return out
 
 
@@ -810,7 +849,11 @@ def _binary_rational(op: str, f: MeroFunction, g: MeroFunction) -> MeroFunction:
     1956); otherwise the pairs are cross-multiplied.  So the terms of
     det F' or f1**2 + f2**2 + f3**2, where their denominators agree, sum
     over D, not D**2, and D is the scale ``is_identically_zero`` weighs
-    at tol > 0.
+    at tol > 0.  ``sl2curve.tee_curve`` stores its four slots over one Q
+    for this rule, so a shear, det F and det F' sum over Q, Q**2 and Q**4.
+    The z**t cancelled from a product or a sum is its own: where Q(0) = 0
+    and a slot numerator vanishes at 0 too, lambda * slot drops that z
+    and leaves Q.
     """
     a, b = f.rep, g.rep
     dom = _merge_domain(f.domain, g.domain)
@@ -863,7 +906,11 @@ def _window_mul(a: LaurentWindow, b: LaurentWindow) -> LaurentWindow:
 
 
 def _window_reciprocal(a: LaurentWindow) -> LaurentWindow:
-    c = list(a.coeffs)
+    """1/a, read from a's first nonzero stored coefficient (a window built
+    directly may lead with stored zeros; ``ord`` skips them too).  The
+    caller has checked that one is nonzero."""
+    lead = next(i for i, x in enumerate(a.coeffs) if x)
+    c = list(a.coeffs[lead:])
     L = len(c)
     inv = [1.0 / c[0]]
     for k in range(1, L):
@@ -871,7 +918,7 @@ def _window_reciprocal(a: LaurentWindow) -> LaurentWindow:
         for j in range(1, min(k, L - 1) + 1):
             s += c[j] * inv[k - j]
         inv.append(-s / c[0])
-    return _normalized_window(-a.min_exponent, inv, _STRIP_REL)
+    return _normalized_window(-a.min_exponent - lead, inv, _STRIP_REL)
 
 
 def _window_div(a: LaurentWindow, b: LaurentWindow, base: complex,

@@ -13,6 +13,11 @@ set with the divisor that the denominator introduces (zeros of X3, resp. of
 F1).  Row/column shears are constant unimodular multiplications, so they
 preserve unimodularity, nullity, and pointwise coincidence patterns up to
 the shear's operator norm on C^4.
+
+On a rational curve, written X = (N1, N2, N3)/D over one denominator D,
+`tee_curve` stores the four slots over one denominator Q = D N3.  Sums of
+slot products (a shear, det F, det F') then stay over Q, Q^2 or Q^4 and
+are not cross-multiplied.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from .errors import (
     EvaluationAtPole,
 )
 from .exact import Poly
-from .series import MeroFunction, ZERO_TOL, _unit_roots, punctured_disk
+from .series import (MeroFunction, Rational, ZERO_TOL, _common_denominator,
+                     _merge_domain, _unit_roots, punctured_disk)
 from .spinor import C3NullCurve, _has_common_zero, _sorted_points, is_flat
 
 _I = 1j
@@ -141,14 +147,39 @@ def tee_inv(a) -> tuple[complex, complex, complex]:
 # ---------------------------------------------------------------------------
 
 def tee_curve(X: C3NullCurve) -> SL2NullCurve:
-    """Apply the transform along a curve; zeros of X3 join the pole set."""
+    """Apply the transform along a curve; zeros of X3 join the pole set.
+
+    On rational X the four slots share one stored denominator.  With
+    X = (N1, N2, N3) / D over one D (``series._common_denominator``), they
+    are D**2, D (N1 + i N2), D (N1 - i N2) and N1**2 + N2**2 + N3**2 over
+    Q = D N3, and a common power of z is dropped from all five polynomials
+    at once; dropping it slot by slot would split Q where X3(0) = 0.
+    Shears, det F and det F' then sum over Q, Q**2 and Q**4 by the
+    shared-denominator rule of ``series._binary_rational``.  Windows take
+    the four divisions.
+    """
     X1, X2, X3 = X.components()
     if X3.is_identically_zero():
         raise ThirdCoordinateZero("X3 vanishes identically; tee is undefined")
-    F1 = 1 / X3
-    F2 = (X1 + _I * X2) / X3
-    F3 = (X1 - _I * X2) / X3
-    F4 = (X1 * X1 + X2 * X2 + X3 * X3) / X3
+    if X1.is_rational and X2.is_rational and X3.is_rational:
+        (N1, N2, N3), D = _common_denominator((X1, X2, X3))
+        iN2 = N2.scale(_I)
+        nums = [D * D, D * (N1 + iN2), D * (N1 - iN2),
+                N1 * N1 + N2 * N2 + N3 * N3]
+        den = D * N3
+        t = den.low_order()
+        if t:
+            t = min(t, *(n.low_order() for n in nums if not n.is_zero()))
+            nums, den = [n.drop_low(t) for n in nums], den.drop_low(t)
+        dom = _merge_domain(_merge_domain(X1.domain, X2.domain), X3.domain)
+        F1 = MeroFunction(Rational(nums[0], den), X3.base_point, X3.domain)
+        F2, F3, F4 = (MeroFunction(Rational(n, den), X1.base_point, dom)
+                      for n in nums[1:])
+    else:
+        F1 = 1 / X3
+        F2 = (X1 + _I * X2) / X3
+        F3 = (X1 - _I * X2) / X3
+        F4 = (X1 * X1 + X2 * X2 + X3 * X3) / X3
     new_poles = set(X.pole_set)
     new_poles.update(p for p, _ in X3.zeros())
     return SL2NullCurve(F1, F2, F3, F4, _sorted_points(new_poles), ())

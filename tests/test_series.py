@@ -23,7 +23,7 @@ from nullsl2 import (
     punctured_disk,
 )
 from nullsl2.exact import ExactComplex, Poly, poly_gcd
-from nullsl2.series import DomainTag, _merge_domain, _rounded6
+from nullsl2.series import DomainTag, Rational, _merge_domain, _rounded6
 
 from conftest import st_rational, st_window
 
@@ -663,6 +663,25 @@ def test_window_reads_stored_coefficients_at_every_scale(k):
             g.antiderivative()
     deep = MeroFunction.from_laurent(-2, [1, 0, 2, 3]) * 10.0 ** -k
     assert (deep.ord(0), deep.poles(), (1 / deep).ord(0)) == (-2, [(0j, 2)], 2)
+
+
+def test_origin_roots_of_a_rational_are_read_exactly():
+    # np.roots on the unstripped pair matched the origin root of z with the
+    # numerator root -1e-12 and listed no pole, although ord(0) is -1
+    rat = MeroFunction.from_rational([1e-12, 1], [0, 1])
+    assert rat.poles() == [(0j, 1)] and rat.zeros() == [(-1e-12 + 0j, 1)]
+    # z**2 (z - 1e-7) / (z + 1): the double root at 0 is not clustered
+    # with the root at 1e-7, and it keeps its place in the sorted list
+    f = MeroFunction.from_rational([0, 0, -1e-7, 1], [1, 1])
+    assert f.zeros() == [(0j, 2), (1e-7 + 0j, 1)]
+    assert (1 / f).poles() == f.zeros() and f.poles() == [(-1 + 0j, 1)]
+    g = MeroFunction.from_rational([0, 0, 0, -1, 0, 1], [-2, 0, 0, 1])
+    zs = g.zeros()
+    assert [(round(p.real, 9), m) for p, m in zs] == [(-1, 1), (0, 3), (1, 1)]
+    assert zs[1] == (0j, 3) == (1 / g).poles()[1]
+    # a common power of z in a stored pair is read as its excess
+    h = MeroFunction(Rational(Poly([0, 0, 1, 1]), Poly([0, 2])))
+    assert h.poles() == [] and h.zeros() == [(-1 + 0j, 1), (0j, 1)]
 
 
 def test_zero_test_at_negative_tol_is_exact_on_both_representations():

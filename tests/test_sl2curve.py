@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nullsl2 import (
+    C3NullCurve,
     FirstEntryZero,
     InvalidMultiplicity,
     MeroFunction,
@@ -20,12 +21,18 @@ from nullsl2 import (
     SHEAR_KINDS,
     SL2NullCurve,
     SearchFailed,
+    SpinorData,
     ThirdCoordinateZero,
+    annulus,
     aux_rotations,
     check_null_sl2,
     classify_end,
+    disk,
     end_model,
+    from_spinor,
+    integrate_null,
     min_sup_norm_on_circle,
+    punctured_disk,
     push_norm,
     shear,
     shear_matrix,
@@ -36,6 +43,7 @@ from nullsl2 import (
     tee_inv_curve,
 )
 from nullsl2.serialize import sl2_to_dict
+from nullsl2.spinor import _sorted_points
 
 from conftest import random_sl2_curve, random_c3_curve
 
@@ -125,10 +133,167 @@ def test_tee_curve_pole_bookkeeping_superset(rng):
 
 def test_tee_curve_rejects_zero_x3():
     one = MeroFunction.constant(1)
-    from nullsl2 import C3NullCurve
     X = C3NullCurve(one, one * 1j, MeroFunction.zero())
     with pytest.raises(ThirdCoordinateZero):
         tee_curve(X)
+
+
+# ---------------------------------------------------------------------------
+# the one-denominator form of tee_curve
+# ---------------------------------------------------------------------------
+
+
+def _tee_by_division(X):
+    """The four slots as four divisions: the form windows keep."""
+    X1, X2, X3 = X.components()
+    return (1 / X3, (X1 + 1j * X2) / X3, (X1 - 1j * X2) / X3,
+            (X1 * X1 + X2 * X2 + X3 * X3) / X3)
+
+
+def _tee_inputs():
+    rat = MeroFunction.from_rational
+    return {
+        # three distinct non-constant denominators, one with a root at 0,
+        # and three base points and domains
+        "distinct": C3NullCurve(
+            rat([1, 2j], [3, -1], domain=disk()),
+            rat([0.5, 0, 1], [1, 0, 4], base_point=0.25),
+            rat([2, 1], [0, 1j, 0, 1], domain=punctured_disk())),
+        # one denominator twice, and X3(0) = 0 over it
+        "repeated": C3NullCurve(rat([1, 1], [-1, 1]), rat([0, 3j], [-1, 1]),
+                                rat([0, 1, -0.5], [2, 1])),
+        # constant denominators other than 1
+        "constant": C3NullCurve(rat([1, 1j, 2], [3]), rat([0, -2], [0.5j]),
+                                rat([1, 0, 1])),
+        # a polynomial null curve through 0, so X3(0) = 0
+        "through origin": random_c3_curve(np.random.default_rng(3)),
+        # X1 - i X2 == 0
+        "isotropic": C3NullCurve(rat([0, 1]), rat([0, -1j]), rat([1, 1], [2])),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_tee_inputs()))
+def test_tee_curve_slots_times_x3_are_exact(name):
+    X = _tee_inputs()[name]
+    X1, X2, X3 = X.components()
+    if name == "through origin":
+        assert X3.evaluate(0) == 0 and X1.rep.den.degree == 0
+    F = tee_curve(X)
+    want = (1, X1 + 1j * X2, X1 - 1j * X2, X1 * X1 + X2 * X2 + X3 * X3)
+    for slot, w in zip(F.slots(), want):
+        assert (slot * X3 - w).is_identically_zero(0.0)
+    for slot, old in zip(F.slots(), _tee_by_division(X)):
+        assert (slot.base_point, slot.domain) == (old.base_point, old.domain)
+        assert (slot - old).is_identically_zero(0.0)
+    poles = set(X.pole_set) | {p for p, _ in X3.zeros()}
+    assert F.pole_set == _sorted_points(poles)
+    assert check_null_sl2(F, tol=0.0).unimodular
+
+
+def test_tee_curve_on_windows_keeps_the_four_divisions():
+    rng = np.random.default_rng(17)
+    dom = annulus(0.5, 2.0)
+    for mixed in (False, True, False, True):
+        comps = [MeroFunction.from_laurent(
+            int(rng.integers(-2, 2)),
+            [complex(*rng.normal(size=2)) for _ in range(6)], domain=dom)
+            for _ in range(3)]
+        if mixed:
+            comps[0] = MeroFunction.from_rational([1, 2j], [3, -1])
+        X = C3NullCurve(*comps, pole_set=(0j,))
+        F = tee_curve(X)
+        for slot, old in zip(F.slots(), _tee_by_division(X)):
+            assert slot.is_window and repr(slot.rep) == repr(old.rep)
+            assert (slot.base_point, slot.domain) == (old.base_point,
+                                                      old.domain)
+        assert F.pole_set == (0j,)
+
+
+def _pool_scalar(rng, height):
+    """A Gaussian integer, a dyadic of 4 bits or a float, by height."""
+    if height == "int":
+        return complex(*(rng.integers(1, 5, size=2) * rng.choice((-1, 1), 2)))
+    if height == "dyadic":
+        return complex(*(rng.choice((9, 11, 13, 15), size=2)
+                         * rng.choice((-1, 1), 2))) / 16
+    return complex(*rng.uniform(-1.0, 1.0, size=2))
+
+
+def _tee_pool(count=24, seed=20261019):
+    """Seeded (tee_curve(X), lambda) pairs.  X integrates eta = c (z-p)^2a,
+    f3 = (z-p)^max(a,0) P(z) with a = -1, 0, 1 in turn: from p + 1, with
+    non-constant denominators (a = -1), or from 0, polynomial with
+    X3(0) = 0.  Every fifth X1 moves by 1e-9 z^2 (null only at the larger
+    tolerances) and every fifth other by X1 (z - 1) + 1 (not null); two
+    curves have X' = 0 at 0 and one is flat."""
+    rng = np.random.default_rng(seed)
+    z = MeroFunction.from_poly([0, 1])
+    out = []
+    for i in range(count):
+        a = i % 3 - 1
+        height = ("int", "dyadic", "float")[i // 3 % 3]
+        c, p, lam = (_pool_scalar(rng, height) for _ in range(3))
+        poly = [_pool_scalar(rng, height) for _ in range(2 + i % 2)]
+        lin = MeroFunction.from_poly([-p, 1])
+        eta = {1: lin * lin * c, 0: MeroFunction.constant(c),
+               -1: c / (lin * lin)}[a]
+        f3 = MeroFunction.from_poly(poly) * (lin if a > 0 else 1)
+        X = integrate_null(from_spinor(SpinorData(eta, f3)),
+                           base_point=p + 1.0 if a < 0 else 0j)
+        if i % 5 == 1:
+            X = C3NullCurve(X.X1 + 1e-9 * z * z, X.X2, X.X3, X.pole_set)
+        elif i % 5 == 3:
+            X = C3NullCurve(X.X1 * z + 1, X.X2, X.X3, X.pole_set)
+        out.append((tee_curve(X), lam))
+    z2 = MeroFunction.from_poly([0, 0, 1])
+    for P in ([1, 2j], [0.5, -0.25, 1j]):
+        X = integrate_null(from_spinor(SpinorData(
+            z2, z2 * MeroFunction.from_poly(P))), base_point=1)
+        out.append((tee_curve(X), 0.5 - 0.75j))
+    h = MeroFunction.from_poly([1, -2, 3j])
+    X = integrate_null(from_spinor(SpinorData(h * 2, h * 1j)),
+                       base_point=0.5, value=(0, 0, 1))
+    out.append((tee_curve(X), 1.5j))
+    return out
+
+
+def test_tee_curve_slots_share_one_denominator():
+    # one stored Poly Q for the four slots.  Where Q(0) != 0 a shear sums
+    # over Q and keeps it; where Q(0) = 0 and a slot numerator vanishes at
+    # 0 too, the product lambda * slot cancels that z on its own
+    # (series._cancel_monomial) and the sheared slots are cross-multiplied
+    kept = 0
+    for F, lam in _tee_pool():
+        dens = {s.rep.den for s in F.slots()}
+        assert len(dens) == 1
+        (Q,) = dens
+        if Q.low_order():
+            continue
+        for kind in SHEAR_KINDS:
+            assert {s.rep.den for s in shear(F, lam, kind).slots()} == {Q}
+        kept += 1
+    assert kept >= 10
+    for X in _tee_inputs().values():
+        assert len({s.rep.den for s in tee_curve(X).slots()}) == 1
+
+
+#: sha256 of the check_null_sl2 reports at four tolerances of the 27
+#: curves of _tee_pool, plain and under each shear kind, recorded when
+#: tee_curve stored each slot over its own denominator
+_TEE_REPORTS_SHA = \
+    "dc478cf5d51a5c1b222ac527638a93546dc7015d0d944ad7c9d5314c9d1e1df6"
+
+
+def test_tee_reports_digest_is_pinned():
+    lines = []
+    for F, lam in _tee_pool():
+        for kind in (None,) + SHEAR_KINDS:
+            G = F if kind is None else shear(F, lam, kind)
+            lines.append([check_null_sl2(G, tol=t).as_dict()
+                          for t in (0.0, 1e-12, 1e-8, 1e-4)])
+    text = json.dumps(lines, sort_keys=True)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == \
+        _TEE_REPORTS_SHA
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import pytest
 from nullsl2 import MeroFunction, NonExactField, TruncationTooShort, annulus
 from nullsl2.series import (LaurentWindow, _STRIP_REL, _fft_expand,
                             _normalized_window, _unit_roots, _window_add,
-                            _window_mul, _window_slice)
+                            _window_mul, _window_reciprocal, _window_slice)
 from nullsl2.spinor import is_flat
 
 # ---------------------------------------------------------------------------
@@ -82,6 +82,20 @@ def ref_antiderivative(w):
     for j in range(w.min_exponent + 1, w.truncation_order + 2):
         coeffs.append(0j if j == 0 else (ref_coeff(w, j - 1) or 0j) / j)
     return ref_normalized(w.min_exponent + 1, coeffs)
+
+
+def ref_reciprocal(w):
+    """The series reciprocal from the first stored coefficient, which must
+    be nonzero, normalized by the kernel under test above (a reciprocal
+    may overflow to nan, where ``ref_normalized`` strips differently)."""
+    c = list(w.coeffs)
+    inv = [1.0 / c[0]]
+    for k in range(1, len(c)):
+        s = 0j
+        for j in range(1, k + 1):
+            s += c[j] * inv[k - j]
+        inv.append(-s / c[0])
+    return _normalized_window(-w.min_exponent, inv, _STRIP_REL)
 
 
 def ref_is_flat_minors(windows, tol):
@@ -226,6 +240,32 @@ def test_window_mul_reads_the_convolution_directly():
         full = np.convolve(np.asarray(a.coeffs), np.asarray(b.coeffs))
         assert _same(_window_mul(a, b),
                      ref_normalized(lo, list(full[:hi - lo + 1]), _STRIP_REL))
+
+
+def test_window_reciprocal_starts_at_the_first_nonzero_coefficient():
+    # a window led by nonzero keeps its bits; a zero-led one (built
+    # directly, not normalized) is read from its first nonzero coefficient
+    checked = {0: 0, 1: 0}
+    for w in WINDOWS:
+        if not any(w.coeffs):
+            continue
+        lead = next(i for i, c in enumerate(w.coeffs) if c)
+        tail = LaurentWindow(w.min_exponent + lead, w.coeffs[lead:],
+                             w.truncation_order)
+        assert _same(_window_reciprocal(w), ref_reciprocal(tail))
+        checked[lead > 0] += 1
+    assert checked[0] > 100 and checked[1] > 30
+
+
+def test_division_by_a_zero_led_window_reads_its_order():
+    f = MeroFunction(LaurentWindow(0, (0j, 1 + 0j), 1))
+    assert f.ord(0) == 1
+    assert (1 / f).rep == LaurentWindow(-1, (1 + 0j,), -1)
+    g = MeroFunction(LaurentWindow(-1, (0j, -0j, 2 + 0j, 1j, 0.5 + 0j), 3))
+    q = MeroFunction.from_laurent(1, [2.0, 1j, 0.5]) / g
+    assert (g.ord(0), (1 / g).ord(0), q.ord(0)) == (1, -1, 0)
+    tail = LaurentWindow(1, (2 + 0j, 1j, 0.5 + 0j), 3)
+    assert _same(q.rep, _window_mul(tail, ref_reciprocal(tail)))
 
 
 @pytest.mark.parametrize("r_in, r_out", [(0.5, 2.0), (0.3, 0.9), (1.5, 7.0)])
