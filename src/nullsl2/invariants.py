@@ -9,8 +9,8 @@ before dividing.  The invariants are
     Wronskian one-form     omega/dz = F1 F3' - F3 F1'
     Hopf differential      Q/dz^2 = omega * dg/dz
 
-with the Hopf differential cross-checked against the equivalent quotient
-expression built from F1 and F3 alone.  End exponents at a puncture p:
+with Q/dz^2 cross-checked against (F1'' - F1' omega'/omega)/F1, where
+omega' = F1 F3'' - F3 F1''.  End exponents at a puncture p:
 
     k = ord_p F1,   l = ord_p (F3/F1)',   ord_p omega = l + 2k,
     q_hat(-2) = -k(k+1+l),   multiplicity m = |l+1|,
@@ -142,8 +142,8 @@ def omega(F: SL2NullCurve) -> MeroFunction:
 
 
 def hopf(F: SL2NullCurve, tol: float = ZERO_TOL) -> MeroFunction:
-    """Q/dz^2 computed two ways (omega * g' and the F1/F3 quotient
-    expression); HopfMismatch when they disagree."""
+    """Q/dz^2 computed two ways, omega * g' and (F1'' - F1' omega'/omega)/F1
+    with omega' = F1 F3'' - F3 F1''; HopfMismatch when they disagree."""
     w = omega(F)
     if w.is_identically_zero(tol):
         raise DegenerateDenominator(
@@ -151,13 +151,9 @@ def hopf(F: SL2NullCurve, tol: float = ZERO_TOL) -> MeroFunction:
     if F.F1.is_identically_zero(tol):
         raise DegenerateDenominator(
             "F1 == 0: the quotient path is undefined; rotate the curve first")
-    g = secondary_gauss(F, tol)
-    q_main = w * g.differentiate()
-    f1, f3 = F.F1, F.F3
-    d1 = F._derivative[0]
-    dd1 = d1.differentiate()
-    dd3 = F._derivative[2].differentiate()
-    q_alt = dd1 / f1 - (d1 / f1) * ((dd3 * f1 - f3 * dd1) / w)
+    q_main = w * secondary_gauss(F, tol).differentiate()
+    f1, d1 = F.F1, F._derivative[0]
+    q_alt = d1.differentiate() / f1 - (d1 / f1) * (w.differentiate() / w)
     if not (q_main - q_alt).is_identically_zero(max(tol, 1e-8)):
         raise HopfMismatch("the two Hopf computation paths disagree")
     return q_main

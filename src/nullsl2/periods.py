@@ -86,6 +86,10 @@ class Cycle:
             raise ValueError("a cycle needs at least one quadrature node "
                              f"(nodes={self.nodes}, "
                              f"per_segment={self.per_segment})")
+        for name, v in (("center", self.center), ("radius", self.radius),
+                        *(("vertex", p) for p in self.points)):
+            if not cmath.isfinite(v):
+                raise ValueError(f"cycle {name} {v!r} is not finite")
         closed = self.points + self.points[:1]
         for a, b in zip(closed, closed[1:]):
             if abs(b - a) ** 2 == 0:   # min_distance divides by it
@@ -435,9 +439,8 @@ def period_solve(family: SprayFamily, cycles, zeta0=None,
             return SolveResult(zeta=tuple(zeta), residual_norm=norm,
                                iterations=len(history),
                                residual_history=tuple(history))
-        sing = np.linalg.svd(jac, compute_uv=False)
-        smax = float(sing[0])
-        smin = float(sing[-1])
+        delta, _, _, sing = np.linalg.lstsq(jac, resid, rcond=None)  # an SVD
+        smax, smin = float(sing[0]), float(sing[-1])
         if smax == 0.0 or smax <= 1e-8 * max(1.0, norm):
             raise SingularJacobian(
                 f"Jacobian is numerically zero (largest singular value "
@@ -446,7 +449,6 @@ def period_solve(family: SprayFamily, cycles, zeta0=None,
             raise SingularJacobian(
                 f"Jacobian condition number {smax / max(smin, 1e-300):.3e} "
                 "exceeds 1e12")
-        delta, *_ = np.linalg.lstsq(jac, resid, rcond=None)
         lam = 1.0
         for _ in range(max_halvings + 1):
             cand = zeta - lam * delta

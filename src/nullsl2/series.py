@@ -178,8 +178,8 @@ def _normalized_window(min_exp: int, coeffs,
                        strip_rel: float = 0.0) -> LaurentWindow:
     """A window starting at the first entry above strip_rel * peak (at 0
     if none is: an identically zero window).  With strip_rel > 0 every
-    entry at or below it becomes 0j, not only at the front: FFT round-off
-    junk at high exponents is amplified by r^k near the annulus edges."""
+    entry at or below it becomes 0j, not only at the front: round-off junk
+    sits at any exponent (``_fft_expand`` strips FFT modes this way)."""
     cs = np.asarray(coeffs, dtype=complex)
     mags = np.hypot(cs.real, cs.imag)
     thr = strip_rel * mags.max(initial=0.0)
@@ -225,7 +225,7 @@ class MeroFunction:
         """Build from ascending coefficient lists (exact; floats stay exact)."""
         n = num if isinstance(num, Poly) else Poly(num)
         d = den if isinstance(den, Poly) else Poly(den)
-        n, d = _cancel_monomial(n, d)
+        d, n = _cancel_monomial(d, n)
         return MeroFunction(Rational(n, d), base_point, domain)
 
     @staticmethod
@@ -345,7 +345,7 @@ class MeroFunction:
                 return MeroFunction(Rational(n.derivative(), d),
                                     self.base_point, self.domain)
             num = n.derivative() * d - n * d.derivative()
-            num, den = _cancel_monomial(num, d * d)
+            den, num = _cancel_monomial(d * d, num)
             return MeroFunction(Rational(num, den), self.base_point, self.domain)
         w = self.rep
         ks = np.arange(w.min_exponent, w.truncation_order + 1)
@@ -580,17 +580,18 @@ def evaluate(f: MeroFunction, z: complex) -> complex:
 # rational helpers
 # ---------------------------------------------------------------------------
 
-def _cancel_monomial(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Cancel a common z^t factor (cheap exact reduction that keeps the
-    monomial-denominator chains from growing)."""
-    if num.is_zero() or den.is_zero():
-        return num, den
-    t = den.low_order()
-    if t:  # where den(0) != 0, t is 0 and num is not scanned
-        t = min(t, num.low_order())
+def _cancel_monomial(den: Poly, *nums: Poly) -> tuple[Poly, ...]:
+    """(den, *nums) over z^t, t the least valuation of den and the nonzero
+    nums (a cheap exact reduction that keeps monomial-denominator chains
+    from growing); the inputs themselves where t = 0 or every num is 0,
+    with no num scanned where den(0) != 0."""
+    t = 0 if den.is_zero() else den.low_order()
+    if t:
+        ts = [n.low_order() for n in nums if not n.is_zero()]
+        t = min(t, *ts) if ts else 0
     if t == 0:
-        return num, den
-    return num.drop_low(t), den.drop_low(t)
+        return (den,) + nums
+    return (den.drop_low(t),) + tuple(n.drop_low(t) for n in nums)
 
 
 def _common_denominator(fs) -> tuple[list[Poly], Poly]:
@@ -874,7 +875,7 @@ def _binary_rational(op: str, f: MeroFunction, g: MeroFunction) -> MeroFunction:
         num, den = a.num * b.den - b.num * a.den, a.den * b.den
     else:
         num, den = a.num * b.den, a.den * b.num
-    num, den = _cancel_monomial(num, den)
+    den, num = _cancel_monomial(den, num)
     return MeroFunction(Rational(num, den), f.base_point, dom)
 
 
@@ -978,6 +979,9 @@ def _fft_expand(evaluate_many, base: complex, dom: DomainTag,
         n *= 2
     zs = base + r * _unit_roots(n)
     vals = np.asarray(evaluate_many(zs), dtype=complex)
-    hat = np.fft.fft(vals) / n
-    return _normalized_window(lo, hat[np.arange(lo, hi + 1) % n] / rk,
-                              _STRIP_REL)
+    hat = np.fft.fft(vals)[np.arange(lo, hi + 1) % n] / n
+    # strip the round-off in mode space, where it is absolute: divided by
+    # r**k first, it could outgrow the true coefficients
+    modes = _normalized_window(lo, hat, _STRIP_REL)
+    k = modes.min_exponent
+    return _normalized_window(k, modes.coeffs / rk[k - lo:])

@@ -36,8 +36,9 @@ from .errors import (
     EvaluationAtPole,
 )
 from .exact import Poly
-from .series import (MeroFunction, Rational, ZERO_TOL, _common_denominator,
-                     _merge_domain, _unit_roots, punctured_disk)
+from .series import (MeroFunction, Rational, ZERO_TOL, _cancel_monomial,
+                     _common_denominator, _merge_domain, _unit_roots,
+                     punctured_disk)
 from .spinor import C3NullCurve, _has_common_zero, _sorted_points, is_flat
 
 _I = 1j
@@ -152,8 +153,8 @@ def tee_curve(X: C3NullCurve) -> SL2NullCurve:
     On rational X the four slots share one stored denominator.  With
     X = (N1, N2, N3) / D over one D (``series._common_denominator``), they
     are D**2, D (N1 + i N2), D (N1 - i N2) and N1**2 + N2**2 + N3**2 over
-    Q = D N3, and a common power of z is dropped from all five polynomials
-    at once; dropping it slot by slot would split Q where X3(0) = 0.
+    Q = D N3; ``series._cancel_monomial`` drops a common power of z from all
+    five at once, since dropping it slot by slot would split Q where X3(0) = 0.
     Shears, det F and det F' then sum over Q, Q**2 and Q**4 by the
     shared-denominator rule of ``series._binary_rational``.  Windows take
     the four divisions.
@@ -164,13 +165,9 @@ def tee_curve(X: C3NullCurve) -> SL2NullCurve:
     if X1.is_rational and X2.is_rational and X3.is_rational:
         (N1, N2, N3), D = _common_denominator((X1, X2, X3))
         iN2 = N2.scale(_I)
-        nums = [D * D, D * (N1 + iN2), D * (N1 - iN2),
-                N1 * N1 + N2 * N2 + N3 * N3]
-        den = D * N3
-        t = den.low_order()
-        if t:
-            t = min(t, *(n.low_order() for n in nums if not n.is_zero()))
-            nums, den = [n.drop_low(t) for n in nums], den.drop_low(t)
+        den, *nums = _cancel_monomial(
+            D * N3, D * D, D * (N1 + iN2), D * (N1 - iN2),
+            N1 * N1 + N2 * N2 + N3 * N3)
         dom = _merge_domain(_merge_domain(X1.domain, X2.domain), X3.domain)
         F1 = MeroFunction(Rational(nums[0], den), X3.base_point, X3.domain)
         F2, F3, F4 = (MeroFunction(Rational(n, den), X1.base_point, dom)

@@ -306,6 +306,9 @@ def test_classify_end_reads_each_slot_order_pair_and_head_once(
     assert len(valued) == (12 if lead == 0 else 14)
     assert sum(a is G.F3 and b is G.F1 for a, b in divided) == 1
     assert sum(ns is Q.rep.num for ns in quotients) == 1
+    # hopf's second path reads omega' = F1 F3'' - F3 F1'' off omega
+    assert not any(f is G._derivative[2] for f in differentiated)
+    assert sum(f is G._omega for f in differentiated) == 1
     if lead == 0:
         assert len(differentiated) == 8
 

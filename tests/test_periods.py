@@ -16,6 +16,7 @@ import cmath
 import hashlib
 import math
 import runpy
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,22 @@ def test_min_distance():
 def test_cycle_needs_a_quadrature_node(make):
     with pytest.raises(ValueError, match="quadrature node"):
         make()
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: Cycle.circle(0, math.inf), "radius inf"),
+    (lambda: Cycle.circle(0, math.nan), "radius nan"),
+    (lambda: Cycle.circle(complex(math.nan, 0), 1.0), "center"),
+    (lambda: Cycle.polyline([0, 1, math.nan]), "vertex"),
+], ids=["inf_radius", "nan_radius", "nan_center", "nan_vertex"])
+def test_cycle_refuses_non_finite_geometry(make, name):
+    # before evaluation: an infinite radius used to warn in numpy and then
+    # overflow, a NaN one fail in the exact evaluation, a NaN vertex read
+    # as a pole of 1/z on the contour
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"cycle {name}.* not finite"):
+            period(MeroFunction.from_rational([1], [0, 1]), make())
 
 
 def test_cycle_as_dict_round_shape():
@@ -444,6 +461,19 @@ def test_solve_detects_structurally_singular_direction(basis, message):
     fam = SprayFamily(eta, MeroFunction.constant(1), basis)
     with pytest.raises(SingularJacobian, match=message):
         period_solve(fam, [Cycle.circle(0, 1.0)])
+
+
+def test_solve_takes_singular_values_from_its_step(monkeypatch):
+    # the least-squares step factors the Jacobian once; no separate SVD
+    def forbidden(*args, **kwargs):
+        raise AssertionError("period_solve must not call np.linalg.svd")
+
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    res = period_solve(toy_family(), [Cycle.circle(0, 1.0)])
+    assert res.converged and abs(res.zeta[0] - (-0.3)) < 1e-9
+    for basis, message in [((inv_z(), inv_z(2)), "condition number"),
+                           ((inv_z(2),), "numerically zero")]:
+        test_solve_detects_structurally_singular_direction(basis, message)
 
 
 def test_solver_pole_on_contour_raises():

@@ -23,7 +23,8 @@ from nullsl2 import (
     punctured_disk,
 )
 from nullsl2.exact import ExactComplex, Poly, poly_gcd
-from nullsl2.series import DomainTag, Rational, _merge_domain, _rounded6
+from nullsl2.series import (DomainTag, Rational, _cancel_monomial,
+                            _merge_domain, _rounded6)
 
 from conftest import st_rational, st_window
 
@@ -163,6 +164,29 @@ def test_shared_denominator_sum_and_quotient_skip_cross_products(
     assert (f + g).rep.den == a.den
     assert (f - g).rep.den == a.den
     assert (f / g).rep.den == b.num
+
+
+#: z**k times up to three coefficients: zero, or of valuation k
+_valued_poly = st.builds(lambda k, cs: Poly([0] * k + cs),
+                         st.integers(min_value=0, max_value=3),
+                         st.lists(_shared_coeff, max_size=3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_valued_poly.filter(lambda p: not p.is_zero()),
+       st.lists(_valued_poly, max_size=5))
+def test_cancel_monomial_drops_the_least_valuation_of_a_family(den, nums):
+    # the one z-power kernel, for any number of numerators over one den
+    out = _cancel_monomial(den, *nums)
+    live = [n.low_order() for n in nums if not n.is_zero()]
+    t = min([den.low_order()] + live) if live else 0
+    if t == 0:   # no common z, or every num is 0: the inputs themselves
+        assert len(out) == len(nums) + 1
+        assert all(a is b for a, b in zip(out, (den, *nums)))
+        return
+    z_t = Poly([0] * t + [1])
+    assert [p * z_t for p in out] == [den, *nums]
+    assert min(p.low_order() for p in out if not p.is_zero()) == 0
 
 
 def test_derivative_antiderivative_round_trip():

@@ -121,8 +121,13 @@ def ref_fft_expand(evaluate_many, base, dom, lo, hi):
         n *= 2
     vals = np.asarray(evaluate_many(base + r * _unit_roots(n)), dtype=complex)
     hat = np.fft.fft(vals) / n
-    return ref_normalized(lo, [hat[k % n] / r ** k for k in range(lo, hi + 1)],
-                          _STRIP_REL)
+    # round-off is stripped in mode space, before the division by r**k
+    modes = ref_normalized(lo, [hat[k % n] for k in range(lo, hi + 1)],
+                           _STRIP_REL)
+    lead = modes.min_exponent
+    # numpy's complex division, as in the kernel's array quotient
+    return ref_normalized(lead, [np.complex128(c) / r ** k for k, c in
+                                 enumerate(modes.coeffs, lead)])
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +294,32 @@ def test_fft_expand_refuses_radii_without_float_powers(r_in, r_out):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"radius .* \[-59, 59\]"):
             f.to_laurent(terms=60, domain=annulus(r_in, r_out))
+
+
+def test_window_residue_on_annulus_10_100():
+    # r = sqrt(1000): divided by r**k before the strip, the round-off of
+    # the k = -24 mode outgrew c(-1) = 1, which was stripped to 0j
+    w = MeroFunction.from_rational([1], [0, 1]).to_laurent(
+        domain=annulus(10, 100))
+    assert abs(w.residue(0) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("r", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3])
+def test_window_residue_matches_sympy_across_radii(r):
+    # c(-1) on the annulus is the sum of the residues at the poles inside
+    # it: here a double pole inside the sampling circle and one outside
+    sp = pytest.importorskip("sympy")
+    z = sp.symbols("z")
+    r_ = sp.nsimplify(r)
+    p_in = r_ * (sp.Rational(3, 10) + sp.I / 10)
+    p_out = r_ * (3 + sp.I / 2)
+    expr = (z ** 2 + 3 * r_ * z + 5 * r_ ** 2) / ((z - p_in) ** 2 * (z - p_out))
+    num, den = (sp.Poly(e, z).all_coeffs()[::-1] for e in sp.fraction(expr))
+    f = MeroFunction.from_rational([complex(c) for c in num],
+                                   [complex(c) for c in den])
+    expected = complex(sp.residue(expr, z, p_in))
+    got = f.to_laurent(domain=annulus(0.6 * r, 1.5 * r)).residue(0)
+    assert abs(got - expected) <= 1e-10 * abs(expected)
 
 
 def test_is_flat_window_minors_match_scalar_loop():
