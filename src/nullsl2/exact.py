@@ -274,6 +274,11 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through _init; the two cached
+        # views are left behind
+        return Poly._make, (self._den, self._re, self._im)
+
     @property
     def coeffs(self) -> tuple[ExactComplex, ...]:
         """Ascending exact coefficients, built on first use and cached."""

@@ -216,6 +216,10 @@ class MeroFunction:
     def __setattr__(self, name, value):
         raise AttributeError("MeroFunction is immutable")
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor
+        return MeroFunction, (self.rep, self.base_point, self.domain)
+
     # -- constructors --------------------------------------------------------
 
     @staticmethod

@@ -39,7 +39,8 @@ from .exact import Poly
 from .series import (MeroFunction, Rational, ZERO_TOL, _cancel_monomial,
                      _common_denominator, _merge_domain, _unit_roots,
                      punctured_disk)
-from .spinor import C3NullCurve, _has_common_zero, _sorted_points, is_flat
+from .spinor import (C3NullCurve, _Deferred, _PoleSetField, _has_common_zero,
+                     _pole_source, _sorted_points, is_flat)
 
 _I = 1j
 
@@ -51,7 +52,9 @@ class SL2NullCurve:
     ``pole_set`` lists points where some slot genuinely blows up;
     ``singular_set`` lists points where the homogeneous picture degenerates
     (the lift fails to be unimodular there).  Both are excluded from
-    pointwise predicates like the immersion check.
+    pointwise predicates like the immersion check.  ``pole_set`` is
+    computed on first read when a builder deferred it (``tee_curve``,
+    ``shear``); a tuple passed to the constructor is kept as given.
 
     The derivative F' = (F1', F2', F3', F4'), det F' = F1'F4' - F2'F3' and
     omega = F1 F3' - F3 F1' are computed once per curve, on first use, and
@@ -68,7 +71,7 @@ class SL2NullCurve:
     F2: MeroFunction
     F3: MeroFunction
     F4: MeroFunction
-    pole_set: tuple[complex, ...] = ()
+    pole_set: tuple[complex, ...] = _PoleSetField()
     singular_set: tuple[complex, ...] = ()
 
     def slots(self) -> tuple[MeroFunction, MeroFunction, MeroFunction, MeroFunction]:
@@ -157,7 +160,8 @@ def tee_curve(X: C3NullCurve) -> SL2NullCurve:
     five at once, since dropping it slot by slot would split Q where X3(0) = 0.
     Shears, det F and det F' then sum over Q, Q**2 and Q**4 by the
     shared-denominator rule of ``series._binary_rational``.  Windows take
-    the four divisions.
+    the four divisions.  The pole set (X's and the zeros of X3) is
+    computed on first read of ``pole_set``.
     """
     X1, X2, X3 = X.components()
     if X3.is_identically_zero():
@@ -177,9 +181,8 @@ def tee_curve(X: C3NullCurve) -> SL2NullCurve:
         F2 = (X1 + _I * X2) / X3
         F3 = (X1 - _I * X2) / X3
         F4 = (X1 * X1 + X2 * X2 + X3 * X3) / X3
-    new_poles = set(X.pole_set)
-    new_poles.update(p for p, _ in X3.zeros())
-    return SL2NullCurve(F1, F2, F3, F4, _sorted_points(new_poles), ())
+    return SL2NullCurve(F1, F2, F3, F4,
+                        _Deferred(_with_zeros, _pole_source(X), X3), ())
 
 
 def tee_inv_curve(F: SL2NullCurve) -> C3NullCurve:
@@ -189,9 +192,15 @@ def tee_inv_curve(F: SL2NullCurve) -> C3NullCurve:
     X1 = (F.F3 + F.F2) / (2 * F.F1)
     X2 = _I * (F.F3 - F.F2) / (2 * F.F1)
     X3 = 1 / F.F1
-    new_poles = set(F.pole_set)
-    new_poles.update(p for p, _ in F.F1.zeros())
-    return C3NullCurve(X1, X2, X3, _sorted_points(new_poles))
+    return C3NullCurve(X1, X2, X3,
+                       _Deferred(_with_zeros, _pole_source(F), F.F1))
+
+
+def _with_zeros(poles, f) -> tuple[complex, ...]:
+    """The points of ``poles`` (from ``_pole_source``) and the zeros of f."""
+    new_poles = set(poles.resolve() if type(poles) is _Deferred else poles)
+    new_poles.update(p for p, _ in f.zeros())
+    return _sorted_points(new_poles)
 
 
 def check_null_sl2(F: SL2NullCurve, tol: float = ZERO_TOL) -> SL2Report:
@@ -208,8 +217,8 @@ def check_null_sl2(F: SL2NullCurve, tol: float = ZERO_TOL) -> SL2Report:
     unimodular = (det - 1).is_identically_zero(tol)
     d = F._derivative
     null = F._det_derivative.is_identically_zero(tol)
-    excluded = set(F.pole_set) | set(F.singular_set)
-    immersion = not _has_common_zero(d, excluded, tol)
+    immersion = not _has_common_zero(
+        d, lambda: (*F.pole_set, *F.singular_set), tol)
     nonflat = not is_flat(d, tol)
     return SL2Report(unimodular, null, immersion, nonflat)
 
@@ -232,7 +241,9 @@ _SHEAR_RECIPES = {
 
 def shear(F: SL2NullCurve, lam, kind: str) -> SL2NullCurve:
     """Add lambda times one row/column of F to the other (constant
-    unimodular multiplication, hence structure preserving)."""
+    unimodular multiplication, hence structure preserving).  The sheared
+    curve keeps F's pole set; if F has not read it yet, it is computed
+    once, on the first read of either."""
     if kind not in _SHEAR_RECIPES:
         raise ValueError(f"unknown shear kind {kind!r}; "
                          f"expected one of {SHEAR_KINDS}")
@@ -242,7 +253,7 @@ def shear(F: SL2NullCurve, lam, kind: str) -> SL2NullCurve:
     for target, source in _SHEAR_RECIPES[kind]:
         out[target] = slots[target] + lam_f * slots[source]
     return SL2NullCurve(out[0], out[1], out[2], out[3],
-                        F.pole_set, F.singular_set)
+                        _pole_source(F), F.singular_set)
 
 
 def shear_matrix(lam: complex, kind: str) -> np.ndarray:

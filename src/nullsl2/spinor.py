@@ -10,6 +10,11 @@ is null *by construction*: f1^2 + f2^2 = -eta*q = -f3^2 identically, so the
 round trip costs one division rather than a square root.  When eta vanishes
 identically but the field does not, the conjugate chart eta' = f1 - i*f2
 works instead; the chart in use is an explicit flag, never a silent swap.
+
+Pole sets are bookkeeping that no nullity or unimodularity verdict reads.
+The curve builders (``from_spinor``, ``integrate_null`` and, in
+``sl2curve``, ``tee_curve``, ``tee_inv_curve`` and ``shear``) store a
+deferred marker in ``pole_set``, and its roots are found on first read.
 """
 
 from __future__ import annotations
@@ -41,14 +46,76 @@ class SpinorData:
             raise EtaIdenticallyZero("spinor data requires eta != 0")
 
 
+class _Deferred:
+    """A pole set not computed yet: ``fn(*args)``, run on first read.
+
+    ``fn`` is a module-level function, so a curve holding the marker
+    pickles.  After the first read the marker keeps only the tuple and
+    drops ``fn`` and ``args``, with the sources they referenced.  Curves
+    that pass a pole set on unchanged (``integrate_null``, a shear) share
+    one marker, so its roots are found once for all of them.
+    """
+
+    __slots__ = ("fn", "args", "value")
+
+    def __init__(self, fn, *args):
+        self.fn, self.args, self.value = fn, args, None
+
+    def resolve(self) -> tuple[complex, ...]:
+        if self.fn is not None:
+            self.value = self.fn(*self.args)
+            self.fn = self.args = None
+        return self.value
+
+    def __reduce__(self):
+        if self.fn is None:
+            return tuple, (self.value,)
+        return _Deferred, (self.fn, *self.args)
+
+
+class _PoleSetField:
+    """The ``pole_set`` field of the curve types: a tuple, kept as given,
+    or a ``_Deferred`` marker, replaced by its tuple on first read.
+
+    A frozen dataclass's ``__init__`` stores the field through ``__set__``;
+    equality, hashing, repr and ``dataclasses.replace`` read it through
+    ``__get__``.  The value lives in the instance ``__dict__`` under
+    ``_pole_set``, so copies and pickles carry it, resolved or not.
+    """
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return ()  # the field's default
+        value = obj.__dict__["_pole_set"]
+        if type(value) is _Deferred:
+            value = obj.__dict__["_pole_set"] = value.resolve()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__["_pole_set"] = value
+
+
+def _pole_source(obj):
+    """The pole set stored in obj, unread: its marker when it has one not
+    yet resolved, else ``tuple(obj.pole_set)`` (``()`` without one)."""
+    value = getattr(obj, "__dict__", {}).get("_pole_set")
+    if type(value) is _Deferred:
+        return value
+    return tuple(getattr(obj, "pole_set", ()))
+
+
 @dataclass(frozen=True)
 class DirectionField:
-    """A null direction field (the derivative data of a curve in C^3)."""
+    """A null direction field (the derivative data of a curve in C^3).
+
+    ``pole_set`` is computed on first read when a builder deferred it
+    (``from_spinor``); a tuple passed to the constructor is kept as given.
+    """
 
     f1: MeroFunction
     f2: MeroFunction
     f3: MeroFunction
-    pole_set: tuple[complex, ...] = ()
+    pole_set: tuple[complex, ...] = _PoleSetField()
 
     def components(self) -> tuple[MeroFunction, MeroFunction, MeroFunction]:
         return (self.f1, self.f2, self.f3)
@@ -56,12 +123,17 @@ class DirectionField:
 
 @dataclass(frozen=True)
 class C3NullCurve:
-    """A null curve X: M -> C^3 with its bookkeeping pole set E."""
+    """A null curve X: M -> C^3 with its bookkeeping pole set E.
+
+    ``pole_set`` is computed on first read when a builder deferred it
+    (``integrate_null``, ``tee_inv_curve``); a tuple passed to the
+    constructor is kept as given.
+    """
 
     X1: MeroFunction
     X2: MeroFunction
     X3: MeroFunction
-    pole_set: tuple[complex, ...] = ()
+    pole_set: tuple[complex, ...] = _PoleSetField()
 
     def components(self) -> tuple[MeroFunction, MeroFunction, MeroFunction]:
         return (self.X1, self.X2, self.X3)
@@ -85,13 +157,14 @@ class C3Report:
 
 def from_spinor(s: SpinorData) -> DirectionField:
     """Rebuild the null direction field from (eta, f3); its pole set is
-    that of eta, f3 and q = f3^2/eta, as f1 +- i*f2 are eta and -q."""
+    that of eta, f3 and q = f3^2/eta, as f1 +- i*f2 are eta and -q.  The
+    pole set is computed on first read of ``pole_set``."""
     q = (s.f3 * s.f3) / s.eta
     f1 = (s.eta - q) * 0.5
     sign = 1 if s.conjugate_chart else -1
     f2 = (s.eta + q) * (sign * 0.5j)
-    poles = {p for g in (s.eta, s.f3, q) for p, _ in g.poles()}
-    return DirectionField(f1, f2, s.f3, _sorted_points(poles))
+    return DirectionField(f1, f2, s.f3,
+                          _Deferred(_pole_points, s.eta, s.f3, q))
 
 
 def extract_spinor(f, alternate_chart: bool = False) -> SpinorData:
@@ -122,8 +195,7 @@ def check_null_c3(X: C3NullCurve, tol: float = ZERO_TOL) -> C3Report:
     derivs = [c.differentiate() for c in X.components()]
     s = derivs[0] * derivs[0] + derivs[1] * derivs[1] + derivs[2] * derivs[2]
     null = s.is_identically_zero(tol)
-    excluded = set(X.pole_set)
-    immersion = not _has_common_zero(derivs, excluded, tol)
+    immersion = not _has_common_zero(derivs, lambda: X.pole_set, tol)
     flat = is_flat(derivs, tol)
     return C3Report(null=null, immersion=immersion, flat=flat)
 
@@ -135,7 +207,8 @@ def integrate_null(f, base_point: complex = 0j,
 
     The exactness precondition (all periods of f dz vanish) is decided by
     the exact residue reduction in the series layer; a violation raises
-    NonExactField carrying the offending cycle and its period.
+    NonExactField carrying the offending cycle and its period.  The
+    curve's pole set is that of f, read when the curve's is.
     """
     f1, f2, f3 = _components(f)
     prims = []
@@ -146,8 +219,7 @@ def integrate_null(f, base_point: complex = 0j,
             raise _with_cycle(err) from None
         shiftv = complex(val) - prim.evaluate(base_point)
         prims.append(prim + shiftv)
-    poles = tuple(getattr(f, "pole_set", ()))
-    return C3NullCurve(prims[0], prims[1], prims[2], poles)
+    return C3NullCurve(prims[0], prims[1], prims[2], _pole_source(f))
 
 
 def is_flat(components, tol: float = ZERO_TOL) -> bool:
@@ -199,7 +271,8 @@ def spinor_common_zero_points(s: SpinorData, tol: float = 1e-8
     itself only validates eta != 0 at construction)."""
     q = (s.f3 * s.f3) / s.eta
     return _common_zeros_list(
-        [f for f in (s.eta, q) if not f.is_identically_zero()], set(), tol)
+        [f for f in (s.eta, q) if not f.is_identically_zero()],
+        lambda: (), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +286,10 @@ def _components(f):
         return f.X1, f.X2, f.X3
     f1, f2, f3 = f
     return f1, f2, f3
+
+
+def _pole_points(*fns) -> tuple[complex, ...]:
+    return _sorted_points({p for g in fns for p, _ in g.poles()})
 
 
 def _sorted_points(points) -> tuple[complex, ...]:
@@ -235,14 +312,15 @@ def _with_cycle(err: NonExactField) -> NonExactField:
 
 
 def _common_zeros_list(nonzero, excluded, tol) -> list[complex]:
-    """Numeric candidates where every listed (nonzero) function vanishes."""
+    """Numeric candidates where every listed (nonzero) function vanishes,
+    away from the points ``excluded()`` lists; it is called only once a
+    candidate has passed evaluation."""
     if not nonzero:
         return []  # callers treat "all components zero" separately
     candidates = [p for p, _ in nonzero[0].zeros()]
     out = []
+    points = None
     for p in candidates:
-        if any(abs(p - e) < 1e-8 for e in excluded):
-            continue
         vals = []
         for g in nonzero:
             try:
@@ -250,11 +328,17 @@ def _common_zeros_list(nonzero, excluded, tol) -> list[complex]:
             except EvaluationAtPole:
                 vals.append(float("inf"))
         if all(v < tol for v in vals):
-            out.append(p)
+            if points is None:
+                points = excluded()
+            if not any(abs(p - e) < 1e-8 for e in points):
+                out.append(p)
     return out
 
 
 def _has_common_zero(derivs, excluded, tol) -> bool:
+    """Whether the nonzero derivs share a zero away from the points that
+    the zero-argument callable ``excluded`` lists; it is called only where
+    the verdict needs them."""
     nonzero = [d for d in derivs if not d.is_identically_zero(tol)]
     if not nonzero:
         return True  # the zero field vanishes everywhere
@@ -262,7 +346,7 @@ def _has_common_zero(derivs, excluded, tol) -> bool:
         # windows certify behaviour at the base point only; the callers'
         # arithmetic has refused windows at different base points
         base = next(d.base_point for d in nonzero if d.is_window)
-        if any(abs(base - e) < 1e-8 for e in excluded):
+        if any(abs(base - e) < 1e-8 for e in excluded()):
             return False
         return all(d.ord(base) >= 1 for d in nonzero)
     scale = 1e-6  # evaluation tolerance for clustered numeric roots

@@ -203,6 +203,20 @@ def test_window_immersion_ignores_base_point_in_pole_set():
     assert check_null_sl2(F).immersion
 
 
+def test_rational_immersion_ignores_a_common_zero_in_the_pole_set():
+    # X = (z^2, i z^2, 1): X' = (2z, 2iz, 0) vanishes at 0, which the
+    # immersion test reads as a common zero unless the pole set lists it;
+    # the pole set is read after the candidate 0 has passed evaluation
+    X = C3NullCurve(MeroFunction.from_poly([0, 0, 1]),
+                    MeroFunction.from_poly([0, 0, 1j]),
+                    MeroFunction.constant(1))
+    rep = check_null_c3(X, tol=0.0)
+    assert rep.null and not rep.immersion
+    rep = check_null_c3(C3NullCurve(*X.components(), pole_set=(0j,)),
+                        tol=0.0)
+    assert rep.null and rep.immersion
+
+
 def test_immersion_keeps_a_tiny_nonzero_component_at_tol_zero():
     # X' = (1e-12, z, 0) never vanishes: at tol 0 the constant 1e-12 is
     # nonzero and has no zero to share with z
