@@ -11,10 +11,11 @@ Python ints, the real and imaginary numerators: its coefficients are
 Gaussian integers over one common denominator.  Every polynomial kernel is
 an integer loop: product, sum, derivative, integral, Taylor shift, Horner
 evaluation, synthetic division (root multiplicity, deflation), Euclidean
-pseudo-division (gcd) and the coefficient-size test behind the zero test
-(``_peak_within``).  A point p = P/d enters as the Gaussian integer P
-acting on d**deg * f(x/d).  The :class:`ExactComplex` view of the
-coefficients is built only on request.
+pseudo-division (gcd), the coefficient-size test behind the zero test
+(``_peak_within``) and a coprimality certificate by Euclid modulo one
+prime (``_coprime_mod_p``).  A point p = P/d enters as the Gaussian
+integer P acting on d**deg * f(x/d).  The :class:`ExactComplex` view of
+the coefficients is built only on request.
 
 Only what the package needs is implemented.  The exact calculus of
 :mod:`nullsl2.series` (series quotients, Hermite reduction of rational
@@ -589,3 +590,61 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         a, b = b, a.divmod(b)[1]
     return a.monic() if not a.is_zero() else a
 
+
+#: one prime p = 1 (mod 4) below 2**30 and a square root of -1 modulo it:
+#: i -> _S maps Z[i] onto Z/p, and every residue is a one-digit CPython int
+_P = 1073741789
+_S = 933053945
+
+
+def _gcd_mod_p(a: list[int], b: list[int]) -> list[int]:
+    """A gcd modulo ``_P`` of two descending residue lists without
+    leading zeros (Euclid); ``[]`` when both are zero."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        inv = pow(b[0], -1, _P)
+        b = [x * inv % _P for x in b]
+        n, a = len(b), list(a)
+        tail = b[1:]
+        for k in range(len(a) - n + 1):
+            c = a[k]
+            if c:
+                a[k + 1:k + n] = [(x - c * y) % _P
+                                  for x, y in zip(a[k + 1:k + n], tail)]
+        r = a[len(a) - n + 1:]
+        while r and not r[0]:
+            del r[0]
+        a, b = b, r
+    return a
+
+
+def _coprime_mod_p(polys: Iterable[Poly]) -> bool:
+    """A certificate that the numerators of ``polys`` share no root.
+
+    Each Gaussian-integer numerator (``_re``, ``_im``) is mapped into
+    Z/p, p = ``_P``, by i -> ``_S``; ``_den`` is a unit and is ignored.
+    True only when the gcd of the images (Euclid mod p) is a nonzero
+    constant and at least one numerator's leading coefficient is nonzero
+    mod p.  That is sound: a common factor over Q(i) divides every
+    numerator over Z[i] (Gauss's lemma), and its image keeps its degree
+    in a numerator whose leading coefficient survives, so it divides the
+    modular gcd (Brown, J. ACM 18, 1971).  Without the leading-coefficient
+    guard a common factor whose own leading coefficient is divisible by p
+    would drop out of the images.  False means only "not certified": a
+    real common factor, or an unlucky prime.
+    """
+    g: list[int] = []
+    lead = False
+    for f in polys:
+        re, im = f._re, f._im
+        if re and (re[-1] + _S * im[-1]) % _P:
+            lead = True
+        if len(g) != 1:
+            a = [(r + _S * m) % _P for r, m in zip(reversed(re), reversed(im))]
+            while a and not a[0]:
+                del a[0]
+            g = _gcd_mod_p(g, a)
+        if lead and len(g) == 1:
+            return True
+    return False

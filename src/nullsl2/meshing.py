@@ -6,6 +6,10 @@ pushes each sample through the hyperbolic or de Sitter projection, and
 emits a triangulated OBJ plus a JSON sidecar with per-vertex diagnostics
 (conformal metric factor, and the time coordinate x0 for de Sitter
 targets, whose vertices are the raw spatial part).
+
+The sidecar's ``metric_factor`` is the H^3 factor (1 + |g|^2)^2 |omega|^2
+of ``induced_metric_factor`` for both targets.  On an ``s31`` mesh it is
+not the metric of the S^3_1 pullback, which is (1 - |g|^2)^2 |omega|^2.
 """
 
 from __future__ import annotations

@@ -196,7 +196,14 @@ def _normalized_window(min_exp: int, coeffs,
 # ---------------------------------------------------------------------------
 
 class MeroFunction:
-    """A meromorphic function in either exact-rational or window form."""
+    """A meromorphic function in either exact-rational or window form.
+
+    Equality and hashing are structural over ``(rep, base_point,
+    domain)``, as ``Poly``'s are over its stored form: x/x and 1 are
+    different values.  So a copy or a pickle round trip compares equal,
+    and so do the curve dataclasses holding such slots; comparing two
+    curves reads their pole sets.
+    """
 
     __slots__ = ("rep", "base_point", "domain")
 
@@ -219,6 +226,15 @@ class MeroFunction:
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through the constructor
         return MeroFunction, (self.rep, self.base_point, self.domain)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MeroFunction):
+            return NotImplemented
+        return (self.rep == other.rep and self.base_point == other.base_point
+                and self.domain == other.domain)
+
+    def __hash__(self):
+        return hash((self.rep, self.base_point, self.domain))
 
     # -- constructors --------------------------------------------------------
 
@@ -486,7 +502,15 @@ class MeroFunction:
                    terms: int = DEFAULT_TERMS,
                    domain: DomainTag | None = None) -> "MeroFunction":
         """Convert to a LaurentWindow (exact germ expansion, or FFT
-        re-expansion on annulus domains)."""
+        re-expansion on annulus domains).
+
+        On an annulus the coefficients of exponents -(terms - 1) ..
+        terms - 1 are read on the circle of radius r = sqrt(r_inner *
+        r_outer), so a window's annulus is bounded by the float range of
+        r**k: where some r**k is not a finite nonzero float it raises
+        ValueError, e.g. ``to_laurent(domain=annulus(1e5, 1e7),
+        terms=60)`` (r = 1e6 and r**59 = 1e354).
+        """
         base = self.base_point if base_point is None else complex(base_point)
         dom = domain or self.domain
         if self.is_window:

@@ -211,7 +211,10 @@ def check_null_sl2(F: SL2NullCurve, tol: float = ZERO_TOL) -> SL2Report:
     a fixed direction exactly when (c/ref)' == 0 for each nonzero slot
     derivative c against the smallest one, ref; at ``tol > 0`` each
     quotient derivative's numerator is compared against its own
-    denominator's scale.
+    denominator's scale.  Immersion is exact on rational slots whose
+    derivative numerators are coprime (a gcd modulo one prime certifies
+    it, and no root is found); otherwise it is numeric: a common zero of
+    the slot derivatives at 1e-6, off the pole and singular sets.
     """
     det = F.det()
     unimodular = (det - 1).is_identically_zero(tol)

@@ -28,6 +28,7 @@ from .errors import (
     NonExactField,
 )
 from ._lazy import np
+from .exact import _coprime_mod_p
 from .series import MeroFunction, ZERO_TOL, _window_slice
 
 _I = 1j
@@ -190,7 +191,10 @@ def check_null_c3(X: C3NullCurve, tol: float = ZERO_TOL) -> C3Report:
     is ``is_flat`` of X': (c/ref)' == 0 for each nonzero component c
     against the smallest one, ref; at ``tol > 0`` each quotient
     derivative's numerator is compared against its own denominator's
-    scale.
+    scale.  Immersion is exact on rational components whose derivative
+    numerators are coprime (a gcd modulo one prime certifies it, and no
+    root is found); otherwise it is numeric: a common zero of the
+    derivatives at 1e-6, off the pole set.
     """
     derivs = [c.differentiate() for c in X.components()]
     s = derivs[0] * derivs[0] + derivs[1] * derivs[1] + derivs[2] * derivs[2]
@@ -338,7 +342,16 @@ def _common_zeros_list(nonzero, excluded, tol) -> list[complex]:
 def _has_common_zero(derivs, excluded, tol) -> bool:
     """Whether the nonzero derivs share a zero away from the points that
     the zero-argument callable ``excluded`` lists; it is called only where
-    the verdict needs them."""
+    the verdict needs them.
+
+    Windows are read at their base point only.  On rational derivs the
+    answer is exactly False when their numerators are coprime, as
+    ``exact._coprime_mod_p`` certifies modulo one prime: at each point
+    some numerator is nonzero, so that deriv is nonzero or has a pole
+    there.  Otherwise (a common factor, or an unlucky prime) it is
+    numeric: a root of the first deriv, clustered at 1e-6, where every
+    deriv is below 1e-6 in modulus.
+    """
     nonzero = [d for d in derivs if not d.is_identically_zero(tol)]
     if not nonzero:
         return True  # the zero field vanishes everywhere
@@ -349,5 +362,7 @@ def _has_common_zero(derivs, excluded, tol) -> bool:
         if any(abs(base - e) < 1e-8 for e in excluded()):
             return False
         return all(d.ord(base) >= 1 for d in nonzero)
+    if _coprime_mod_p([d.rep.num for d in nonzero]):
+        return False
     scale = 1e-6  # evaluation tolerance for clustered numeric roots
     return bool(_common_zeros_list(nonzero, excluded, scale))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nullsl2.exact import ExactComplex, Poly, poly_gcd
+from nullsl2.exact import _P, _S, ExactComplex, Poly, _coprime_mod_p, poly_gcd
 
 sp = pytest.importorskip("sympy")
 
@@ -291,3 +291,53 @@ def test_float_views_round_past_the_range_to_inf():
         assert complex(c) == complex(expected, -expected)
         assert Poly([c]).float_coeffs() == (complex(c),)
     assert complex(ExactComplex(Fraction(1, 10 ** 400))) == 0j
+
+
+# ---------------------------------------------------------------------------
+# the modular coprimality certificate
+# ---------------------------------------------------------------------------
+
+_tuples = st.lists(_poly, min_size=1, max_size=3)
+
+
+def test_the_certificate_prime_has_a_square_root_of_minus_one():
+    assert sp.isprime(_P) and _P % 4 == 1 and _P < 2**30
+    assert (_S * _S + 1) % _P == 0
+
+
+@settings(deadline=None, max_examples=60)   # sympy's gcd over Q(i) is slow
+@given(_tuples)
+def test_a_certificate_means_a_sympy_gcd_of_one(polys):
+    if _coprime_mod_p(polys):
+        g = to_sym(polys[0])
+        for p in polys[1:]:
+            g = sp.gcd(g, to_sym(p))
+        assert g.degree() == 0 and not g.is_zero
+
+
+@settings(deadline=None)
+@given(_tuples, _point)
+def test_a_common_linear_factor_is_never_certified(polys, a):
+    lin = Poly([-a, 1])
+    assert not _coprime_mod_p([p * lin for p in polys])
+
+
+def test_coprime_numerators_are_certified():
+    assert _coprime_mod_p([Poly([1])])
+    assert _coprime_mod_p([Poly([0, 1]), Poly([1, 1])])
+    assert _coprime_mod_p([Poly([1j, 1]), Poly([-1j, 1])])   # z + i, z - i
+    assert _coprime_mod_p([Poly([0.1, 3, 2.5j]), Poly([Fraction(1, 3), 1])])
+
+
+def test_a_leading_coefficient_divisible_by_p_is_not_certified():
+    # A = p z + 1 divides B = (p z + 1)(z + 2); mod p both leading
+    # coefficients vanish and the images 1 and z + 2 are coprime
+    a = Poly([1, _P])
+    assert not _coprime_mod_p([a, a * Poly([2, 1])])
+    assert _coprime_mod_p([a, Poly([2, 1])])
+
+
+def test_a_constant_divisible_by_p_is_not_certified():
+    assert not _coprime_mod_p([Poly([_P])])
+    assert not _coprime_mod_p([Poly([3 * _P]), Poly([_P * 1j])])
+    assert not _coprime_mod_p([])

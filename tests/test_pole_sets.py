@@ -21,6 +21,7 @@ from nullsl2 import (
     SL2NullCurve,
     SpinorData,
     check_null_sl2,
+    disk,
     end_model,
     from_spinor,
     integrate_null,
@@ -75,10 +76,8 @@ def test_from_spinor_and_its_nullity_find_no_roots(root_calls):
     assert root_calls == []
 
 
-def test_construct_chain_finds_only_the_immersion_tests_roots(
-        root_calls, monkeypatch):
-    # integrate_null -> tee_curve -> check -> shear -> check: every root
-    # is found inside the immersion test, none for the pole sets
+def _roots_inside_the_immersion_test(root_calls, monkeypatch):
+    """The list of root calls made inside ``_has_common_zero`` from now on."""
     inside = []
     real = sl2curve._has_common_zero
 
@@ -89,13 +88,40 @@ def test_construct_chain_finds_only_the_immersion_tests_roots(
         return out
 
     monkeypatch.setattr(sl2curve, "_has_common_zero", immersion_test)
+    return inside
+
+
+def test_construct_chain_finds_only_the_immersion_tests_roots(
+        root_calls, monkeypatch):
+    # integrate_null -> tee_curve -> check -> shear -> check: no pole set
+    # is read, and on this pool the modular certificate finds the slot
+    # derivatives' numerators coprime, so no root is found at all
+    inside = _roots_inside_the_immersion_test(root_calls, monkeypatch)
     rng = np.random.default_rng(2102)
     for k in range(8):
         d, X, F, G = _chain(random_integrable_spinor(rng),
                             kind=SHEAR_KINDS[k % 4])
         for curve in (F, G):
             rep = check_null_sl2(curve, tol=0.0)
-            assert rep.unimodular and rep.null
+            assert rep.unimodular and rep.null and rep.immersion
+        assert all(map(_unread, (d, X, F, G)))
+    assert root_calls == [] and inside == []
+
+
+def test_an_uncertified_chain_finds_roots_only_in_the_immersion_test(
+        root_calls, monkeypatch):
+    # eta = c/(z - p)^2: the slot derivatives' numerators share (z - p)^2
+    # with Q^2, so the numeric path runs; its roots are all found inside
+    # the immersion test, and the excluded points are read there
+    inside = _roots_inside_the_immersion_test(root_calls, monkeypatch)
+    p, c = 0.5 - 1j, 2 + 1j
+    lin = MeroFunction.from_poly([-p, 1])
+    s = SpinorData(MeroFunction.constant(c) / (lin * lin),
+                   MeroFunction.from_poly([1, 2j, 3]))
+    d, X, F, G = _chain(s, base_point=p + 1)
+    for curve in (F, G):
+        rep = check_null_sl2(curve, tol=0.0)
+        assert rep.unimodular and rep.null and rep.immersion
     assert root_calls and len(inside) == len(root_calls)
 
 
@@ -159,11 +185,6 @@ _COPIES = [copy.copy, copy.deepcopy,
            lambda v: pickle.loads(pickle.dumps(v, protocol=0))]
 
 
-def _same_function(f, g) -> bool:
-    return (type(g) is MeroFunction and f.rep == g.rep
-            and f.base_point == g.base_point and f.domain == g.domain)
-
-
 @pytest.mark.parametrize("dup", _COPIES)
 def test_poly_and_merofunction_copy_and_pickle(dup):
     p = Poly([1, 2.5j, 0.25])
@@ -174,15 +195,34 @@ def test_poly_and_merofunction_copy_and_pickle(dup):
     window = MeroFunction.from_laurent(-1, [1, 0.5j, 2], base_point=0.5)
     for f in (rational, window):
         g = dup(f)
-        assert _same_function(f, g)
+        assert type(g) is MeroFunction and g == f and hash(g) == hash(f)
         assert g.evaluate(0.7 + 0.1j) == f.evaluate(0.7 + 0.1j)
+
+
+def test_merofunction_and_curves_compare_by_structure():
+    one = MeroFunction.constant(1)
+    assert one == MeroFunction.constant(1)
+    assert hash(one) == hash(MeroFunction.constant(1))
+    F = end_model(2)
+    assert F == end_model(2) and hash(F) == hash(end_model(2))
+    assert pickle.loads(pickle.dumps(F)) == F
+    assert end_model(2) != end_model(3) and F != shear(F, 2, "col1+col2")
+    window = MeroFunction.from_laurent(-1, [1, 0.5j, 2], base_point=0.5)
+    assert window == MeroFunction.from_laurent(-1, [1, 0.5j, 2], 0.5)
+    # the stored form, the base point and the domain each count: z/z is
+    # stored as (z + 1)/(z + 1) and differs from the constant 1
+    f = MeroFunction.from_rational([1, 2j], [0, 0, 3])
+    assert f != MeroFunction.from_rational([1, 2j], [0, 0, 3], base_point=1)
+    assert f != f.with_domain(disk())
+    z1 = MeroFunction.from_poly([1, 1])
+    assert z1 / z1 != one and f != f.rep and one != 1
 
 
 @pytest.mark.parametrize("dup", _COPIES)
 def test_curves_copy_and_pickle(dup):
     F = end_model(2)
     G = dup(F)
-    assert all(map(_same_function, F.slots(), G.slots()))
+    assert G.slots() == F.slots()
     assert (G.pole_set, G.singular_set) == (F.pole_set, F.singular_set)
     assert check_null_sl2(G, tol=0.0) == check_null_sl2(F, tol=0.0)
     # an unread deferred chain copies unread and reads the same points;
@@ -192,7 +232,7 @@ def test_curves_copy_and_pickle(dup):
     *_, curve = _chain(s, base_point=1)
     twin = dup(curve)
     assert _unread(curve) and _unread(twin)
-    assert all(map(_same_function, curve.slots(), twin.slots()))
+    assert twin.slots() == curve.slots()
     points = _chain(s, base_point=1)[-1].pole_set
     assert 0j in points and len(points) == 3
     assert twin.pole_set == points and curve.pole_set == points

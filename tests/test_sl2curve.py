@@ -42,6 +42,7 @@ from nullsl2 import (
     tee_inv,
     tee_inv_curve,
 )
+from nullsl2.exact import _coprime_mod_p
 from nullsl2.serialize import sl2_to_dict
 from nullsl2.spinor import _sorted_points
 
@@ -481,6 +482,20 @@ def test_immersion_ignores_a_common_zero_in_the_pole_or_singular_set():
     for sets in (((0j,), ()), ((), (0j,))):
         rep = check_null_sl2(SL2NullCurve(*slots, *sets), tol=0.0)
         assert rep.unimodular and rep.null and rep.immersion
+
+
+def test_end_model_1_reparametrised_by_u_is_not_immersed():
+    # u = z^2 - 2 in end_model(1), exact thirds: (1/u^2, -4u/3, 1/u,
+    # -u^2/3).  Every slot derivative carries u' = 2z, so the numerators
+    # share z, the modular certificate declines and the numeric path
+    # finds the common zero at 0
+    u = MeroFunction.from_poly([-2, 0, 1])
+    one = MeroFunction.constant(1)
+    a, b = (MeroFunction.constant(Fraction(k, 3)) for k in (-4, -1))
+    G = SL2NullCurve(one / (u * u), a * u, one / u, b * u * u)
+    assert not _coprime_mod_p([d.rep.num for d in G._derivative])
+    rep = check_null_sl2(G, tol=0.0)
+    assert rep.unimodular and rep.null and not rep.immersion
 
 
 def test_validity_at_tol_zero_sees_a_perturbation_below_the_float_range():

@@ -9,8 +9,10 @@ from nullsl2 import (
     NotHermitian,
     NotUnimodular,
     ball_to_hyperboloid,
+    build_surface_mesh,
     end_model,
     her_from_l4,
+    induced_metric_factor,
     l4_from_her,
     membership,
     minkowski_inner,
@@ -20,6 +22,7 @@ from nullsl2 import (
     random_su2,
     random_su11,
     random_unimodular,
+    shear,
 )
 
 
@@ -138,3 +141,42 @@ def test_projection_commutes_with_evaluation_determinism(rng):
     x1 = project_h3(a)
     x2 = project_h3(a)
     assert x1.as_tuple() == x2.as_tuple()
+
+
+# ---------------------------------------------------------------------------
+# the induced metric of the hyperbolic projection
+# ---------------------------------------------------------------------------
+
+_METRIC_CURVES = {
+    "end1": lambda: end_model(1),
+    "end2": lambda: end_model(2),
+    "end3-off-centre": lambda: end_model(3, 0.25 + 0.5j),
+    "end2-sheared": lambda: shear(end_model(2), 0.5 - 0.25j, "row1+row2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_METRIC_CURVES))
+def test_h3_pullback_is_conformal_with_the_induced_metric_factor(name):
+    # central differences of z -> A A* in the Minkowski metric: E = G,
+    # F = 0 and E = (1 + |g|^2)^2 |omega|^2, the factor a mesh reports
+    F = _METRIC_CURVES[name]()
+    h = 1e-5
+
+    def x(z):
+        return np.array(project_h3(F.evaluate(z)).as_tuple())
+
+    for z in (0.4 + 0.3j, 0.7 - 0.2j, 1.3 + 0.9j):
+        xu = (x(z + h) - x(z - h)) / (2 * h)
+        xv = (x(z + 1j * h) - x(z - 1j * h)) / (2 * h)
+        e, f, g = (minkowski_inner(xu, xu), minkowski_inner(xu, xv),
+                   minkowski_inner(xv, xv))
+        factor = induced_metric_factor(F, z)
+        assert abs(e - g) <= 1e-6 * factor and abs(f) <= 1e-6 * factor
+        assert e == pytest.approx(factor, rel=1e-6)
+
+
+def test_an_s31_sidecar_reports_the_h3_factor():
+    F = end_model(2)
+    h3 = build_surface_mesh(F, "h3", grid=(4, 8), radii=(0.5, 1.0))
+    s31 = build_surface_mesh(F, "s31", grid=(4, 8), radii=(0.5, 1.0))
+    assert s31.metric_factor == h3.metric_factor
