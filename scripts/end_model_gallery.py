@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Walk the standard end models and print their invariant table.
 
-For each multiplicity m = 1..8 the script builds end_model(m), verifies the
-exact predicates (unit determinant, null derivative), classifies the end at
-the puncture, and prints one row of exponents.  With --mesh it also writes
-hyperbolic-ball OBJ meshes of the first two models for quick inspection in
-any viewer.
+For each multiplicity m = 1..8 the script builds end_model(m), checks the
+four check_null_sl2 verdicts exactly (unit determinant, null derivative,
+immersion, nonflatness; it fails unless all hold), classifies the end at the
+puncture, and prints one row of verdicts and exponents.  With --mesh it
+also writes hyperbolic-ball OBJ meshes of the first two models for quick
+inspection in any viewer.
 
 Usage:
     python3 scripts/end_model_gallery.py [--mesh] [--out-dir DIR]
@@ -24,7 +25,8 @@ from nullsl2 import (
 
 
 def table(max_m: int = 8) -> None:
-    header = (f"{'m':>2} {'det==1':>7} {'null':>5} {'k':>4} {'l':>4} "
+    header = (f"{'m':>2} {'det==1':>7} {'null':>5} {'immersion':>9} "
+              f"{'nonflat':>7} {'k':>4} {'l':>4} "
               f"{'ord w':>6} {'qhat(-2)':>9} {'min MC ord':>11} "
               f"{'smooth?':>8}")
     print(header)
@@ -36,9 +38,11 @@ def table(max_m: int = 8) -> None:
         q2 = er.q_hat_minus2
         q2s = f"{q2.real:+.0f}" if q2.imag == 0 else str(q2)
         print(f"{m:>2} {str(rep.unimodular):>7} {str(rep.null):>5} "
+              f"{str(rep.immersion):>9} {str(rep.nonflat):>7} "
               f"{er.k:>4} {er.l:>4} {er.ord_omega:>6} {q2s:>9} "
               f"{er.min_maurer_cartan_ord:>11} "
               f"{str(er.smooth_candidate):>8}")
+        assert all(rep.as_dict().values()), f"m = {m}: {rep.as_dict()}"
         assert er.multiplicity == m
         assert (er.ord_omega + 1) ** 2 + 4 * q2.real == m * m
 

@@ -12,8 +12,10 @@ Gaussian integers over one common denominator.  Every polynomial kernel is
 an integer loop: product, sum, derivative, integral, Taylor shift, Horner
 evaluation, synthetic division (root multiplicity, deflation), Euclidean
 pseudo-division (gcd), the coefficient-size test behind the zero test
-(``_peak_within``) and a coprimality certificate by Euclid modulo one
-prime (``_coprime_mod_p``).  A point p = P/d enters as the Gaussian
+(``_peak_within``), a coprimality certificate by Euclid modulo one
+prime (``_coprime_mod_p``) and a certificate that a quotient is not
+constant, by one evaluation modulo the same prime
+(``_ratio_varies_mod_p``).  A point p = P/d enters as the Gaussian
 integer P acting on d**deg * f(x/d).  The :class:`ExactComplex` view of
 the coefficients is built only on request.
 
@@ -648,3 +650,41 @@ def _coprime_mod_p(polys: Iterable[Poly]) -> bool:
         if lead and len(g) == 1:
             return True
     return False
+
+
+#: the point, a residue modulo ``_P``, at which ``_ratio_varies_mod_p``
+#: evaluates; not 0, +-1 or +-i (the images of +-``_S``), where the
+#: numerators of structured inputs tend to vanish
+_X = 271828183
+
+
+def _value_and_slope_mod_p(f: Poly) -> tuple[int, int]:
+    """(F(_X), F'(_X)) modulo ``_P`` for f's Gaussian-integer numerator F,
+    i -> ``_S``, by Horner."""
+    v = s = 0
+    for r, m in zip(reversed(f._re), reversed(f._im)):
+        s = (s * _X + v) % _P
+        v = (v * _X + r + _S * m) % _P
+    return v, s
+
+
+def _ratio_varies_mod_p(a: Poly, u: Poly, b: Poly, v: Poly) -> bool:
+    """A certificate that (a/u) / (b/v) is not constant, for nonzero b,
+    u and v.
+
+    The quotient is N/D with N = a v and D = b u, and its derivative is
+    W / D**2 with W = N'D - ND'.  True when W's image at ``_X`` modulo
+    ``_P`` (i -> ``_S``) is nonzero; only the values and first derivatives
+    of the four numerators at ``_X`` are needed.  That is sound: built from
+    the Gaussian-integer numerators, W is multiplied by the product of the
+    four ``_den``, a nonzero constant, and the map into Z/p commutes with
+    d/dz, so a nonzero image means W != 0.  False means only "not
+    certified": a constant quotient, or a W whose image vanishes at
+    ``_X``, which for a nonzero image of degree d happens at d of the p
+    points at most (Schwartz, J. ACM 27, 1980).
+    """
+    (a0, a1), (u0, u1), (b0, b1), (v0, v1) = (
+        _value_and_slope_mod_p(f) for f in (a, u, b, v))
+    n0, n1 = a0 * v0, a1 * v0 + a0 * v1
+    d0, d1 = b0 * u0, b1 * u0 + b0 * u1
+    return (n1 * d0 - n0 * d1) % _P != 0

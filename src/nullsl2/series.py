@@ -879,10 +879,10 @@ def _binary_rational(op: str, f: MeroFunction, g: MeroFunction) -> MeroFunction:
     det F' or f1**2 + f2**2 + f3**2, where their denominators agree, sum
     over D, not D**2, and D is the scale ``is_identically_zero`` weighs
     at tol > 0.  ``sl2curve.tee_curve`` stores its four slots over one Q
-    for this rule, so a shear, det F and det F' sum over Q, Q**2 and Q**4.
-    The z**t cancelled from a product or a sum is its own: where Q(0) = 0
-    and a slot numerator vanishes at 0 too, lambda * slot drops that z
-    and leaves Q.
+    for this rule, so det F and det F' sum over Q**2 and Q**4.  The z**t
+    cancelled here is each result's own, so ``sl2curve.shear`` sums its
+    numerators over Q itself and cancels one z**t from Q and all four at
+    once, which keeps Q shared where Q(0) = 0.
     """
     a, b = f.rep, g.rep
     dom = _merge_domain(f.domain, g.domain)

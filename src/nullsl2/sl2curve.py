@@ -15,9 +15,10 @@ preserve unimodularity, nullity, and pointwise coincidence patterns up to
 the shear's operator norm on C^4.
 
 On a rational curve, written X = (N1, N2, N3)/D over one denominator D,
-`tee_curve` stores the four slots over one denominator Q = D N3.  Sums of
-slot products (a shear, det F, det F') then stay over Q, Q^2 or Q^4 and
-are not cross-multiplied.
+`tee_curve` stores the four slots over one denominator Q = D N3.  A shear
+keeps one denominator: it sums numerators over Q and drops a common power
+of z from Q and all four numerators at once.  Sums of slot products (det F,
+det F') then stay over Q^2 or Q^4 and are not cross-multiplied.
 """
 
 from __future__ import annotations
@@ -158,10 +159,11 @@ def tee_curve(X: C3NullCurve) -> SL2NullCurve:
     are D**2, D (N1 + i N2), D (N1 - i N2) and N1**2 + N2**2 + N3**2 over
     Q = D N3; ``series._cancel_monomial`` drops a common power of z from all
     five at once, since dropping it slot by slot would split Q where X3(0) = 0.
-    Shears, det F and det F' then sum over Q, Q**2 and Q**4 by the
-    shared-denominator rule of ``series._binary_rational``.  Windows take
-    the four divisions.  The pole set (X's and the zeros of X3) is
-    computed on first read of ``pole_set``.
+    ``shear`` keeps one denominator the same way, and det F and det F' sum
+    over Q**2 and Q**4 by the shared-denominator rule of
+    ``series._binary_rational``.  Windows take the four divisions.  The
+    pole set (X's and the zeros of X3) is computed on first read of
+    ``pole_set``.
     """
     X1, X2, X3 = X.components()
     if X3.is_identically_zero():
@@ -209,12 +211,15 @@ def check_null_sl2(F: SL2NullCurve, tol: float = ZERO_TOL) -> SL2Report:
     Exact on rational slots at ``tol == 0``; coefficient tests at `tol` on
     windows.  Nonflatness is ``not is_flat(F')``: on rational slots F' spans
     a fixed direction exactly when (c/ref)' == 0 for each nonzero slot
-    derivative c against the smallest one, ref; at ``tol > 0`` each
-    quotient derivative's numerator is compared against its own
-    denominator's scale.  Immersion is exact on rational slots whose
-    derivative numerators are coprime (a gcd modulo one prime certifies
-    it, and no root is found); otherwise it is numeric: a common zero of
-    the slot derivatives at 1e-6, off the pole and singular sets.
+    derivative c against the smallest one, ref.  At ``tol == 0`` one
+    evaluation modulo a prime of the numerator of (c/ref)' proves most
+    nonflat curves so, from the stored numerators alone, and only a zero
+    residue builds the quotient; at ``tol > 0`` each quotient derivative's
+    numerator is compared against its own denominator's scale.  Immersion
+    is exact on rational slots whose derivative numerators are coprime (a
+    gcd modulo one prime certifies it, and no root is found); otherwise it
+    is numeric: a common zero of the slot derivatives at 1e-6, off the
+    pole and singular sets.
     """
     det = F.det()
     unimodular = (det - 1).is_identically_zero(tol)
@@ -244,17 +249,37 @@ _SHEAR_RECIPES = {
 
 def shear(F: SL2NullCurve, lam, kind: str) -> SL2NullCurve:
     """Add lambda times one row/column of F to the other (constant
-    unimodular multiplication, hence structure preserving).  The sheared
-    curve keeps F's pole set; if F has not read it yet, it is computed
-    once, on the first read of either."""
+    unimodular multiplication, hence structure preserving).
+
+    When the four slots are rational over one stored denominator Q (every
+    ``tee_curve`` output), each target numerator becomes N_t + lambda N_s
+    over Q, and ``series._cancel_monomial`` drops a common power of z from
+    Q and all four numerators at once, so the sheared slots share one
+    denominator too; where Q(0) != 0 they are exactly the slots
+    F_t + lambda F_s that ``MeroFunction`` arithmetic gives.  Other curves
+    (end models, windows) take that arithmetic.  The sheared curve keeps
+    F's pole set; if F has not read it yet, it is computed once, on the
+    first read of either."""
     if kind not in _SHEAR_RECIPES:
         raise ValueError(f"unknown shear kind {kind!r}; "
                          f"expected one of {SHEAR_KINDS}")
-    slots = list(F.slots())
-    lam_f = MeroFunction.constant(lam, slots[0].base_point)
+    slots = F.slots()
     out = list(slots)
-    for target, source in _SHEAR_RECIPES[kind]:
-        out[target] = slots[target] + lam_f * slots[source]
+    reps = [f.rep for f in slots]
+    den = reps[0].den if slots[0].is_rational else None
+    if all(type(r) is Rational and r.den == den for r in reps):
+        nums = [r.num for r in reps]
+        doms = [f.domain for f in slots]
+        for target, source in _SHEAR_RECIPES[kind]:
+            nums[target] = nums[target] + reps[source].num.scale(lam)
+            doms[target] = _merge_domain(doms[target], slots[source].domain)
+        den, *nums = _cancel_monomial(den, *nums)
+        out = [MeroFunction(Rational(n, den), f.base_point, d)
+               for n, f, d in zip(nums, slots, doms)]
+    else:
+        lam_f = MeroFunction.constant(lam, slots[0].base_point)
+        for target, source in _SHEAR_RECIPES[kind]:
+            out[target] = slots[target] + lam_f * slots[source]
     return SL2NullCurve(out[0], out[1], out[2], out[3],
                         _pole_source(F), F.singular_set)
 

@@ -28,7 +28,7 @@ from .errors import (
     NonExactField,
 )
 from ._lazy import np
-from .exact import _coprime_mod_p
+from .exact import _coprime_mod_p, _ratio_varies_mod_p
 from .series import MeroFunction, ZERO_TOL, _window_slice
 
 _I = 1j
@@ -189,12 +189,13 @@ def check_null_c3(X: C3NullCurve, tol: float = ZERO_TOL) -> C3Report:
     Nullity and flatness are exact verdicts on rational representations
     at ``tol == 0`` and coefficient tests at `tol` on windows.  Flatness
     is ``is_flat`` of X': (c/ref)' == 0 for each nonzero component c
-    against the smallest one, ref; at ``tol > 0`` each quotient
-    derivative's numerator is compared against its own denominator's
-    scale.  Immersion is exact on rational components whose derivative
-    numerators are coprime (a gcd modulo one prime certifies it, and no
-    root is found); otherwise it is numeric: a common zero of the
-    derivatives at 1e-6, off the pole set.
+    against the smallest one, ref; at ``tol == 0`` an evaluation modulo
+    one prime proves most nonflat fields so without building a quotient,
+    and at ``tol > 0`` each quotient derivative's numerator is compared
+    against its own denominator's scale.  Immersion is exact on rational
+    components whose derivative numerators are coprime (a gcd modulo one
+    prime certifies it, and no root is found); otherwise it is numeric: a
+    common zero of the derivatives at 1e-6, off the pole set.
     """
     derivs = [c.differentiate() for c in X.components()]
     s = derivs[0] * derivs[0] + derivs[1] * derivs[1] + derivs[2] * derivs[2]
@@ -235,11 +236,15 @@ def is_flat(components, tol: float = ZERO_TOL) -> bool:
     nonzero component c, taken in order of that size; the test stops at
     the first c that fails.  For meromorphic functions this is the
     Wronskian test c'*ref - c*ref' == 0 on smaller polynomials.  At
-    ``tol == 0`` the verdict is exact; at ``tol > 0`` the numerator of
-    each (c/ref)' is compared against its own denominator's scale, as
-    ``MeroFunction.is_identically_zero`` does, and components zero to
-    within `tol` are left out.  Windows use 2x2 minors of the coefficient
-    matrix against the leading-direction row.
+    ``tol <= 0`` the verdict is exact, and each c is first offered to
+    ``exact._ratio_varies_mod_p``: one evaluation modulo a prime of the
+    numerator of (c/ref)' from the four stored numerators, which when
+    nonzero proves c fails without building the quotient; a zero residue
+    falls through to the exact quotient test.  At ``tol > 0`` the
+    numerator of each (c/ref)' is compared against its own denominator's
+    scale, as ``MeroFunction.is_identically_zero`` does, and components
+    zero to within `tol` are left out.  Windows use 2x2 minors of the
+    coefficient matrix against the leading-direction row.
     """
     comps = list(components)
     nonzero = [c for c in comps if not c.is_identically_zero(tol)]
@@ -248,8 +253,13 @@ def is_flat(components, tol: float = ZERO_TOL) -> bool:
     if all(c.is_rational for c in comps):
         ref, *rest = sorted(
             nonzero, key=lambda c: c.rep.num.degree + c.rep.den.degree)
-        return all((c / ref).differentiate().is_identically_zero(tol)
-                   for c in rest)
+        b, v = ref.rep.num, ref.rep.den
+        for c in rest:
+            if tol <= 0 and _ratio_varies_mod_p(c.rep.num, c.rep.den, b, v):
+                return False
+            if not (c / ref).differentiate().is_identically_zero(tol):
+                return False
+        return True
     # window path: minors row[i]*ref[j] - row[j]*ref[i], i < j, against the
     # row of largest peak, in real parts rounded one by one as Python's
     # complex product rounds them (numpy's fuses them on FMA hardware)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nullsl2.exact import _P, _S, ExactComplex, Poly, _coprime_mod_p, poly_gcd
+from nullsl2 import MeroFunction, is_flat
+from nullsl2.exact import (_P, _S, _X, ExactComplex, Poly, _coprime_mod_p,
+                           _ratio_varies_mod_p, poly_gcd)
 
 sp = pytest.importorskip("sympy")
 
@@ -341,3 +343,64 @@ def test_a_constant_divisible_by_p_is_not_certified():
     assert not _coprime_mod_p([Poly([_P])])
     assert not _coprime_mod_p([Poly([3 * _P]), Poly([_P * 1j])])
     assert not _coprime_mod_p([])
+
+
+# ---------------------------------------------------------------------------
+# the modular nonconstancy certificate of a quotient
+# ---------------------------------------------------------------------------
+
+#: (a, u, b, v): the quotient (a/u) / (b/v) with nonzero u, b and v
+_ratio_parts = st.tuples(_poly, _nonzero_poly, _nonzero_poly, _nonzero_poly)
+
+
+def _sym_wronskian(a, u, b, v):
+    """N'D - ND' for N = a v and D = b u, in sympy over Q(i)."""
+    n, d = to_sym(a) * to_sym(v), to_sym(b) * to_sym(u)
+    return n.diff(X) * d - n * d.diff(X)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_ratio_parts)
+def test_a_ratio_certificate_means_a_nonzero_sympy_derivative(parts):
+    w = _sym_wronskian(*parts)
+    if _ratio_varies_mod_p(*parts):
+        assert not w.is_zero
+    # the certificate reads the image of W at _X: the Gaussian-integer
+    # numerators give W times the product of the four denominators
+    scale = math.prod(p._den for p in parts)
+    value = w.eval(_X) * scale
+    re, im = (int(sp.Integer(t)) for t in (sp.re(value), sp.im(value)))
+    assert _ratio_varies_mod_p(*parts) == ((re + _S * im) % _P != 0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_nonzero_poly, _nonzero_poly, _nonzero_poly, _scalar)
+def test_a_constant_ratio_is_never_certified(b, v, w, k):
+    # c = k ref, written over a common factor w: a = k b w, u = v w
+    assert not _ratio_varies_mod_p(b.scale(k) * w, v * w, b, v)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_moderate_poly.filter(lambda p: not p.is_zero()), _nonzero_poly,
+       _nonzero_poly)
+def test_a_ratio_vanishing_at_the_point_falls_through_to_the_exact_test(
+        g, u, ref_num):
+    # a = (z - _X)**2 g: N = a and D = ref_num u both stay, and W = N'D -
+    # ND' has a root at _X, so its image vanishes there
+    a = Poly([-_X, 1]) * Poly([-_X, 1]) * g
+    one = Poly.one()
+    assert not _ratio_varies_mod_p(a, u, ref_num, one)
+    assert not _ratio_varies_mod_p(ref_num, one, a, u)
+    comps = [MeroFunction.from_rational(a, u),
+             MeroFunction.from_rational(ref_num)]
+    assert is_flat(comps, 0.0) == _sym_wronskian(a, u, ref_num, one).is_zero
+
+
+def test_a_linear_factor_at_the_point_is_decided_exactly():
+    # c = z**2 - 2 _X z against 1: c' = 2 (z - _X) vanishes at _X mod p
+    c = Poly([0, -2 * _X, 1])
+    assert not _ratio_varies_mod_p(c, Poly.one(), Poly.one(), Poly.one())
+    assert not is_flat([MeroFunction.constant(1),
+                        MeroFunction.from_rational(c)], 0.0)
+    assert _ratio_varies_mod_p(Poly([0, 1]), Poly.one(), Poly.one(),
+                               Poly.one())

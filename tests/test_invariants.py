@@ -504,7 +504,10 @@ def test_end_model_gallery_script(tmp_path, monkeypatch, capsys):
     runpy.run_path(str(script), run_name="__main__")
     out = capsys.readouterr().out
     rows = [ln.split() for ln in out.splitlines()]
-    assert [int(r[0]) for r in rows if r and r[0].isdigit()] == list(range(1, 9))
+    table = [r for r in rows if r and r[0].isdigit()]
+    assert [int(r[0]) for r in table] == list(range(1, 9))
+    # det==1, null, immersion and nonflat
+    assert all(r[1:5] == ["True"] * 4 for r in table)
     for m in (1, 2):
         assert (tmp_path / f"end_model_{m}_h3.obj").stat().st_size > 0
 

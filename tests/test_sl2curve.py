@@ -44,6 +44,7 @@ from nullsl2 import (
 )
 from nullsl2.exact import _coprime_mod_p
 from nullsl2.serialize import sl2_to_dict
+from nullsl2.sl2curve import _SHEAR_RECIPES
 from nullsl2.spinor import _sorted_points
 
 from conftest import random_sl2_curve, random_c3_curve
@@ -259,21 +260,30 @@ def _tee_pool(count=24, seed=20261019):
 
 
 def test_tee_curve_slots_share_one_denominator():
-    # one stored Poly Q for the four slots.  Where Q(0) != 0 a shear sums
-    # over Q and keeps it; where Q(0) = 0 and a slot numerator vanishes at
-    # 0 too, the product lambda * slot cancels that z on its own
-    # (series._cancel_monomial) and the sheared slots are cross-multiplied
-    kept = 0
-    for F, lam in _tee_pool():
+    # one stored Poly Q for the four slots, and a shear keeps one: where
+    # Q(0) != 0 it is Q and the slots are those of MeroFunction arithmetic
+    # F_t + lambda F_s; where Q(0) = 0 a common power of z may leave Q and
+    # the four numerators at once
+    pool = _tee_pool()
+    at_zero = 0
+    for F, lam in pool:
         dens = {s.rep.den for s in F.slots()}
         assert len(dens) == 1
         (Q,) = dens
-        if Q.low_order():
-            continue
+        lam_f = MeroFunction.constant(lam, F.F1.base_point)
         for kind in SHEAR_KINDS:
-            assert {s.rep.den for s in shear(F, lam, kind).slots()} == {Q}
-        kept += 1
-    assert kept >= 10
+            G = shear(F, lam, kind)
+            assert len({s.rep.den for s in G.slots()}) == 1
+            if Q.low_order():
+                continue
+            assert G.F1.rep.den == Q
+            slots = F.slots()
+            expected = list(slots)
+            for target, source in _SHEAR_RECIPES[kind]:
+                expected[target] = slots[target] + lam_f * slots[source]
+            assert G.slots() == tuple(expected)
+        at_zero += bool(Q.low_order())
+    assert 10 <= at_zero <= len(pool) - 10
     for X in _tee_inputs().values():
         assert len({s.rep.den for s in tee_curve(X).slots()}) == 1
 

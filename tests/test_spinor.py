@@ -27,6 +27,7 @@ from nullsl2 import (
     shear,
     spinor_common_zero_points,
 )
+from nullsl2 import spinor as spinor_module
 from nullsl2.serialize import curve_from_dict, sl2_to_dict
 
 from conftest import (
@@ -318,6 +319,14 @@ def test_is_flat_differentiates_quotients_not_components(monkeypatch):
         return differentiate(self)
 
     monkeypatch.setattr(MeroFunction, "differentiate", record)
+    certify = spinor_module._ratio_varies_mod_p
+    offered = []
+
+    def offer(a, u, b, v):
+        offered.append(a)
+        return certify(a, u, b, v)
+
+    monkeypatch.setattr(spinor_module, "_ratio_varies_mod_p", offer)
     z = [MeroFunction.monomial(k) for k in range(1, 5)]
     f = MeroFunction.from_rational((1, 2), (3, 0, 1))
     flat = [f * 2, f, f * (1 - 1j), f * 0.5]
@@ -326,7 +335,11 @@ def test_is_flat_differentiates_quotients_not_components(monkeypatch):
     assert not any(r is c for r in seen for c in flat)
     seen.clear()
     nonflat = z[::-1]   # z^4, z^3, z^2, z: the reference is z
+    offered.clear()
     assert not is_flat(nonflat, 0.0)
+    assert seen == []   # certified modulo a prime: no quotient is built
+    assert offered == [z[1].rep.num]   # and it stops at z^2, the first
+    assert not is_flat(nonflat, 1e-12)
     assert len(seen) == 1   # the first quotient, z^2 / z, already fails
     assert seen[0].rep == (z[1] / z[0]).rep
     assert not any(r is c for r in seen for c in nonflat)
