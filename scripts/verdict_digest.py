@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 of the verdicts on the construct and ends benchmark pools.
+
+For each seed given, the script builds the construct and ends pools of
+``perfbench/workloads.py`` and runs every op.  Each curve an op hands to
+``check_null_sl2`` is checked again at tol 0, 1e-12, 1e-8 and 1e-4, and
+each ``classify_end`` report is kept.  All reports, as JSON with sorted
+keys, go into one SHA-256.  Two checkouts that print the same digest for
+the same seeds decide every one of these verdicts alike, so a change meant
+to keep the verdicts can be compared with the commit it starts from:
+
+    python3 scripts/verdict_digest.py 1 7
+    python3 scripts/verdict_digest.py --tree ../base-checkout 1 7
+
+``--tree`` names the checkout whose ``src`` and ``perfbench`` are imported
+(the one holding this script by default).  The pools are imported, not
+changed.  It prints one line per seed with its record count, then the
+digest.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TOLS = (0.0, 1e-12, 1e-8, 1e-4)
+
+
+def records(seed: int, nl, workloads) -> list:
+    """Every report the construct and ends ops of one seed ask for."""
+    out = []
+    check, classify = nl.check_null_sl2, nl.classify_end
+
+    def checked(F, tol=nl.ZERO_TOL):
+        rep = check(F, tol)
+        out.append(["check_null_sl2",
+                    [check(F, t).as_dict() for t in TOLS]])
+        return rep
+
+    def classified(F, center, *args, **kwargs):
+        rep = classify(F, center, *args, **kwargs)
+        out.append(["classify_end", rep.as_dict()])
+        return rep
+
+    nl.check_null_sl2, nl.classify_end = checked, classified
+    try:
+        for op in workloads.construct_ops(seed) + workloads.ends_ops(seed):
+            op.run()
+    finally:
+        nl.check_null_sl2, nl.classify_end = check, classify
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("seeds", nargs="+", type=int)
+    ap.add_argument("--tree", default=ROOT,
+                    help="checkout whose src/ and perfbench/ are imported")
+    args = ap.parse_args(argv)
+    tree = os.path.abspath(args.tree)
+    sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
+    import nullsl2 as nl
+    import workloads
+
+    digest = hashlib.sha256()
+    for seed in args.seeds:
+        recs = records(seed, nl, workloads)
+        digest.update(json.dumps(recs, sort_keys=True).encode("ascii"))
+        print(f"seed {seed}: {len(recs)} records")
+    print(digest.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

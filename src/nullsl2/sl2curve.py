@@ -17,8 +17,11 @@ the shear's operator norm on C^4.
 On a rational curve, written X = (N1, N2, N3)/D over one denominator D,
 `tee_curve` stores the four slots over one denominator Q = D N3.  A shear
 keeps one denominator: it sums numerators over Q and drops a common power
-of z from Q and all four numerators at once.  Sums of slot products (det F,
-det F') then stay over Q^2 or Q^4 and are not cross-multiplied.
+of z from Q and all four numerators at once.  On such a curve, with
+F_k = N_k/Q, ``check_null_sl2`` at tol <= 0 decides unimodular as
+N1 N4 - N2 N3 == Q^2 and then null as N1' N4' - N2' N3' == Q'^2, and F'
+is built from Q' and Q^2 made once.  Elsewhere sums of slot products
+(det F, det F') stay over Q^2 or Q^4 and are not cross-multiplied.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import cached_property
+from math import isfinite
 
 from ._lazy import np
 from .errors import (
@@ -60,7 +64,11 @@ class SL2NullCurve:
     The derivative F' = (F1', F2', F3', F4'), det F' = F1'F4' - F2'F3' and
     omega = F1 F3' - F3 F1' are computed once per curve, on first use, and
     every check that reads them (validity, both Gauss maps, the Hopf
-    cross-check, the Maurer-Cartan trace) shares them.  This is sound
+    cross-check, the Maurer-Cartan trace) shares them.  Where the four
+    slots share one stored denominator Q, F' is (N_k' Q - N_k Q')/Q^2 with
+    Q' and Q^2 built once, each slot's own power of z dropped, so each
+    slot equals its ``differentiate()``; and ``check_null_sl2`` at
+    tol <= 0 reads det F' only where N1 N4 - N2 N3 != Q^2.  This is sound
     because the slots are immutable and the three values do not depend on a
     tolerance.  They are cached outside the fields, so equality, hashing,
     repr and serialization see only the slots and the two point sets; a
@@ -88,7 +96,21 @@ class SL2NullCurve:
 
     @cached_property
     def _derivative(self) -> tuple[MeroFunction, ...]:
-        return tuple(s.differentiate() for s in self.slots())
+        slots = self.slots()
+        shared = _one_denominator(slots)
+        if shared is None:
+            return tuple(s.differentiate() for s in slots)
+        # F_k' = (N_k' Q - N_k Q') / Q**2 with Q' and Q**2 built once; each
+        # slot drops its own power of z, as MeroFunction.differentiate does
+        Q, *nums = shared
+        if Q.degree == 0:
+            pairs = [(Q, n.derivative()) for n in nums]
+        else:
+            dQ, QQ = Q.derivative(), Q * Q
+            pairs = [_cancel_monomial(QQ, n.derivative() * Q - n * dQ)
+                     for n in nums]
+        return tuple(MeroFunction(Rational(num, den), s.base_point, s.domain)
+                     for (den, num), s in zip(pairs, slots))
 
     @cached_property
     def _det_derivative(self) -> MeroFunction:
@@ -159,9 +181,10 @@ def tee_curve(X: C3NullCurve) -> SL2NullCurve:
     are D**2, D (N1 + i N2), D (N1 - i N2) and N1**2 + N2**2 + N3**2 over
     Q = D N3; ``series._cancel_monomial`` drops a common power of z from all
     five at once, since dropping it slot by slot would split Q where X3(0) = 0.
-    ``shear`` keeps one denominator the same way, and det F and det F' sum
-    over Q**2 and Q**4 by the shared-denominator rule of
-    ``series._binary_rational``.  Windows take the four divisions.  The
+    ``shear`` keeps one denominator the same way.  ``check_null_sl2`` at
+    tol <= 0 reads the first two verdicts from these numerators; at tol > 0
+    det F and det F' sum over Q**2 and Q**4 by the shared-denominator rule
+    of ``series._binary_rational``.  Windows take the four divisions.  The
     pole set (X's and the zeros of X3) is computed on first read of
     ``pole_set``.
     """
@@ -208,27 +231,55 @@ def _with_zeros(poles, f) -> tuple[complex, ...]:
 def check_null_sl2(F: SL2NullCurve, tol: float = ZERO_TOL) -> SL2Report:
     """Unimodularity, nullity, immersion and nonflatness verdicts.
 
-    Exact on rational slots at ``tol == 0``; coefficient tests at `tol` on
-    windows.  Nonflatness is ``not is_flat(F')``: on rational slots F' spans
-    a fixed direction exactly when (c/ref)' == 0 for each nonzero slot
-    derivative c against the smallest one, ref.  At ``tol == 0`` one
-    evaluation modulo a prime of the numerator of (c/ref)' proves most
-    nonflat curves so, from the stored numerators alone, and only a zero
-    residue builds the quotient; at ``tol > 0`` each quotient derivative's
-    numerator is compared against its own denominator's scale.  Immersion
-    is exact on rational slots whose derivative numerators are coprime (a
-    gcd modulo one prime certifies it, and no root is found); otherwise it
-    is numeric: a common zero of the slot derivatives at 1e-6, off the
-    pole and singular sets.
+    Exact on rational slots at ``tol <= 0``; coefficient tests at `tol` on
+    windows.  Where the four slots are rational over one stored
+    denominator Q (F_k = N_k/Q: ``tee_curve`` output and its shears),
+    ``tol <= 0`` decides the first two on the numerators: unimodular is
+    N1 N4 - N2 N3 == Q**2, and then null is N1' N4' - N2' N3' == Q'**2,
+    since the numerator of det F' over Q**4 is Q**2 (N1' N4' - N2' N3' -
+    Q'**2) wherever N1 N4 - N2 N3 = Q**2.  Otherwise (tol > 0, windows,
+    slots over different denominators, or not unimodular) det F - 1 and
+    det F' are built and tested.  Nonflatness is ``not is_flat(F')``: on
+    rational slots F' spans a fixed direction exactly when (c/ref)' == 0
+    for each nonzero slot derivative c against the smallest one, ref.  At
+    ``tol <= 0`` one evaluation modulo a prime of the numerator of
+    (c/ref)' proves most nonflat curves so, from the stored numerators
+    alone, and only a zero residue builds the quotient; at ``tol > 0``
+    each quotient derivative's numerator is compared against its own
+    denominator's scale.  Immersion is exact on rational slots whose
+    derivative numerators are coprime (a gcd modulo one prime certifies
+    it, and no root is found); otherwise it is numeric: a common zero of
+    the slot derivatives at 1e-6, off the pole and singular sets.  A NaN
+    or infinite tol raises ValueError.
     """
-    det = F.det()
-    unimodular = (det - 1).is_identically_zero(tol)
+    if not isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
+    shared = _one_denominator(F.slots()) if tol <= 0 else None
+    if shared is None:
+        unimodular = (F.det() - 1).is_identically_zero(tol)
+    else:
+        Q, N1, N2, N3, N4 = shared
+        unimodular = N1 * N4 - N2 * N3 == Q * Q
+    if shared is not None and unimodular:
+        dQ, d1, d2, d3, d4 = (p.derivative() for p in shared)
+        null = d1 * d4 - d2 * d3 == dQ * dQ
+    else:
+        null = F._det_derivative.is_identically_zero(tol)
     d = F._derivative
-    null = F._det_derivative.is_identically_zero(tol)
     immersion = not _has_common_zero(
         d, lambda: (*F.pole_set, *F.singular_set), tol)
     nonflat = not is_flat(d, tol)
     return SL2Report(unimodular, null, immersion, nonflat)
+
+
+def _one_denominator(slots):
+    """(Q, N1, N2, N3, N4) when the four slots are rational over one stored
+    denominator Q (equal ``Poly``), so that F_k = N_k/Q; else None."""
+    reps = [f.rep for f in slots]
+    den = reps[0].den if type(reps[0]) is Rational else None
+    if all(type(r) is Rational and r.den == den for r in reps):
+        return (den, *(r.num for r in reps))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +316,12 @@ def shear(F: SL2NullCurve, lam, kind: str) -> SL2NullCurve:
                          f"expected one of {SHEAR_KINDS}")
     slots = F.slots()
     out = list(slots)
-    reps = [f.rep for f in slots]
-    den = reps[0].den if slots[0].is_rational else None
-    if all(type(r) is Rational and r.den == den for r in reps):
-        nums = [r.num for r in reps]
+    shared = _one_denominator(slots)
+    if shared is not None:
+        den, *nums = shared
         doms = [f.domain for f in slots]
         for target, source in _SHEAR_RECIPES[kind]:
-            nums[target] = nums[target] + reps[source].num.scale(lam)
+            nums[target] = nums[target] + shared[1 + source].scale(lam)
             doms[target] = _merge_domain(doms[target], slots[source].domain)
         den, *nums = _cancel_monomial(den, *nums)
         out = [MeroFunction(Rational(n, den), f.base_point, d)

@@ -5,7 +5,10 @@ import cmath
 import dataclasses
 import hashlib
 import json
+import runpy
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,9 +45,10 @@ from nullsl2 import (
     tee_inv,
     tee_inv_curve,
 )
-from nullsl2.exact import _coprime_mod_p
+from nullsl2.exact import Poly, _coprime_mod_p
 from nullsl2.serialize import sl2_to_dict
-from nullsl2.sl2curve import _SHEAR_RECIPES
+from nullsl2.series import Rational
+from nullsl2.sl2curve import _SHEAR_RECIPES, _one_denominator
 from nullsl2.spinor import _sorted_points
 
 from conftest import random_sl2_curve, random_c3_curve
@@ -305,6 +309,103 @@ def test_tee_reports_digest_is_pinned():
     text = json.dumps(lines, sort_keys=True)
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == \
         _TEE_REPORTS_SHA
+
+
+def _over_one_denominator(nums, Q):
+    """The curve (N1, N2, N3, N4)/Q with every slot stored over Q."""
+    return SL2NullCurve(*(MeroFunction(Rational(n, Q)) for n in nums))
+
+
+def _one_denominator_curves():
+    """Curves whose four slots share one stored denominator: every
+    _tee_pool curve, plain and under each shear kind (Q(0) = 0 on some);
+    each with one numerator scaled (not unimodular); and (1, z, z, 1 + z^2)
+    Q/Q, unimodular with det F' = -1, over Q with Q(0) != 0, Q(0) = 0 and
+    constant Q, with their shears."""
+    curves = []
+    for F, lam in _tee_pool():
+        curves.append(F)
+        curves.extend(shear(F, lam, kind) for kind in SHEAR_KINDS)
+        Q, N1, *rest = _one_denominator(F.slots())
+        curves.append(_over_one_denominator([N1.scale(1 + 1j), *rest], Q))
+    for Q in (Poly([1, 2j, 3]), Poly([0, 1, 1 - 1j]), Poly([0.5 + 2j])):
+        nums = [Poly([1]) * Q, Poly([0, 1]) * Q, Poly([0, 1]) * Q,
+                Poly([1, 0, 1]) * Q]
+        F = _over_one_denominator(nums, Q)
+        curves.append(F)
+        curves.extend(shear(F, 0.75 - 0.5j, kind) for kind in SHEAR_KINDS)
+    return curves
+
+
+def test_one_denominator_verdicts_equal_the_general_path():
+    # at tol 0 the numerators decide unimodular (N1 N4 - N2 N3 == Q^2)
+    # and null (N1' N4' - N2' N3' == Q'^2); det F - 1 and det F' over Q^4
+    # must give the same verdicts, and F' must be the per-slot derivative
+    outcomes, dens = set(), []
+    for G in _one_denominator_curves():
+        Q = _one_denominator(G.slots())[0]
+        rep = check_null_sl2(G, tol=0.0)
+        assert rep.unimodular == (G.det() - 1).is_identically_zero(0)
+        assert rep.null == G._det_derivative.is_identically_zero(0)
+        assert G._derivative == tuple(s.differentiate() for s in G.slots())
+        outcomes.add((rep.unimodular, rep.null))
+        dens.append(Q)
+    assert outcomes == {(True, True), (True, False), (False, False)}
+    # constant Q, and non-constant Q with Q(0) = 0 and with Q(0) != 0
+    assert {(Q.degree > 0, Q.low_order() > 0) for Q in dens} == \
+        {(False, False), (True, True), (True, False)}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+def test_one_denominator_check_rejects_a_non_finite_tol(tol):
+    F, _ = _tee_pool()[0]
+    with pytest.raises(ValueError):
+        check_null_sl2(F, tol)
+
+
+def test_tee_curve_check_differentiates_no_slot_and_builds_no_det_derivative(
+        monkeypatch):
+    # F' is built from Q', Q^2 and the four numerators, and the null
+    # verdict reads the numerators, so no slot is differentiated and det F'
+    # is never built.  is_flat differentiates a quotient only where its
+    # modular residue is zero, which happens on the flat curve alone
+    calls = []
+    real_differentiate = MeroFunction.differentiate
+
+    def counted(self):
+        calls.append(self)
+        return real_differentiate(self)
+
+    monkeypatch.setattr(MeroFunction, "differentiate", counted)
+    for F, lam in _tee_pool():
+        for G in (F, *(shear(F, lam, kind) for kind in SHEAR_KINDS)):
+            calls.clear()
+            rep = check_null_sl2(G, tol=0.0)
+            assert "_det_derivative" not in vars(G)
+            assert not any(f is s for f in calls for s in G.slots())
+            assert calls == [] or not rep.nonflat
+
+
+def test_verdict_digest_script_records_every_check_and_classification(
+        monkeypatch):
+    # one construct cycle (three curve ops, each checking a curve and its
+    # shear) and one ends cycle (35 ops, each one check and one
+    # classification), with the pools' namespace restored afterwards
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import nullsl2
+    import workloads
+    monkeypatch.setitem(workloads.CYCLES, "construct", 1)
+    monkeypatch.setitem(workloads.CYCLES, "ends", 1)
+    script = runpy.run_path(str(root / "scripts" / "verdict_digest.py"))
+    check, classify = nullsl2.check_null_sl2, nullsl2.classify_end
+    recs = script["records"](5, nullsl2, workloads)
+    assert (nullsl2.check_null_sl2, nullsl2.classify_end) == (check, classify)
+    assert Counter(r[0] for r in recs) == {"check_null_sl2": 6 + 35,
+                                          "classify_end": 35}
+    checks = [r[1] for r in recs if r[0] == "check_null_sl2"]
+    assert all(len(reps) == 4 and reps[0]["unimodular"] and reps[0]["null"]
+               for reps in checks)
 
 
 # ---------------------------------------------------------------------------

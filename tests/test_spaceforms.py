@@ -16,12 +16,14 @@ from nullsl2 import (
     l4_from_her,
     membership,
     minkowski_inner,
+    omega,
     poincare_ball,
     project_h3,
     project_s31,
     random_su2,
     random_su11,
     random_unimodular,
+    secondary_gauss,
     shear,
 )
 
@@ -173,6 +175,61 @@ def test_h3_pullback_is_conformal_with_the_induced_metric_factor(name):
         factor = induced_metric_factor(F, z)
         assert abs(e - g) <= 1e-6 * factor and abs(f) <= 1e-6 * factor
         assert e == pytest.approx(factor, rel=1e-6)
+
+
+@pytest.mark.parametrize("name", sorted(_METRIC_CURVES))
+def test_s31_pullback_is_conformal_with_the_de_sitter_factor(name):
+    # central differences of z -> A J A*: E = G, F = 0 and E = (1 - |g|^2)^2
+    # |omega|^2.  The largest relative error measured over these twelve
+    # points is 2.6e-8 (end3-off-centre at 0.7-0.2i), so 1e-7 holds it
+    # with a margin of about 4
+    F = _METRIC_CURVES[name]()
+    g, w = secondary_gauss(F), omega(F)
+    h = 1e-5
+
+    def x(z):
+        return np.array(project_s31(F.evaluate(z)).as_tuple())
+
+    for z in (0.4 + 0.3j, 0.7 - 0.2j, 1.3 + 0.9j):
+        xu = (x(z + h) - x(z - h)) / (2 * h)
+        xv = (x(z + 1j * h) - x(z - 1j * h)) / (2 * h)
+        e, f, gg = (minkowski_inner(xu, xu), minkowski_inner(xu, xv),
+                    minkowski_inner(xv, xv))
+        factor = (1 - abs(g.evaluate(z)) ** 2) ** 2 * abs(w.evaluate(z)) ** 2
+        assert abs(e - gg) <= 1e-7 * factor and abs(f) <= 1e-7 * factor
+        assert e == pytest.approx(factor, rel=1e-7)
+
+
+_MINKOWSKI = np.diag([-1.0, 1.0, 1.0, 1.0])
+
+
+def _fd_mean_curvature(x, z, h=1e-4):
+    """|H| of the conformal surface x at z, by central differences: the
+    unit normal n is orthogonal to x, x_u and x_v in the Minkowski metric
+    (spacelike in H^3, timelike in S^3_1), and |H| = |<x_uu + x_vv, n>|/(2E)."""
+    x0 = x(z)
+    xu = (x(z + h) - x(z - h)) / (2 * h)
+    xv = (x(z + 1j * h) - x(z - 1j * h)) / (2 * h)
+    lap = (x(z + h) + x(z - h) + x(z + 1j * h) + x(z - 1j * h) - 4 * x0) / h**2
+    n = np.linalg.svd(np.array([x0, xu, xv]) @ _MINKOWSKI)[2][-1]
+    n = n / np.sqrt(abs(minkowski_inner(n, n)))
+    return abs(minkowski_inner(lap, n)) / (2 * minkowski_inner(xu, xu))
+
+
+@pytest.mark.parametrize("name", ["end2", "end2-sheared", "end3-off-centre"])
+@pytest.mark.parametrize("project", [project_h3, project_s31])
+def test_both_projections_have_mean_curvature_one(name, project):
+    # CMC-1 in H^3 (Bryant) and in S^3_1 (Aiyama-Akutagawa, Fujimori): the
+    # largest measured | |H| - 1 | over these twelve readings is 2.0e-6
+    # (end3-off-centre in S^3_1 at 0.4+0.3i), so 1e-5 holds it with a
+    # margin of about 5
+    F = _METRIC_CURVES[name]()
+
+    def x(z):
+        return np.array(project(F.evaluate(z)).as_tuple())
+
+    for z in (0.4 + 0.3j, 0.7 - 0.2j):
+        assert _fd_mean_curvature(x, z) == pytest.approx(1.0, abs=1e-5)
 
 
 def test_an_s31_sidecar_reports_the_h3_factor():
