@@ -6,10 +6,19 @@ of two representation keys:
     {"rational": {"num": [[re, im], ...], "den": [[re, im], ...]}}
     {"laurent":  {"min_exp": n, "coeffs": [[re, im], ...]}}
 
-plus "base_point" and "domain".  Curves are recognized by their component
-keys: F1..F4 for SL(2,C) targets, X1..X3 for C^3 targets.  All loaders
-wrap malformed input in ParseError; all dumps are deterministic
-(sorted keys, two-space indent, trailing newline).
+plus "base_point" and "domain".  A rational coefficient list that floats
+cannot hold exactly (a Taylor shift to a non-dyadic centre) also gets an
+exact payload under "rational"/"exact", keyed "num" or "den": the stored
+integers of the ``Poly``, coefficient k being (re[k] + i im[k]) / den,
+
+    {"den": "0x...", "re": ["0x...", ...], "im": ["0x...", ...]}
+
+as hex strings (no digit limit applies to them).  The loader prefers it
+and refuses a file whose floats are not its coefficients rounded; files
+whose coefficients are exact as floats carry no such payload.  Curves are
+recognized by their component keys: F1..F4 for SL(2,C) targets, X1..X3
+for C^3 targets.  All loaders wrap malformed input in ParseError; all
+dumps are deterministic (sorted keys, two-space indent, trailing newline).
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ import json
 import math
 
 from .errors import ParseError
+from .exact import Poly
 from .meshing import SurfaceMesh, sidecar_dict
 from .periods import Cycle, PeriodReport, SprayFamily
 from .series import (DomainTag, MeroFunction, annulus, disk, plane,
@@ -84,11 +94,17 @@ def mero_to_dict(f: MeroFunction) -> dict:
     out = {"base_point": complex_pair(f.base_point),
            "domain": domain_to_dict(f.domain)}
     if f.is_rational:
-        num, den = f.rep.num.float_coeffs(), f.rep.den.float_coeffs()
-        out["rational"] = {
-            "num": [complex_pair(c) for c in reversed(num)],
-            "den": [complex_pair(c) for c in reversed(den)],
-        }
+        rat = out["rational"] = {}
+        exact = {}
+        for key, p in (("num", f.rep.num), ("den", f.rep.den)):
+            floats = p.float_coeffs()[::-1]
+            rat[key] = [complex_pair(c) for c in floats]
+            if Poly(floats) != p:
+                exact[key] = {"den": hex(p._den),
+                              "re": [hex(r) for r in p._re],
+                              "im": [hex(m) for m in p._im]}
+        if exact:
+            rat["exact"] = exact
     else:
         w = f.rep
         out["laurent"] = {
@@ -106,7 +122,11 @@ def mero_from_dict(data: dict) -> MeroFunction:
         rat = data["rational"]
         num = [_as_complex(c) for c in rat["num"]]
         den = [_as_complex(c) for c in rat.get("den", [[1.0, 0.0]])]
-        if not any(den):
+        exact = rat.get("exact", {})
+        num, den = (_exact_poly(exact[key], floats) if key in exact
+                    else Poly(floats)
+                    for key, floats in (("num", num), ("den", den)))
+        if den.is_zero():
             raise ParseError("rational payload has a zero denominator")
         return MeroFunction.from_rational(num, den, base, domain)
     if "laurent" in data:
@@ -115,6 +135,19 @@ def mero_from_dict(data: dict) -> MeroFunction:
         return MeroFunction.from_laurent(int(lau["min_exp"]), coeffs, base,
                                          domain)
     raise ParseError("function payload needs a 'rational' or 'laurent' key")
+
+
+def _exact_poly(data: dict, floats: list[complex]) -> Poly:
+    """The ``Poly`` of an exact payload, whose coefficients rounded to
+    floats must be ``floats`` (ascending)."""
+    den, re, im = (int(data["den"], 16), [int(r, 16) for r in data["re"]],
+                   [int(m, 16) for m in data["im"]])
+    if den <= 0 or len(re) != len(im):
+        raise ParseError("exact payload needs den > 0 and as many re as im")
+    p = Poly._make(den, re, im)
+    if list(p.float_coeffs()[::-1]) != floats:
+        raise ParseError("exact payload and float coefficients disagree")
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ preserve unimodularity, nullity, and pointwise coincidence patterns up to
 the shear's operator norm on C^4.
 
 On a rational curve, written X = (N1, N2, N3)/D over one denominator D,
-`tee_curve` stores the four slots over one denominator Q = D N3.  A shear
-keeps one denominator: it sums numerators over Q and drops a common power
-of z from Q and all four numerators at once.  On such a curve, with
+`tee_curve` stores the four slots over one denominator: Q = N3 where D
+divides N1^2 + N2^2 + N3^2 (one exact division tells), so that the factor
+D common to the five products is not stored, else Q = D N3.  A shear keeps
+one denominator: it sums numerators over Q and drops a common power of z
+from Q and all four numerators at once.  On such a curve, with
 F_k = N_k/Q, ``check_null_sl2`` at tol <= 0 decides unimodular as
 N1 N4 - N2 N3 == Q^2 and then null as N1' N4' - N2' N3' == Q'^2, and F'
 is built from Q' and Q^2 made once.  Elsewhere sums of slot products
@@ -179,12 +181,20 @@ def tee_curve(X: C3NullCurve) -> SL2NullCurve:
     On rational X the four slots share one stored denominator.  With
     X = (N1, N2, N3) / D over one D (``series._common_denominator``), they
     are D**2, D (N1 + i N2), D (N1 - i N2) and N1**2 + N2**2 + N3**2 over
-    Q = D N3; ``series._cancel_monomial`` drops a common power of z from all
-    five at once, since dropping it slot by slot would split Q where X3(0) = 0.
-    ``shear`` keeps one denominator the same way.  ``check_null_sl2`` at
-    tol <= 0 reads the first two verdicts from these numerators; at tol > 0
-    det F and det F' sum over Q**2 and Q**4 by the shared-denominator rule
-    of ``series._binary_rational``.  Windows take the four divisions.  The
+    Q = D N3.  These five share the factor D where D divides
+    N1**2 + N2**2 + N3**2, which one exact division decides: then the
+    slots are stored without it, as D, N1 + i N2, N1 - i N2 and
+    (N1**2 + N2**2 + N3**2)/D over Q = N3.  That is the case wherever the
+    poles of X lie in X1 - i X2 alone (X1 + i X2 and X3 regular there, as
+    on the curves ``integrate_null`` gives for eta = c/(z - p)**2), and
+    there the immersion test's modular certificate sees the derivative
+    numerators without the shared D.  ``series._cancel_monomial`` drops a
+    common power of z from all five at once, since dropping it slot by
+    slot would split Q where X3(0) = 0.  ``shear`` keeps one denominator
+    the same way.  ``check_null_sl2`` at tol <= 0 reads the first two
+    verdicts from these numerators; at tol > 0 det F and det F' sum over
+    Q**2 and Q**4 by the shared-denominator rule of
+    ``series._binary_rational``.  Windows take the four divisions.  The
     pole set (X's and the zeros of X3) is computed on first read of
     ``pole_set``.
     """
@@ -194,9 +204,14 @@ def tee_curve(X: C3NullCurve) -> SL2NullCurve:
     if X1.is_rational and X2.is_rational and X3.is_rational:
         (N1, N2, N3), D = _common_denominator((X1, X2, X3))
         iN2 = N2.scale(_I)
-        den, *nums = _cancel_monomial(
-            D * N3, D * D, D * (N1 + iN2), D * (N1 - iN2),
-            N1 * N1 + N2 * N2 + N3 * N3)
+        top = N1 * N1 + N2 * N2 + N3 * N3
+        top_D, rem = top.divmod(D) if D.degree > 0 else (top, Poly.zero())
+        if rem.is_zero():
+            # the five products share the factor D: store them without it
+            den, *nums = _cancel_monomial(N3, D, N1 + iN2, N1 - iN2, top_D)
+        else:
+            den, *nums = _cancel_monomial(
+                D * N3, D * D, D * (N1 + iN2), D * (N1 - iN2), top)
         dom = _merge_domain(_merge_domain(X1.domain, X2.domain), X3.domain)
         F1 = MeroFunction(Rational(nums[0], den), X3.base_point, X3.domain)
         F2, F3, F4 = (MeroFunction(Rational(n, den), X1.base_point, dom)
@@ -248,8 +263,11 @@ def check_null_sl2(F: SL2NullCurve, tol: float = ZERO_TOL) -> SL2Report:
     each quotient derivative's numerator is compared against its own
     denominator's scale.  Immersion is exact on rational slots whose
     derivative numerators are coprime (a gcd modulo one prime certifies
-    it, and no root is found); otherwise it is numeric: a common zero of
-    the slot derivatives at 1e-6, off the pole and singular sets.  A NaN
+    it, and no root is found); this covers every ``tee_curve`` output
+    whose slots are stored without X's denominator D and its shears,
+    unless the slot derivatives have a real common zero.  Otherwise it is
+    numeric: a common zero of the slot derivatives at 1e-6, off the pole
+    and singular sets.  A NaN
     or infinite tol raises ValueError.
     """
     if not isfinite(tol):
@@ -361,9 +379,9 @@ def end_model(spec, center: complex = 0j) -> SL2NullCurve:
     m >= 2: ( z^-1,  -z^(m+1)/(m+2),  -1/(m z^(m+1)),  (m+1)^2 z/((m+1)^2-1) )
 
     Coefficients are small integers over small integers, so det == 1 stays
-    an exact identity.  Serialized curves reload exactly at dyadic centres;
-    elsewhere the Taylor-shifted coefficients are rounded to floats on
-    writing, and the reloaded poles no longer sit exactly at the centre.
+    an exact identity.  Serialized curves reload exactly at every centre:
+    off dyadic centres the Taylor-shifted coefficients are not floats, and
+    the file carries them exactly next to the rounded ones.
     """
     if isinstance(spec, EndModelSpec):
         m, center = spec.multiplicity, spec.center

@@ -83,21 +83,35 @@ def test_endmodel_rejects_m0(tmp_path, capsys):
 
 @pytest.mark.parametrize("center, rounded", [
     ("0.3137,0.2719", True), ("0,0", False), ("0.5,-0.5", False)])
-def test_endmodel_warns_when_rounding_is_lossy(tmp_path, capsys, center,
-                                               rounded):
+def test_endmodel_writes_an_exact_payload_only_when_rounding_is_lossy(
+        tmp_path, capsys, center, rounded):
+    # off dyadic centres the shifted coefficients are not floats, and the
+    # file carries them exactly next to the rounded ones; no warning
     out = tmp_path / "m3.json"
     code = main(["endmodel", "--multiplicity", "3", "--center", center,
                  "--out", str(out)])
     assert code == 0
-    err = capsys.readouterr().err
-    assert err.count("warning:") == int(rounded)
-    if rounded:
-        assert "(0.3137+0.2719j)" in err and "not the exact end model" in err
+    assert capsys.readouterr().err == ""
+    data = load_json(out)
+    assert any("exact" in data[k]["rational"] for k in ("F1", "F2", "F3",
+                                                        "F4")) == rounded
     same = tmp_path / "direct.json"
     re_s, im_s = center.split(",")
     save_json(same, sl2_to_dict(end_model(3, complex(float(re_s),
                                                      float(im_s)))))
     assert out.read_bytes() == same.read_bytes()
+
+
+@pytest.mark.parametrize("center", ["0.3137,0.2719", "0.5,-0.5"])
+def test_endmodel_then_classify_reports_the_multiplicity(tmp_path, capsys,
+                                                         center):
+    out = str(tmp_path / "end.json")
+    for m in range(1, 9):
+        assert main(["endmodel", "--multiplicity", str(m), "--center",
+                     center, "--out", out]) == 0
+        capsys.readouterr()
+        assert main(["classify", "--curve", out, "--center", center]) == 0
+        assert json.loads(capsys.readouterr().out)["multiplicity"] == m
 
 
 @pytest.mark.parametrize("command", ["endmodel", "mesh"])

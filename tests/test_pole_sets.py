@@ -95,12 +95,19 @@ def test_construct_chain_finds_only_the_immersion_tests_roots(
         root_calls, monkeypatch):
     # integrate_null -> tee_curve -> check -> shear -> check: no pole set
     # is read, and on this pool the modular certificate finds the slot
-    # derivatives' numerators coprime, so no root is found at all
+    # derivatives' numerators coprime, so no root is found at all.  The
+    # pool ends with eta = c/(z - p)^2, whose slots tee_curve stores
+    # without the common factor z - p of X's denominator
     inside = _roots_inside_the_immersion_test(root_calls, monkeypatch)
     rng = np.random.default_rng(2102)
-    for k in range(8):
-        d, X, F, G = _chain(random_integrable_spinor(rng),
-                            kind=SHEAR_KINDS[k % 4])
+    p, c = 0.5 - 1j, 2 + 1j
+    lin = MeroFunction.from_poly([-p, 1])
+    chains = [_chain(random_integrable_spinor(rng), kind=SHEAR_KINDS[k % 4])
+              for k in range(8)]
+    chains.append(_chain(SpinorData(MeroFunction.constant(c) / (lin * lin),
+                                    MeroFunction.from_poly([1, 2j, 3])),
+                         base_point=p + 1))
+    for d, X, F, G in chains:
         for curve in (F, G):
             rep = check_null_sl2(curve, tol=0.0)
             assert rep.unimodular and rep.null and rep.immersion
@@ -110,18 +117,21 @@ def test_construct_chain_finds_only_the_immersion_tests_roots(
 
 def test_an_uncertified_chain_finds_roots_only_in_the_immersion_test(
         root_calls, monkeypatch):
-    # eta = c/(z - p)^2: the slot derivatives' numerators share (z - p)^2
-    # with Q^2, so the numeric path runs; its roots are all found inside
-    # the immersion test, and the excluded points are read there
+    # eta = c (z - p)^2 and f3 = (z - p)^2 P: the slot derivatives all
+    # vanish at p, so their numerators share z - p, the certificate
+    # declines and the numeric path runs; its roots are all found inside
+    # the immersion test, and the excluded points are read there.  The
+    # immersion verdict is not asserted: it reads True, because the
+    # numeric pole set of f3^2/eta lists p (ROADMAP item 1)
     inside = _roots_inside_the_immersion_test(root_calls, monkeypatch)
     p, c = 0.5 - 1j, 2 + 1j
     lin = MeroFunction.from_poly([-p, 1])
-    s = SpinorData(MeroFunction.constant(c) / (lin * lin),
-                   MeroFunction.from_poly([1, 2j, 3]))
-    d, X, F, G = _chain(s, base_point=p + 1)
+    s = SpinorData(lin * lin * c,
+                   lin * lin * MeroFunction.from_poly([1, 2j, 3]))
+    d, X, F, G = _chain(s)
     for curve in (F, G):
         rep = check_null_sl2(curve, tol=0.0)
-        assert rep.unimodular and rep.null and rep.immersion
+        assert rep.unimodular and rep.null
     assert root_calls and len(inside) == len(root_calls)
 
 

@@ -1,8 +1,11 @@
 """JSON/CSV serialization round trips and failure modes."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullsl2 import (
     Cycle,
@@ -17,6 +20,7 @@ from nullsl2 import (
     spray_apply,
     tee_curve,
 )
+from nullsl2.exact import Poly
 from nullsl2.serialize import (
     c3_from_dict,
     c3_to_dict,
@@ -217,3 +221,54 @@ def test_sl2_json_survives_tee_round_trip(tmp_path):
     for z in (0.6, 1.1 + 0.2j):
         for a, b in zip(F.slots(), G.slots()):
             assert abs(a.evaluate(z) - b.evaluate(z)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# exact payloads for coefficients that floats cannot hold
+# ---------------------------------------------------------------------------
+
+def test_a_rounded_rational_reloads_exactly():
+    # a third and a Taylor shift to a non-dyadic centre have no float
+    # coefficients; their exact payload reloads the same Poly
+    for f in (MeroFunction.from_rational([Fraction(1, 3), 2], [1, 0, 1]),
+              end_model(8, 0.3137 + 0.2719j).F3):
+        data = mero_to_dict(f)
+        assert "exact" in data["rational"]
+        g = mero_from_dict(json.loads(dumps(data)))
+        assert (g.rep.num, g.rep.den) == (f.rep.num, f.rep.den)
+
+
+def test_a_rational_exact_as_floats_has_no_exact_payload():
+    for f in (MeroFunction.from_rational([0.1, 2j], [1, 0.5]),
+              end_model(3, 0.5 - 0.5j).F2):
+        assert "exact" not in mero_to_dict(f)["rational"]
+
+
+def test_an_exact_payload_that_disagrees_with_the_floats_is_refused():
+    data = mero_to_dict(MeroFunction.from_rational([Fraction(1, 3), 2]))
+    assert set(data["rational"]["exact"]) == {"num"}
+    data["rational"]["num"][0][0] += 1e-12
+    with pytest.raises(ParseError):
+        mero_from_dict(data)
+    data = mero_to_dict(MeroFunction.from_rational([Fraction(1, 3), 2]))
+    data["rational"]["exact"]["num"]["re"].append("0x1")
+    with pytest.raises(ParseError):
+        mero_from_dict(data)
+
+
+_small = st.lists(st.complex_numbers(max_magnitude=8, allow_nan=False,
+                                     allow_infinity=False), max_size=5)
+_centre = st.complex_numbers(max_magnitude=2, allow_nan=False,
+                             allow_infinity=False)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_small, _small.filter(any), _centre)
+def test_prop_shifted_rational_round_trips_exactly(num, den, centre):
+    # float coefficients Taylor-shifted to a float centre: the shifted
+    # coefficients are Gaussian rationals of growing height
+    p, q = Poly(num).shift(centre), Poly(den).shift(centre)
+    f = MeroFunction.from_rational(p, q, base_point=centre)
+    g = mero_from_dict(json.loads(dumps(mero_to_dict(f))))
+    assert (g.rep.num, g.rep.den, g.base_point) == \
+        (f.rep.num, f.rep.den, f.base_point)

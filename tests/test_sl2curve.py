@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nullsl2.series as series
 from nullsl2 import (
     C3NullCurve,
     FirstEntryZero,
@@ -47,7 +48,7 @@ from nullsl2 import (
 )
 from nullsl2.exact import Poly, _coprime_mod_p
 from nullsl2.serialize import sl2_to_dict
-from nullsl2.series import Rational
+from nullsl2.series import Rational, _common_denominator
 from nullsl2.sl2curve import _SHEAR_RECIPES, _one_denominator
 from nullsl2.spinor import _sorted_points
 
@@ -225,8 +226,8 @@ def _pool_scalar(rng, height):
     return complex(*rng.uniform(-1.0, 1.0, size=2))
 
 
-def _tee_pool(count=24, seed=20261019):
-    """Seeded (tee_curve(X), lambda) pairs.  X integrates eta = c (z-p)^2a,
+def _tee_pool_inputs(count=24, seed=20261019):
+    """Seeded (X, lambda) pairs.  X integrates eta = c (z-p)^2a,
     f3 = (z-p)^max(a,0) P(z) with a = -1, 0, 1 in turn: from p + 1, with
     non-constant denominators (a = -1), or from 0, polynomial with
     X3(0) = 0.  Every fifth X1 moves by 1e-9 z^2 (null only at the larger
@@ -250,17 +251,22 @@ def _tee_pool(count=24, seed=20261019):
             X = C3NullCurve(X.X1 + 1e-9 * z * z, X.X2, X.X3, X.pole_set)
         elif i % 5 == 3:
             X = C3NullCurve(X.X1 * z + 1, X.X2, X.X3, X.pole_set)
-        out.append((tee_curve(X), lam))
+        out.append((X, lam))
     z2 = MeroFunction.from_poly([0, 0, 1])
     for P in ([1, 2j], [0.5, -0.25, 1j]):
         X = integrate_null(from_spinor(SpinorData(
             z2, z2 * MeroFunction.from_poly(P))), base_point=1)
-        out.append((tee_curve(X), 0.5 - 0.75j))
+        out.append((X, 0.5 - 0.75j))
     h = MeroFunction.from_poly([1, -2, 3j])
     X = integrate_null(from_spinor(SpinorData(h * 2, h * 1j)),
                        base_point=0.5, value=(0, 0, 1))
-    out.append((tee_curve(X), 1.5j))
+    out.append((X, 1.5j))
     return out
+
+
+def _tee_pool():
+    """Seeded (tee_curve(X), lambda) pairs over ``_tee_pool_inputs``."""
+    return [(tee_curve(X), lam) for X, lam in _tee_pool_inputs()]
 
 
 def test_tee_curve_slots_share_one_denominator():
@@ -290,6 +296,106 @@ def test_tee_curve_slots_share_one_denominator():
     assert 10 <= at_zero <= len(pool) - 10
     for X in _tee_inputs().values():
         assert len({s.rep.den for s in tee_curve(X).slots()}) == 1
+
+
+def _construct_poles_inputs(seed=2501):
+    """(X, lambda) pairs by the a = -1 recipe of the construct benchmark's
+    curve ops (``perfbench/workloads.py::_curve_op``): eta = c/(z - p)^2,
+    f3 = P(z) of degree 1 and 3, integrated from p + 1, at integer, dyadic
+    and float heights.  X has the denominator z - p."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for height in ("int", "dyadic", "float"):
+        for degree in (1, 3):
+            c, p, lam = (_pool_scalar(rng, height) for _ in range(3))
+            P = [_pool_scalar(rng, height) for _ in range(degree + 1)]
+            lin = MeroFunction.from_poly([-p, 1])
+            X = integrate_null(from_spinor(SpinorData(
+                c / (lin * lin), MeroFunction.from_poly(P))),
+                base_point=p + 1.0)
+            out.append((X, lam))
+    return out
+
+
+def _unreduced_tee(X):
+    """tee_curve's five products before the common factor D is dropped:
+    Q = D N3 and D**2, D (N1 + i N2), D (N1 - i N2), N1**2 + N2**2 + N3**2,
+    for X = (N1, N2, N3)/D; and D."""
+    (N1, N2, N3), D = _common_denominator(X.components())
+    iN2 = N2.scale(1j)
+    return (D * N3, D * D, D * (N1 + iN2), D * (N1 - iN2),
+            N1 * N1 + N2 * N2 + N3 * N3), D
+
+
+def _reduced(inputs):
+    """(X, lambda, D) for the inputs whose D is not constant and divides
+    N1**2 + N2**2 + N3**2."""
+    out = []
+    for X, lam in inputs:
+        (*_, top), D = _unreduced_tee(X)
+        if D.degree > 0 and top.divmod(D)[1].is_zero():
+            out.append((X, lam, D))
+    return out
+
+
+def test_tee_curve_drops_the_common_factor_of_its_slots():
+    # the stored slots equal the five products over D N3 (cross-multiplied),
+    # and where D divides N1**2 + N2**2 + N3**2 the stored numerators and Q
+    # are coprime: a gcd modulo one prime certifies it
+    construct = _construct_poles_inputs()
+    inputs = construct + _tee_pool_inputs()
+    reduced = {id(X) for X, _, _ in _reduced(inputs)}
+    assert reduced >= {id(X) for X, _ in construct}
+    assert len(construct) < len(reduced) < len(inputs)
+    for X, _ in inputs:
+        (Q, *nums) = _one_denominator(tee_curve(X).slots())
+        (Q0, *nums0), _ = _unreduced_tee(X)
+        for n, n0 in zip(nums, nums0):
+            assert n * Q0 == n0 * Q
+        if id(X) in reduced:
+            assert Q.degree < Q0.degree
+            assert _coprime_mod_p([Q, *nums])
+
+
+def test_reduced_tee_curves_and_their_shears_find_no_root(monkeypatch):
+    # with D gone the slot derivatives' numerators are coprime, so the
+    # immersion test is decided by the modular certificate alone
+    inputs = _reduced(_construct_poles_inputs() + _tee_pool_inputs())
+    calls = []
+    real = series._clustered_roots
+    monkeypatch.setattr(series, "_clustered_roots",
+                        lambda poly: calls.append(poly) or real(poly))
+    for X, lam, _ in inputs:
+        F = tee_curve(X)
+        for G in (F, *(shear(F, lam, kind) for kind in SHEAR_KINDS)):
+            rep = check_null_sl2(G, tol=0.0)
+            assert rep.unimodular and rep.immersion
+    assert calls == []
+
+
+def test_reduced_tee_curve_has_no_common_factor_by_sympy():
+    # sympy over Q(i): the five unreduced products have gcd D, the
+    # stored numerators and Q have gcd 1
+    sp = pytest.importorskip("sympy")
+    x = sp.Symbol("x")
+
+    def to_sym(p):
+        def part(v):
+            return sp.Rational(v.numerator, v.denominator)
+        return sp.Poly([part(c.re) + sp.I * part(c.im)
+                        for c in reversed(p.coeffs)], x, domain=sp.QQ_I)
+
+    def gcd(polys):
+        g = to_sym(polys[0])
+        for p in polys[1:]:
+            g = sp.gcd(g, to_sym(p))
+        return g.monic()
+
+    picked = _reduced(_construct_poles_inputs() + _tee_pool_inputs())
+    for X, _, D in (picked[0], picked[3], picked[-1]):
+        unreduced, _ = _unreduced_tee(X)
+        assert gcd(unreduced) == to_sym(D).monic()
+        assert gcd(_one_denominator(tee_curve(X).slots())).degree() == 0
 
 
 #: sha256 of the check_null_sl2 reports at four tolerances of the 27
