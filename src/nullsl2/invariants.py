@@ -154,7 +154,7 @@ def hopf(F: SL2NullCurve, tol: float = ZERO_TOL) -> MeroFunction:
     q_main = w * secondary_gauss(F, tol).differentiate()
     f1, d1 = F.F1, F._derivative[0]
     q_alt = d1.differentiate() / f1 - (d1 / f1) * (w.differentiate() / w)
-    if not (q_main - q_alt).is_identically_zero(max(tol, 1e-8)):
+    if not (q_main - q_alt).is_identically_zero(tol):
         raise HopfMismatch("the two Hopf computation paths disagree")
     return q_main
 
@@ -239,7 +239,7 @@ def _maurer_cartan_min_ord(G: SL2NullCurve, tol: float) -> int:
     a12 = d2 * g1 - d1 * g2
     a21 = d3 * g4 - d4 * g3
     a22 = d4 * g1 - d3 * g2
-    if not (a11 + a22).is_identically_zero(max(tol, 1e-8)):
+    if not (a11 + a22).is_identically_zero(tol):
         raise HypothesisViolation(
             "trace of F' F^-1 is nonzero; the input is not unimodular")
     ords = [_slot_ord(a) for a in (a11, a12, a21, a22)]

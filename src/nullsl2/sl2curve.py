@@ -58,8 +58,9 @@ class SL2NullCurve:
 
     ``pole_set`` lists points where some slot genuinely blows up;
     ``singular_set`` lists points where the homogeneous picture degenerates
-    (the lift fails to be unimodular there).  Both are excluded from
-    pointwise predicates like the immersion check.  ``pole_set`` is
+    (the lift fails to be unimodular there).  Only ``singular_set`` is
+    excluded from the immersion check: a genuine pole of a slot is a pole
+    of its derivative, so it is never a common zero of F'.  ``pole_set`` is
     computed on first read when a builder deferred it (``tee_curve``,
     ``shear``); a tuple passed to the constructor is kept as given.
 
@@ -261,14 +262,13 @@ def check_null_sl2(F: SL2NullCurve, tol: float = ZERO_TOL) -> SL2Report:
     (c/ref)' proves most nonflat curves so, from the stored numerators
     alone, and only a zero residue builds the quotient; at ``tol > 0``
     each quotient derivative's numerator is compared against its own
-    denominator's scale.  Immersion is exact on rational slots whose
-    derivative numerators are coprime (a gcd modulo one prime certifies
-    it, and no root is found); this covers every ``tee_curve`` output
-    whose slots are stored without X's denominator D and its shears,
-    unless the slot derivatives have a real common zero.  Otherwise it is
-    numeric: a common zero of the slot derivatives at 1e-6, off the pole
-    and singular sets.  A NaN
-    or infinite tol raises ValueError.
+    denominator's scale.  Immersion is exact on rational slots: a gcd
+    modulo one prime certifies coprime derivative numerators without a
+    root (every ``tee_curve`` output stored without X's denominator D, and
+    its shears, unless the slot derivatives have a real common zero), and
+    otherwise the exact gcd of the reduced derivative numerators decides
+    (``spinor._has_common_zero``).  Only ``singular_set`` is excluded; the
+    pole set is not read.  A NaN or infinite tol raises ValueError.
     """
     if not isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
@@ -284,8 +284,7 @@ def check_null_sl2(F: SL2NullCurve, tol: float = ZERO_TOL) -> SL2Report:
     else:
         null = F._det_derivative.is_identically_zero(tol)
     d = F._derivative
-    immersion = not _has_common_zero(
-        d, lambda: (*F.pole_set, *F.singular_set), tol)
+    immersion = not _has_common_zero(d, F.singular_set, tol)
     nonflat = not is_flat(d, tol)
     return SL2Report(unimodular, null, immersion, nonflat)
 

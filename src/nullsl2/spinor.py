@@ -21,14 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    DegenerateEta,
-    EtaIdenticallyZero,
-    EvaluationAtPole,
-    NonExactField,
-)
+from .errors import DegenerateEta, EtaIdenticallyZero, NonExactField
 from ._lazy import np
-from .exact import _coprime_mod_p, _ratio_varies_mod_p
+from .exact import Poly, _coprime_mod_p, _ratio_varies_mod_p, poly_gcd
 from .series import MeroFunction, ZERO_TOL, _window_slice
 
 _I = 1j
@@ -193,14 +188,15 @@ def check_null_c3(X: C3NullCurve, tol: float = ZERO_TOL) -> C3Report:
     one prime proves most nonflat fields so without building a quotient,
     and at ``tol > 0`` each quotient derivative's numerator is compared
     against its own denominator's scale.  Immersion is exact on rational
-    components whose derivative numerators are coprime (a gcd modulo one
-    prime certifies it, and no root is found); otherwise it is numeric: a
-    common zero of the derivatives at 1e-6, off the pole set.
+    components: a gcd modulo one prime certifies most immersed curves
+    without a root, and otherwise the exact gcd of the reduced derivative
+    numerators decides (``_has_common_zero``).  A C^3 curve has no
+    singular set, so no point is excluded; the pole set is not read.
     """
     derivs = [c.differentiate() for c in X.components()]
     s = derivs[0] * derivs[0] + derivs[1] * derivs[1] + derivs[2] * derivs[2]
     null = s.is_identically_zero(tol)
-    immersion = not _has_common_zero(derivs, lambda: X.pole_set, tol)
+    immersion = not _has_common_zero(derivs, (), tol)
     flat = is_flat(derivs, tol)
     return C3Report(null=null, immersion=immersion, flat=flat)
 
@@ -281,12 +277,20 @@ def is_flat(components, tol: float = ZERO_TOL) -> bool:
 
 def spinor_common_zero_points(s: SpinorData, tol: float = 1e-8
                               ) -> list[complex]:
-    """Common zeros of eta and q = f3^2/eta (bookkeeping helper; the type
-    itself only validates eta != 0 at construction)."""
+    """Common zeros of eta and q = f3^2/eta where both are finite
+    (bookkeeping helper; the type itself only validates eta != 0 at
+    construction), sorted.
+
+    Exact on rational data: the roots of the squarefree part of the gcd
+    of the reduced numerators (``_common_zero_poly``), each listed once
+    whatever its multiplicity.  `tol` is not read.  Window data have no
+    zero list and give ``[]``.
+    """
     q = (s.f3 * s.f3) / s.eta
-    return _common_zeros_list(
-        [f for f in (s.eta, q) if not f.is_identically_zero()],
-        lambda: (), tol)
+    fns = [f for f in (s.eta, q) if not f.is_identically_zero(0.0)]
+    if not all(f.is_rational for f in fns):
+        return []
+    return list(_sorted_points(_distinct_roots(_common_zero_poly(fns))))
 
 
 # ---------------------------------------------------------------------------
@@ -325,42 +329,37 @@ def _with_cycle(err: NonExactField) -> NonExactField:
     return out
 
 
-def _common_zeros_list(nonzero, excluded, tol) -> list[complex]:
-    """Numeric candidates where every listed (nonzero) function vanishes,
-    away from the points ``excluded()`` lists; it is called only once a
-    candidate has passed evaluation."""
-    if not nonzero:
-        return []  # callers treat "all components zero" separately
-    candidates = [p for p, _ in nonzero[0].zeros()]
-    out = []
-    points = None
-    for p in candidates:
-        vals = []
-        for g in nonzero:
-            try:
-                vals.append(abs(g.evaluate(p)))
-            except EvaluationAtPole:
-                vals.append(float("inf"))
-        if all(v < tol for v in vals):
-            if points is None:
-                points = excluded()
-            if not any(abs(p - e) < 1e-8 for e in points):
-                out.append(p)
-    return out
+def _common_zero_poly(fns) -> Poly:
+    """The monic gcd over Q(i) of the numerators of the nonzero rational
+    ``fns``, each first reduced by its gcd with its own denominator.  Its
+    roots are exactly the points where every fn is finite and zero."""
+    g = Poly.zero()
+    for f in fns:
+        num, den = f.rep.num, f.rep.den
+        g = poly_gcd(g, num.exact_div(poly_gcd(num, den)))
+        if g.degree == 0:
+            break
+    return g
 
 
-def _has_common_zero(derivs, excluded, tol) -> bool:
-    """Whether the nonzero derivs share a zero away from the points that
-    the zero-argument callable ``excluded`` lists; it is called only where
-    the verdict needs them.
+def _distinct_roots(g: Poly):
+    """The roots of g, each once: ``np.roots`` of g / gcd(g, g')."""
+    if g.degree < 1:
+        return []
+    return np.roots(g.exact_div(poly_gcd(g, g.derivative())).float_coeffs())
+
+
+def _has_common_zero(derivs, singular, tol) -> bool:
+    """Whether the nonzero derivs share a zero away from the points of
+    ``singular`` (a curve's ``singular_set``).  No pole set is read: a
+    genuine pole of a slot is a pole of its derivative, never a zero.
 
     Windows are read at their base point only.  On rational derivs the
-    answer is exactly False when their numerators are coprime, as
-    ``exact._coprime_mod_p`` certifies modulo one prime: at each point
-    some numerator is nonzero, so that deriv is nonzero or has a pole
-    there.  Otherwise (a common factor, or an unlucky prime) it is
-    numeric: a root of the first deriv, clustered at 1e-6, where every
-    deriv is below 1e-6 in modulus.
+    answer is exact.  It is False at once when their numerators are
+    coprime, as ``exact._coprime_mod_p`` certifies modulo one prime.
+    Otherwise G = ``_common_zero_poly(derivs)`` is built, and the derivs
+    share a zero iff G has a root that is not within 1e-8 of a point of
+    ``singular``.
     """
     nonzero = [d for d in derivs if not d.is_identically_zero(tol)]
     if not nonzero:
@@ -369,10 +368,13 @@ def _has_common_zero(derivs, excluded, tol) -> bool:
         # windows certify behaviour at the base point only; the callers'
         # arithmetic has refused windows at different base points
         base = next(d.base_point for d in nonzero if d.is_window)
-        if any(abs(base - e) < 1e-8 for e in excluded()):
+        if any(abs(base - e) < 1e-8 for e in singular):
             return False
         return all(d.ord(base) >= 1 for d in nonzero)
     if _coprime_mod_p([d.rep.num for d in nonzero]):
         return False
-    scale = 1e-6  # evaluation tolerance for clustered numeric roots
-    return bool(_common_zeros_list(nonzero, excluded, scale))
+    g = _common_zero_poly(nonzero)
+    if not singular:
+        return g.degree >= 1  # exact: no root is found
+    return any(all(abs(p - e) >= 1e-8 for e in singular)
+               for p in _distinct_roots(g))

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from nullsl2 import MeroFunction, is_flat
 from nullsl2.exact import (_P, _S, _X, ExactComplex, Poly, _coprime_mod_p,
                            _ratio_varies_mod_p, poly_gcd)
+from nullsl2.series import Rational
+from nullsl2.spinor import _common_zero_poly
 
 sp = pytest.importorskip("sympy")
 
@@ -315,6 +317,36 @@ def test_a_certificate_means_a_sympy_gcd_of_one(polys):
         for p in polys[1:]:
             g = sp.gcd(g, to_sym(p))
         assert g.degree() == 0 and not g.is_zero
+
+
+#: Gaussian-rational and dyadic-float coefficients of small height, so
+#: that sympy's gcd over Q(i) stays quick
+_gauss_dyadic = st.one_of(
+    st.builds(lambda a, b, d: complex(Fraction(a, d), Fraction(b, d)),
+              st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 6)),
+    st.builds(lambda a, b, k: complex(a / 2**k, b / 2**k),
+              st.integers(-99, 99), st.integers(-99, 99),
+              st.integers(0, 8)),
+)
+_small_poly = st.lists(_gauss_dyadic, min_size=1, max_size=3).map(Poly)
+
+
+@settings(deadline=None, max_examples=30)   # sympy's gcd over Q(i) is slow
+@given(_small_poly, st.lists(st.tuples(_small_poly, _small_poly,
+                                       _small_poly),
+                             min_size=1, max_size=3))
+def test_common_zero_poly_matches_sympy(c, parts):
+    # f_k = (a_k c s_k) / (b_k s_k): a planted common factor c of the
+    # numerators, and a factor s_k each numerator shares with its own
+    # denominator; the oracle is the gcd of sympy's cancelled numerators
+    assume(not c.is_zero())
+    assume(all(not (a * b * s).is_zero() for a, b, s in parts))
+    fns = [MeroFunction(Rational(a * c * s, b * s)) for a, b, s in parts]
+    expected = None
+    for f in fns:
+        num, _ = to_sym(f.rep.num).cancel(to_sym(f.rep.den), include=True)
+        expected = num if expected is None else sp.gcd(expected, num)
+    assert to_sym(_common_zero_poly(fns)) == expected.monic()
 
 
 @settings(deadline=None)

@@ -391,6 +391,16 @@ def test_hopf_cross_check_rejects_det_two():
         classify_end(G, 0)
 
 
+def test_hopf_at_tol_zero_sees_a_det_off_one_by_two_to_minus_40():
+    # every slot times c = 1 + 2**-41: det F = c**2 and q_main = c**2 q_alt,
+    # a difference far below 1e-8 that tol 0 must still see
+    c = 1 + 2.0 ** -41
+    G = SL2NullCurve(*(s * c for s in end_model(2).slots()))
+    with pytest.raises(HopfMismatch):
+        hopf(G, 0)
+    hopf(G, 1e-10)
+
+
 def _sheared(F, kind):
     return F if kind is None else shear(F, 0.5, kind)
 
@@ -553,6 +563,12 @@ def test_maurer_cartan_requires_unimodular():
     F = SL2NullCurve(poly((0, 1)), poly((1,)), poly((1,)), poly((0, 0, 1)))
     with pytest.raises(HypothesisViolation):
         maurer_cartan_min_ord(F, 0)
+    # F4 + 2**-40 z**3: the trace of F' F^-1 is (det F)' = 3 * 2**-40 z**2
+    # F1 != 0, far below 1e-8 and nonzero at tol 0
+    F = end_model(2)
+    G = SL2NullCurve(F.F1, F.F2, F.F3, F.F4 + poly((0, 0, 0, 2.0 ** -40)))
+    with pytest.raises(HypothesisViolation):
+        maurer_cartan_min_ord(G, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from nullsl2 import (
     SHEAR_KINDS,
     SL2NullCurve,
     SpinorData,
+    check_null_c3,
     check_null_sl2,
     disk,
     end_model,
@@ -115,24 +116,56 @@ def test_construct_chain_finds_only_the_immersion_tests_roots(
     assert root_calls == [] and inside == []
 
 
-def test_an_uncertified_chain_finds_roots_only_in_the_immersion_test(
-        root_calls, monkeypatch):
-    # eta = c (z - p)^2 and f3 = (z - p)^2 P: the slot derivatives all
-    # vanish at p, so their numerators share z - p, the certificate
-    # declines and the numeric path runs; its roots are all found inside
-    # the immersion test, and the excluded points are read there.  The
-    # immersion verdict is not asserted: it reads True, because the
-    # numeric pole set of f3^2/eta lists p (ROADMAP item 1)
-    inside = _roots_inside_the_immersion_test(root_calls, monkeypatch)
-    p, c = 0.5 - 1j, 2 + 1j
+def _planted(s: SpinorData, p: complex) -> SpinorData:
+    """s with eta and f3 both times (z - p)^2: f1, f2 and f3 all vanish
+    at p, so the curve integrated from it is not immersed there."""
     lin = MeroFunction.from_poly([-p, 1])
-    s = SpinorData(lin * lin * c,
-                   lin * lin * MeroFunction.from_poly([1, 2j, 3]))
-    d, X, F, G = _chain(s)
-    for curve in (F, G):
-        rep = check_null_sl2(curve, tol=0.0)
-        assert rep.unimodular and rep.null
-    assert root_calls and len(inside) == len(root_calls)
+    return SpinorData(lin * lin * s.eta, lin * lin * s.f3)
+
+
+def _tee_and_shears(X):
+    """tee_curve(X) and its four shears."""
+    F = tee_curve(X)
+    return [F] + [shear(F, 0.5 + 0.25j, kind) for kind in SHEAR_KINDS]
+
+
+def test_an_uncertified_chain_is_not_immersed_and_finds_no_root(
+        root_calls):
+    # eta = c (z - p)^2 and f3 = (z - p)^2 P: f1 = f2 = f3 = 0 at the
+    # regular point p, so every slot derivative vanishes there, their
+    # numerators share z - p and the certificate declines.  The exact gcd
+    # of the reduced numerators then has the root p, so no root is found
+    # and no pole set is read.  The numeric pole list of f3^2/eta names p,
+    # a pole it does not have; the immersion test does not read it
+    p, c = 0.5 - 1j, 2 + 1j
+    s = _planted(SpinorData(MeroFunction.constant(c),
+                            MeroFunction.from_poly([1, 2j, 3])), p)
+    d = from_spinor(s)
+    X = integrate_null(d, 0)
+    curves = _tee_and_shears(X)
+    assert check_null_c3(X, 0).immersion is False
+    for G in curves:
+        rep = check_null_sl2(G, 0)
+        assert rep.unimodular and rep.null and rep.immersion is False
+    assert all(map(_unread, (d, X, *curves)))
+    assert root_calls == []
+
+
+def test_a_planted_double_zero_is_never_reported_immersed():
+    # property: random polynomial spinor data times (z - p)^2 at a
+    # Gaussian-rational p give a curve whose derivative vanishes at p
+    rng = np.random.default_rng(2601)
+    checked = 0
+    while checked < 12:
+        p = complex(int(rng.integers(-8, 9)) / 4, int(rng.integers(-8, 9)) / 4)
+        X = integrate_null(from_spinor(_planted(random_integrable_spinor(rng),
+                                                p)), 0)
+        if X.X3.is_identically_zero() or X.X3.evaluate(p) == 0:
+            continue
+        assert check_null_c3(X, 0).immersion is False, p
+        for G in _tee_and_shears(X):
+            assert check_null_sl2(G, 0).immersion is False, p
+        checked += 1
 
 
 def test_first_read_equals_the_eager_pole_sets():

@@ -688,17 +688,18 @@ def test_rotations_of_identity_are_unimodular_constants():
         assert (det - 1).is_identically_zero(0.0)
 
 
-def test_immersion_ignores_a_common_zero_in_the_pole_or_singular_set():
+def test_immersion_ignores_a_common_zero_in_the_singular_set_only():
     # F = tee(z^2, i z^2, 1) = (1, 0, 2z^2, 1): F' = (0, 0, 4z, 0) vanishes
-    # at 0, a common zero unless the pole set or the singular set lists
-    # it; they are read after the candidate 0 has passed evaluation
+    # at 0, a common zero unless the singular set lists it.  A pole set
+    # that lists 0, where no slot has a pole, changes nothing: the
+    # immersion test does not read it
     one = MeroFunction.constant(1)
     slots = (one, MeroFunction.zero(), MeroFunction.from_poly([0, 0, 2]), one)
-    rep = check_null_sl2(SL2NullCurve(*slots), tol=0.0)
-    assert rep.unimodular and rep.null and not rep.immersion
-    for sets in (((0j,), ()), ((), (0j,))):
+    for sets in ((), ((0j,), ())):
         rep = check_null_sl2(SL2NullCurve(*slots, *sets), tol=0.0)
-        assert rep.unimodular and rep.null and rep.immersion
+        assert rep.unimodular and rep.null and rep.immersion is False
+    rep = check_null_sl2(SL2NullCurve(*slots, (), (0j,)), tol=0.0)
+    assert rep.unimodular and rep.null and rep.immersion
 
 
 def test_end_model_1_reparametrised_by_u_is_not_immersed():
