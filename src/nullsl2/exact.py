@@ -11,13 +11,21 @@ Python ints, the real and imaginary numerators: its coefficients are
 Gaussian integers over one common denominator.  Every polynomial kernel is
 an integer loop: product, sum, derivative, integral, Taylor shift, Horner
 evaluation, synthetic division (root multiplicity, deflation), Euclidean
-pseudo-division (gcd), the coefficient-size test behind the zero test
-(``_peak_within``), a coprimality certificate by Euclid modulo one
-prime (``_coprime_mod_p``) and a certificate that a quotient is not
-constant, by one evaluation modulo the same prime
-(``_ratio_varies_mod_p``).  A point p = P/d enters as the Gaussian
-integer P acting on d**deg * f(x/d).  The :class:`ExactComplex` view of
-the coefficients is built only on request.
+pseudo-division (gcd) and the coefficient-size test behind the zero test
+(``_peak_within``).  A point p = P/d enters as the Gaussian integer P
+acting on d**deg * f(x/d).  The :class:`ExactComplex` view of the
+coefficients is built only on request.
+
+The certificates work on images modulo one prime p (``_residues``, i
+mapped to a square root of -1), and False means only "not certified".
+Coprimality is one kernel, Euclid with a leading-coefficient guard
+(``_coprime_residues``), fed with the images of given numerators
+(``_coprime_mod_p``) or of the derivative numerators N_k' Q - N_k Q' of
+quotients N_k/Q, formed modulo p with no exact product
+(``_derivatives_coprime_mod_p``).  Nonconstancy of a quotient is one
+Wronskian evaluation at a residue, from Horner jets (``_jet_mod_p``): of
+(a/u)/(b/v) (``_ratio_varies_mod_p``), or of (N_c/Q)'/(N_r/Q)' for some
+pair (``_derivatives_vary_mod_p``).
 
 Only what the package needs is implemented.  The exact calculus of
 :mod:`nullsl2.series` (series quotients, Hermite reduction of rational
@@ -621,35 +629,93 @@ def _gcd_mod_p(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _coprime_mod_p(polys: Iterable[Poly]) -> bool:
-    """A certificate that the numerators of ``polys`` share no root.
+def _residues(f: Poly) -> list[int]:
+    """The images modulo ``_P`` of f's Gaussian-integer numerator
+    coefficients (``_re``, ``_im``), ascending, with i -> ``_S``."""
+    return [(r + _S * m) % _P for r, m in zip(f._re, f._im)]
 
-    Each Gaussian-integer numerator (``_re``, ``_im``) is mapped into
-    Z/p, p = ``_P``, by i -> ``_S``; ``_den`` is a unit and is ignored.
-    True only when the gcd of the images (Euclid mod p) is a nonzero
-    constant and at least one numerator's leading coefficient is nonzero
-    mod p.  That is sound: a common factor over Q(i) divides every
-    numerator over Z[i] (Gauss's lemma), and its image keeps its degree
-    in a numerator whose leading coefficient survives, so it divides the
-    modular gcd (Brown, J. ACM 18, 1971).  Without the leading-coefficient
-    guard a common factor whose own leading coefficient is divisible by p
-    would drop out of the images.  False means only "not certified": a
-    real common factor, or an unlucky prime.
+
+def _coprime_residues(images: Iterable[list[int]], lead: bool) -> bool:
+    """The kernel of the modular coprimality certificate: True when
+    ``lead`` holds and the gcd modulo ``_P`` (Euclid) of the descending
+    residue lists ``images`` is a nonzero constant.  Leading zeros are
+    allowed and an all-zero list is left out.
+
+    ``lead`` must say that at least one list is the image of a polynomial
+    that keeps its true degree modulo ``_P``.  Then a common factor over
+    Q(i) of the polynomials, which divides each one over Z[i] (Gauss's
+    lemma), keeps its degree in that image, and so divides the modular gcd
+    (Brown, J. ACM 18, 1971): a constant gcd proves that the polynomials
+    share no root.  A polynomial whose image is zero only weakens the
+    certificate.  Without ``lead`` a common factor whose own leading
+    coefficient is divisible by p would drop out of the images.  False
+    means only "not certified": a real common factor, or an unlucky prime.
     """
+    if not lead:
+        return False
     g: list[int] = []
-    lead = False
-    for f in polys:
-        re, im = f._re, f._im
-        if re and (re[-1] + _S * im[-1]) % _P:
-            lead = True
-        if len(g) != 1:
-            a = [(r + _S * m) % _P for r, m in zip(reversed(re), reversed(im))]
-            while a and not a[0]:
-                del a[0]
-            g = _gcd_mod_p(g, a)
-        if lead and len(g) == 1:
+    for a in images:
+        k = 0
+        while k < len(a) and not a[k]:
+            k += 1
+        g = _gcd_mod_p(g, a[k:])
+        if len(g) == 1:
             return True
     return False
+
+
+def _coprime_mod_p(polys: Iterable[Poly]) -> bool:
+    """A certificate that the numerators of ``polys`` share no root:
+    ``_coprime_residues`` on their images, with the leading-coefficient
+    guard read from each numerator's top coefficient; ``_den`` is a unit
+    and is ignored.  Curves over one denominator offer their derivative
+    numerators to ``_derivatives_coprime_mod_p`` first, which needs no
+    exact product; this runs where that one declines, on the numerators
+    of the built derivatives."""
+    polys = [f for f in polys if f._re]
+    lead = any((f._re[-1] + _S * f._im[-1]) % _P for f in polys)
+    return _coprime_residues((_residues(f)[::-1] for f in polys), lead)
+
+
+def _derivatives_coprime_mod_p(den: Poly, *nums: Poly) -> bool:
+    """A certificate that the derivatives of the quotients N_k/Q, N_k in
+    ``nums`` and Q = ``den`` (nonzero), share no zero: the immersion test
+    of a curve over one denominator, read from the images of N_k and Q
+    modulo ``_P`` with no exact product.
+
+    The derivative of N_k/Q is W_k/Q**2 with W_k = N_k' Q - N_k Q', whose
+    coefficient at z**j is the sum of (a - b) n_a q_b over a + b = j + 1;
+    that sum is formed on the images.  Cancelling the common power of z
+    leaves W_k / z**s_k over Q**2 / z**s_k, and s_k is taken from the exact
+    orders n = ord N_k and q = ord Q, never from an image that may have
+    lost its low terms: the coefficient of z**(n + q - 1) in W_k is
+    (n - q) a_n b_q, so s_k = min(n + q - 1, 2 q) where n != q, and
+    s_k = 2 q where n = q (there ord W_k >= 2 q).  A slot proves its true
+    degree, the guard of ``_coprime_residues``, only when its image is
+    nonzero at deg N_k + deg Q - 1, whose exact coefficient is
+    (deg N_k - deg Q) lc N_k lc Q; a slot with deg N_k = deg Q never
+    does.  A constant Q gives s_k = 0 and W_k = Q N_k'.  False means
+    only "not certified", and the caller differentiates exactly.
+    """
+    q_ord, q = den.low_order(), _residues(den)
+    nums = [f for f in nums if f._re]
+    lead = any((f.degree - den.degree) * q[-1] * (f._re[-1] + _S * f._im[-1])
+               % _P for f in nums)
+
+    def images():
+        for num in nums:
+            n_ord, n = num.low_order(), _residues(num)
+            w = [0] * (len(n) + len(q) - 1)
+            for b, y in enumerate(q):
+                if y:
+                    for j, x in enumerate(n, b):    # j = a + b
+                        w[j] += (j - 2 * b) * x * y
+            s = (2 * q_ord if n_ord == q_ord
+                 else min(n_ord + q_ord - 1, 2 * q_ord))
+            # W_k / z**s_k, descending: w[j + 1] is W_k's coefficient j
+            yield [c % _P for c in w[:s:-1]]
+
+    return _coprime_residues(images(), lead)
 
 
 #: the point, a residue modulo ``_P``, at which ``_ratio_varies_mod_p``
@@ -658,14 +724,16 @@ def _coprime_mod_p(polys: Iterable[Poly]) -> bool:
 _X = 271828183
 
 
-def _value_and_slope_mod_p(f: Poly) -> tuple[int, int]:
-    """(F(_X), F'(_X)) modulo ``_P`` for f's Gaussian-integer numerator F,
-    i -> ``_S``, by Horner."""
-    v = s = 0
+def _jet_mod_p(f: Poly) -> tuple[int, int, int]:
+    """(F(_X), F'(_X), F''(_X)/2) modulo ``_P`` for f's Gaussian-integer
+    numerator F, i -> ``_S``, by Horner (the first three Taylor
+    coefficients at ``_X``)."""
+    v = s = h = 0
     for r, m in zip(reversed(f._re), reversed(f._im)):
+        h = (h * _X + s) % _P
         s = (s * _X + v) % _P
         v = (v * _X + r + _S * m) % _P
-    return v, s
+    return v, s, h
 
 
 def _ratio_varies_mod_p(a: Poly, u: Poly, b: Poly, v: Poly) -> bool:
@@ -675,16 +743,41 @@ def _ratio_varies_mod_p(a: Poly, u: Poly, b: Poly, v: Poly) -> bool:
     The quotient is N/D with N = a v and D = b u, and its derivative is
     W / D**2 with W = N'D - ND'.  True when W's image at ``_X`` modulo
     ``_P`` (i -> ``_S``) is nonzero; only the values and first derivatives
-    of the four numerators at ``_X`` are needed.  That is sound: built from
-    the Gaussian-integer numerators, W is multiplied by the product of the
-    four ``_den``, a nonzero constant, and the map into Z/p commutes with
-    d/dz, so a nonzero image means W != 0.  False means only "not
-    certified": a constant quotient, or a W whose image vanishes at
-    ``_X``, which for a nonzero image of degree d happens at d of the p
-    points at most (Schwartz, J. ACM 27, 1980).
+    of the four numerators at ``_X`` (``_jet_mod_p``) are needed.  That is
+    sound: built from the Gaussian-integer numerators, W is multiplied by
+    the product of the four ``_den``, a nonzero constant, and the map into
+    Z/p commutes with d/dz, so a nonzero image means W != 0.  False means
+    only "not certified": a constant quotient, or a W whose image vanishes
+    at ``_X``, which for a nonzero image of degree d happens at d of the p
+    points at most (Schwartz, J. ACM 27, 1980).  ``is_flat`` offers it
+    the built slot derivatives of a curve whose residue certificate
+    ``_derivatives_vary_mod_p`` declined, and of every other rational
+    curve.
     """
-    (a0, a1), (u0, u1), (b0, b1), (v0, v1) = (
-        _value_and_slope_mod_p(f) for f in (a, u, b, v))
+    (a0, a1, _), (u0, u1, _), (b0, b1, _), (v0, v1, _) = (
+        _jet_mod_p(f) for f in (a, u, b, v))
     n0, n1 = a0 * v0, a1 * v0 + a0 * v1
     d0, d1 = b0 * u0, b1 * u0 + b0 * u1
     return (n1 * d0 - n0 * d1) % _P != 0
+
+
+def _derivatives_vary_mod_p(den: Poly, *nums: Poly) -> bool:
+    """A certificate that the derivatives of the quotients N_k/Q, N_k in
+    ``nums`` and Q = ``den`` (nonzero), do not span one direction: the
+    nonflatness test of a curve over one denominator, from one jet
+    (``_jet_mod_p``) of each N_k and of Q.
+
+    With W = N'Q - NQ', (N_c/Q)' / (N_r/Q)' = W_c / W_r, since Q**2
+    cancels, and its derivative has the numerator W_c' W_r - W_c W_r' with
+    W' = N''Q - NQ''.  True when that numerator's image at ``_X`` is
+    nonzero for some pair (c, r): then W_c and W_r are nonzero and their
+    ratio is not constant, as in ``_ratio_varies_mod_p``.  False means
+    only "not certified", and the caller differentiates exactly.
+    """
+    q0, q1, q2 = _jet_mod_p(den)
+    ws = []
+    for num in nums:
+        n0, n1, n2 = _jet_mod_p(num)
+        ws.append((n1 * q0 - n0 * q1, n2 * q0 - n0 * q2))   # W, W'/2
+    return any((wc * hr - hc * wr) % _P
+               for k, (wc, hc) in enumerate(ws) for wr, hr in ws[k + 1:])

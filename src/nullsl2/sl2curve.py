@@ -21,9 +21,12 @@ D common to the five products is not stored, else Q = D N3.  A shear keeps
 one denominator: it sums numerators over Q and drops a common power of z
 from Q and all four numerators at once.  On such a curve, with
 F_k = N_k/Q, ``check_null_sl2`` at tol <= 0 decides unimodular as
-N1 N4 - N2 N3 == Q^2 and then null as N1' N4' - N2' N3' == Q'^2, and F'
-is built from Q' and Q^2 made once.  Elsewhere sums of slot products
-(det F, det F') stay over Q^2 or Q^4 and are not cross-multiplied.
+N1 N4 - N2 N3 == Q^2 and then null as N1' N4' - N2' N3' == Q'^2, and
+immersion and nonflatness from the images of N_k and Q modulo one prime
+(``exact._derivatives_coprime_mod_p``, ``exact._derivatives_vary_mod_p``):
+F' is built, from Q' and Q^2 made once, only where one of those two
+certificates declines.  Elsewhere sums of slot products (det F, det F')
+stay over Q^2 or Q^4 and are not cross-multiplied.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .errors import (
     ThirdCoordinateZero,
     EvaluationAtPole,
 )
-from .exact import Poly
+from .exact import Poly, _derivatives_coprime_mod_p, _derivatives_vary_mod_p
 from .series import (MeroFunction, Rational, ZERO_TOL, _cancel_monomial,
                      _common_denominator, _merge_domain, _unit_roots,
                      punctured_disk)
@@ -70,13 +73,15 @@ class SL2NullCurve:
     cross-check, the Maurer-Cartan trace) shares them.  Where the four
     slots share one stored denominator Q, F' is (N_k' Q - N_k Q')/Q^2 with
     Q' and Q^2 built once, each slot's own power of z dropped, so each
-    slot equals its ``differentiate()``; and ``check_null_sl2`` at
-    tol <= 0 reads det F' only where N1 N4 - N2 N3 != Q^2.  This is sound
-    because the slots are immutable and the three values do not depend on a
-    tolerance.  They are cached outside the fields, so equality, hashing,
-    repr and serialization see only the slots and the two point sets; a
-    new curve (a shear, a rotation, ``dataclasses.replace``, a reload)
-    starts without them.
+    slot equals its ``differentiate()``.  ``check_null_sl2`` at tol <= 0
+    reads det F' only where N1 N4 - N2 N3 != Q^2, and F' only where a
+    modular certificate on N_k and Q declines: on a certified
+    one-denominator curve checked at tol 0, F' is never built.  Caching
+    is sound because the slots are immutable and the three values do not
+    depend on a tolerance.  They are cached outside the fields, so
+    equality, hashing, repr and serialization see only the slots and the
+    two point sets; a new curve (a shear, a rotation,
+    ``dataclasses.replace``, a reload) starts without them.
     """
 
     F1: MeroFunction
@@ -255,20 +260,30 @@ def check_null_sl2(F: SL2NullCurve, tol: float = ZERO_TOL) -> SL2Report:
     since the numerator of det F' over Q**4 is Q**2 (N1' N4' - N2' N3' -
     Q'**2) wherever N1 N4 - N2 N3 = Q**2.  Otherwise (tol > 0, windows,
     slots over different denominators, or not unimodular) det F - 1 and
-    det F' are built and tested.  Nonflatness is ``not is_flat(F')``: on
-    rational slots F' spans a fixed direction exactly when (c/ref)' == 0
-    for each nonzero slot derivative c against the smallest one, ref.  At
-    ``tol <= 0`` one evaluation modulo a prime of the numerator of
-    (c/ref)' proves most nonflat curves so, from the stored numerators
-    alone, and only a zero residue builds the quotient; at ``tol > 0``
-    each quotient derivative's numerator is compared against its own
-    denominator's scale.  Immersion is exact on rational slots: a gcd
-    modulo one prime certifies coprime derivative numerators without a
-    root (every ``tee_curve`` output stored without X's denominator D, and
-    its shears, unless the slot derivatives have a real common zero), and
-    otherwise the exact gcd of the reduced derivative numerators decides
-    (``spinor._has_common_zero``).  Only ``singular_set`` is excluded; the
-    pole set is not read.  A NaN or infinite tol raises ValueError.
+    det F' are built and tested.
+
+    On one denominator at ``tol <= 0`` immersion and nonflatness are first
+    offered to two certificates on the images of N_k and Q modulo one
+    prime, with no exact product and without F'.  The slot derivatives
+    are W_k/Q**2, W_k = N_k' Q - N_k Q'.  Immersion: the gcd of the images
+    of the W_k, each over its exact power of z, is a nonzero constant
+    (``exact._derivatives_coprime_mod_p``).  Nonflatness:
+    W_c W_r' - W_c' W_r is nonzero at one residue for some pair
+    (``exact._derivatives_vary_mod_p``).  A certificate that declines
+    leaves its verdict, and only that one, to F' as below.
+
+    Nonflatness is ``not is_flat(F')``: on rational slots F' spans a fixed
+    direction exactly when (c/ref)' == 0 for each nonzero slot derivative
+    c against the smallest one, ref.  At ``tol <= 0`` one evaluation
+    modulo a prime of the numerator of (c/ref)' proves most nonflat curves
+    so, from the stored numerators alone, and only a zero residue builds
+    the quotient; at ``tol > 0`` each quotient derivative's numerator is
+    compared against its own denominator's scale.  Immersion is exact on
+    rational slots: a gcd modulo one prime certifies coprime derivative
+    numerators without a root, and otherwise the exact gcd of the reduced
+    derivative numerators decides (``spinor._has_common_zero``).  Only
+    ``singular_set`` is excluded; the pole set is not read.  A NaN or
+    infinite tol raises ValueError.
     """
     if not isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
@@ -283,9 +298,10 @@ def check_null_sl2(F: SL2NullCurve, tol: float = ZERO_TOL) -> SL2Report:
         null = d1 * d4 - d2 * d3 == dQ * dQ
     else:
         null = F._det_derivative.is_identically_zero(tol)
-    d = F._derivative
-    immersion = not _has_common_zero(d, F.singular_set, tol)
-    nonflat = not is_flat(d, tol)
+    immersion = ((shared is not None and _derivatives_coprime_mod_p(*shared))
+                 or not _has_common_zero(F._derivative, F.singular_set, tol))
+    nonflat = ((shared is not None and _derivatives_vary_mod_p(*shared))
+               or not is_flat(F._derivative, tol))
     return SL2Report(unimodular, null, immersion, nonflat)
 
 

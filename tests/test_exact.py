@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nullsl2 import MeroFunction, is_flat
 from nullsl2.exact import (_P, _S, _X, ExactComplex, Poly, _coprime_mod_p,
+                           _derivatives_coprime_mod_p, _derivatives_vary_mod_p,
                            _ratio_varies_mod_p, poly_gcd)
 from nullsl2.series import Rational
 from nullsl2.spinor import _common_zero_poly
@@ -436,3 +437,146 @@ def test_a_linear_factor_at_the_point_is_decided_exactly():
                         MeroFunction.from_rational(c)], 0.0)
     assert _ratio_varies_mod_p(Poly([0, 1]), Poly.one(), Poly.one(),
                                Poly.one())
+
+
+# ---------------------------------------------------------------------------
+# the residue certificates on the derivatives of N_k / Q
+# ---------------------------------------------------------------------------
+
+#: polynomials with a planted power of z, so that Q(0) = 0 and
+#: ord N_k = ord Q come up
+_low_poly = st.builds(lambda p, k: p * Poly.monomial(k), _poly,
+                      st.integers(min_value=0, max_value=2))
+_quotients = st.tuples(_low_poly.filter(lambda p: not p.is_zero()),
+                       st.lists(_low_poly, min_size=1, max_size=4))
+
+
+def _sym_ord(w) -> int:
+    return next(k for k, c in enumerate(reversed(w.all_coeffs())) if c)
+
+
+def _sym_derivative_numerators(q, nums):
+    """The nonzero W_k = N_k' Q - N_k Q' in sympy, each divided by
+    z**min(ord W_k, 2 ord Q) as the numerator of (N_k/Q)' over Q**2 is."""
+    Q = to_sym(q)
+    out = []
+    for n in nums:
+        N = to_sym(n)
+        w = N.diff(X) * Q - N * Q.diff(X)
+        if not w.is_zero:
+            t = min(_sym_ord(w), 2 * _sym_ord(Q))
+            out.append(sp.Poly(w.all_coeffs()[:w.degree() + 1 - t], X,
+                               domain=QQ_I))
+    return out
+
+
+def _sym_share_a_root(q, nums) -> bool:
+    ws = _sym_derivative_numerators(q, nums)
+    if not ws:
+        return True
+    g = ws[0]
+    for w in ws[1:]:
+        g = sp.gcd(g, w)
+    return g.degree() > 0
+
+
+@settings(deadline=None, max_examples=40)   # sympy's gcd over Q(i) is slow
+@given(_quotients)
+def test_a_derivative_certificate_means_a_sympy_gcd_of_one(parts):
+    q, nums = parts
+    if _derivatives_coprime_mod_p(q, *nums):
+        assert not _sym_share_a_root(q, nums)
+
+
+def _sym_pair_wronskians(q, nums):
+    """W_c W_r' - W_c' W_r for each pair c < r, in sympy, over the
+    Gaussian-integer numerators: W_k times den_k den_Q."""
+    Q = to_sym(q) * q._den
+    ws = []
+    for n in nums:
+        N = to_sym(n) * n._den
+        ws.append(N.diff(X) * Q - N * Q.diff(X))
+    return [a * b.diff(X) - a.diff(X) * b
+            for k, a in enumerate(ws) for b in ws[k + 1:]]
+
+
+@settings(deadline=None, max_examples=40)
+@given(_quotients)
+def test_a_nonflat_certificate_means_a_nonconstant_sympy_ratio(parts):
+    # certified: some (W_c / W_r)' != 0; and the certificate is exactly
+    # "some pair's numerator has a nonzero image at _X"
+    q, nums = parts
+    pairs = _sym_pair_wronskians(q, nums)
+    if _derivatives_vary_mod_p(q, *nums):
+        assert any(not w.is_zero for w in pairs)
+    images = []
+    for w in pairs:
+        value = w.eval(_X)
+        re, im = (int(sp.Integer(t)) for t in (sp.re(value), sp.im(value)))
+        images.append((re + _S * im) % _P)
+    assert _derivatives_vary_mod_p(q, *nums) == any(images)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_nonzero_poly, _poly, st.lists(st.tuples(_scalar, _scalar),
+                                      min_size=1, max_size=4))
+def test_a_flat_curve_is_never_certified_nonflat(q, n, coefs):
+    # N_k = a_k N + b_k Q: every (N_k/Q)' is a_k (N/Q)'
+    nums = [n.scale(a) + q.scale(b) for a, b in coefs]
+    assert not _derivatives_vary_mod_p(q, *nums)
+
+
+def test_the_power_of_z_comes_from_exact_orders():
+    z = Poly([0, 1])
+    # Q(0) = 0 and ord N_1 = ord Q = 1: W_1 = z**2 (z**2 + 2z - 2), and
+    # s_1 = 2 q = 2; W_2 = -Q' = -(1 + 2z)
+    q = Poly([0, 1, 1])
+    assert _derivatives_coprime_mod_p(q, Poly([0, 2, 0, 1]), Poly([1]))
+    assert not _sym_share_a_root(q, [Poly([0, 2, 0, 1]), Poly([1])])
+    # Q = z and N_k = c_k z + d_k z**3: W_k = 2 d_k z**3, and the
+    # numerators of (N_k/Q)' are 2 d_k z, which share the root 0
+    nums = [Poly([0, 1, 0, 2]), Poly([0, 3, 0, -1j])]
+    assert _sym_share_a_root(z, nums)
+    assert not _derivatives_coprime_mod_p(z, *nums)
+    # Q = z and N_k = c_k z + (z + p)**2 R_k: every (N_k/Q)' vanishes at
+    # -p, and W_k(0) = -p**2 R_k(0) != 0, so s_k = 0 although the images
+    # of the W_k start at z**2
+    h = Poly([_P, 1])
+    nums = [z.scale(c) + h * h * r
+            for c, r in ((1, Poly([1])), (2j, Poly([2, 1])),
+                         (-3, Poly([1j, 0, 1])))]
+    assert _sym_share_a_root(z, nums)
+    assert not _derivatives_coprime_mod_p(z, *nums)
+
+
+def test_a_slot_of_the_degree_of_q_gives_no_leading_guard():
+    # N = 2 + 3z over Q = 1 + z: W = 1, below its nominal degree 1
+    q = Poly([1, 1])
+    assert not _derivatives_coprime_mod_p(q, Poly([2, 3]))
+    assert not _sym_share_a_root(q, [Poly([2, 3])])
+    # z**2 over Q: W = z (2 + z) keeps its degree and gives the guard
+    assert _derivatives_coprime_mod_p(q, Poly([2, 3]), Poly([0, 0, 1]))
+
+
+def test_a_leading_coefficient_divisible_by_p_gives_no_guard():
+    # N_k = c_k Q + h**2 M_k with h = p z + 1: every (N_k/Q)' vanishes at
+    # -1/p, but h's image is 1 and the images of the W_k are constants
+    q, h = Poly([1, 1]), Poly([1, _P])
+    nums = [q.scale(c) + (h * h).scale(m)
+            for c, m in ((1, 1), (2j, -1), (0.5, 3))]
+    assert _sym_share_a_root(q, nums)
+    assert not _derivatives_coprime_mod_p(q, *nums)
+    # lc Q divisible by p: no slot gives the guard, though W = 1 here
+    assert not _derivatives_coprime_mod_p(Poly([1, _P]), Poly([0, 1]))
+
+
+def test_a_slot_whose_image_is_zero_is_left_out():
+    q = Poly([1, 1])
+    zero_image = Poly([_P, 2 * _P, -_P * 1j])
+    assert not _derivatives_coprime_mod_p(q, zero_image)
+    assert _derivatives_coprime_mod_p(q, zero_image, Poly([0, 0, 1]),
+                                      Poly([1]))
+    assert not _sym_share_a_root(q, [zero_image, Poly([0, 0, 1]), Poly([1])])
+    # a zero N_k and N_k = 2 Q have W_k = 0: left out, like a zero image
+    assert _derivatives_coprime_mod_p(q, Poly.zero(), q.scale(2), Poly([3]))
+    assert not _derivatives_coprime_mod_p(q, Poly.zero(), q.scale(2))

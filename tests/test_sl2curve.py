@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nullsl2.series as series
+import nullsl2.spinor as spinor
 from nullsl2 import (
     C3NullCurve,
     FirstEntryZero,
@@ -46,11 +47,12 @@ from nullsl2 import (
     tee_inv,
     tee_inv_curve,
 )
-from nullsl2.exact import Poly, _coprime_mod_p
+from nullsl2.exact import (Poly, _coprime_mod_p, _derivatives_coprime_mod_p,
+                           _derivatives_vary_mod_p, _ratio_varies_mod_p)
 from nullsl2.serialize import sl2_to_dict
 from nullsl2.series import Rational, _common_denominator
 from nullsl2.sl2curve import _SHEAR_RECIPES, _one_denominator
-from nullsl2.spinor import _sorted_points
+from nullsl2.spinor import _has_common_zero, _sorted_points, is_flat
 
 from conftest import random_sl2_curve, random_c3_curve
 
@@ -469,12 +471,26 @@ def test_one_denominator_check_rejects_a_non_finite_tol(tol):
         check_null_sl2(F, tol)
 
 
+def _derivative_certificates_certify(G) -> bool:
+    """Whether both modular certificates read on F' certify, on a copy of
+    G: ``_coprime_mod_p`` on the nonzero slot derivatives' numerators
+    (immersion) and ``_ratio_varies_mod_p`` of one of them against the
+    reference of ``is_flat`` (nonflatness)."""
+    d = [f for f in SL2NullCurve(*G.slots())._derivative
+         if not f.is_identically_zero(0.0)]
+    ref, *rest = sorted(d, key=lambda f: f.rep.num.degree + f.rep.den.degree)
+    return (_coprime_mod_p([f.rep.num for f in d])
+            and any(_ratio_varies_mod_p(c.rep.num, c.rep.den, ref.rep.num,
+                                        ref.rep.den) for c in rest))
+
+
 def test_tee_curve_check_differentiates_no_slot_and_builds_no_det_derivative(
         monkeypatch):
-    # F' is built from Q', Q^2 and the four numerators, and the null
-    # verdict reads the numerators, so no slot is differentiated and det F'
-    # is never built.  is_flat differentiates a quotient only where its
-    # modular residue is zero, which happens on the flat curve alone
+    # the null verdict reads the numerators, so no slot is differentiated
+    # and det F' is never built; wherever the certificates on F' would
+    # certify, the residues of N_k and Q certify too, and F' is not built.
+    # is_flat differentiates a quotient only where its modular residue is
+    # zero, which happens on the flat curve alone
     calls = []
     real_differentiate = MeroFunction.differentiate
 
@@ -483,13 +499,58 @@ def test_tee_curve_check_differentiates_no_slot_and_builds_no_det_derivative(
         return real_differentiate(self)
 
     monkeypatch.setattr(MeroFunction, "differentiate", counted)
+    certified = 0
     for F, lam in _tee_pool():
         for G in (F, *(shear(F, lam, kind) for kind in SHEAR_KINDS)):
+            certifies = _derivative_certificates_certify(G)
             calls.clear()
             rep = check_null_sl2(G, tol=0.0)
             assert "_det_derivative" not in vars(G)
             assert not any(f is s for f in calls for s in G.slots())
             assert calls == [] or not rep.nonflat
+            if certifies:
+                assert "_derivative" not in vars(G)
+            certified += certifies
+    # every curve but pool inputs 3 and 18 (immersed, with a factor shared
+    # by the numerators of F'), 24 and 25 (X' = 0 at 0) and 26 (flat),
+    # each plain and under the four shears
+    assert certified == 5 * 22
+
+
+def test_residue_certificates_give_the_verdicts_of_the_derivative_path():
+    # at tol 0 a curve over one denominator decides immersion and
+    # nonflatness from residues of N_k and Q; F' decides them alike
+    for G in _one_denominator_curves():
+        rep = check_null_sl2(G, tol=0.0)
+        d = G._derivative
+        assert rep.immersion == (not _has_common_zero(d, G.singular_set, 0))
+        assert rep.nonflat == (not is_flat(d, 0))
+        shared = _one_denominator(G.slots())
+        if _derivatives_coprime_mod_p(*shared):
+            assert rep.immersion
+        if _derivatives_vary_mod_p(*shared):
+            assert rep.nonflat
+
+
+def test_derivative_numerators_with_a_common_factor_read_f_prime(
+        monkeypatch):
+    # pool inputs 3 and 18 (X1 z + 1) are immersed, but the numerators of
+    # F' share a linear factor: the residue certificate declines as the
+    # one on F' does, and F' is built and goes to the exact gcd
+    gcds = []
+    real = spinor._common_zero_poly
+    monkeypatch.setattr(spinor, "_common_zero_poly",
+                        lambda fns: gcds.append(fns) or real(fns))
+    pool = _tee_pool()
+    for F, lam in (pool[3], pool[18]):
+        for G in (F, *(shear(F, lam, kind) for kind in SHEAR_KINDS)):
+            gcds.clear()
+            assert not _derivatives_coprime_mod_p(*_one_denominator(G.slots()))
+            rep = check_null_sl2(G, tol=0.0)
+            assert rep.unimodular and rep.immersion and rep.nonflat
+            assert "_derivative" in vars(G)
+            assert not _coprime_mod_p([d.rep.num for d in G._derivative])
+            assert len(gcds) == 1
 
 
 def test_verdict_digest_script_records_every_check_and_classification(
