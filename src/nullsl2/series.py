@@ -48,7 +48,8 @@ from .errors import (
     NonExactField,
     TruncationTooShort,
 )
-from .exact import EC_ONE, ExactComplex, Poly, _peak_within, poly_gcd
+from .exact import (EC_ONE, ExactComplex, Poly, _coprime_mod_p, _peak_within,
+                    poly_gcd)
 
 #: default ``tol`` of the zero tests, and the floor below which a window's
 #: computed value away from its base point counts as zero (stored
@@ -554,7 +555,12 @@ class MeroFunction:
     # -- pole / zero bookkeeping --------------------------------------------------------
 
     def poles(self) -> list[tuple[complex, int]]:
-        """Numeric pole list [(location, order)], for bookkeeping."""
+        """Pole list [(location, order)], sorted by (real, imag).
+
+        On a Rational the orders are exact: they are the multiplicities of
+        the roots of den / gcd(num, den) (``_excess_roots``), and only the
+        locations are floats, from ``np.roots`` on each squarefree part.
+        A window lists its base point only."""
         if self.is_window:
             w = self.rep
             if w.min_exponent < 0 and any(w.coeffs):
@@ -565,7 +571,8 @@ class MeroFunction:
         return [] if num.is_zero() else _excess_roots(self.rep.den, num)
 
     def zeros(self) -> list[tuple[complex, int]]:
-        """Numeric zero list [(location, order)], for bookkeeping."""
+        """Zero list [(location, order)] of a Rational, as ``poles`` reads
+        num / gcd(num, den); a window has none and gives []."""
         if self.is_window:
             return []
         return _excess_roots(self.rep.num, self.rep.den)
@@ -767,55 +774,61 @@ def _raise_non_exact(W: Poly, U: Poly):
 
 
 def _clustered_roots(poly: Poly) -> list[tuple[complex, int]]:
-    """Numeric roots clustered to multiplicity (bookkeeping grade)."""
+    """The roots of poly with their exact multiplicities, sorted by
+    (real, imag): the one root kernel of the package.
+
+    Yun's squarefree decomposition (SYMSAC '76) on ``poly_gcd`` writes
+    poly = lc * s_1 * s_2**2 * s_3**3 ..., with each s_i squarefree and
+    the s_i pairwise coprime, and ``np.roots`` locates the roots of each
+    s_i only, each with multiplicity i.  Where ``exact._coprime_mod_p``
+    certifies poly and poly' coprime, poly is squarefree and is the only
+    part, with no gcd.  No root is clustered or matched by distance.  A
+    part with a coefficient past the float range goes to ``np.roots``
+    monic.  The name stays: ``perfbench/tracer.py`` patches it by name.
+    """
     if poly.degree < 1:
         return []
-    coeffs = poly.float_coeffs()
-    if not all(map(cmath.isfinite, coeffs)):
-        # a coefficient past the float range: np.roots refuses inf, and
-        # the monic companion entries are the exact ratios it would form
-        coeffs = poly.monic().float_coeffs()
-    roots = sorted(np.roots(coeffs),
-                   key=lambda r: (_rounded6(r.real), _rounded6(r.imag)))
-    out: list[list] = []
-    for r in roots:
-        for entry in out:
-            if abs(r - entry[0] / entry[1]) < 1e-6:
-                entry[0] += r
-                entry[1] += 1
-                break
-        else:
-            out.append([r, 1])
-    return [(complex(s / m), m) for s, m in out]
-
-
-def _rounded6(x):
-    """round(x, 6) for a root part; a part past 1e300 is already an integer
-    and is kept as it is, since rounding it would overflow x * 10**6."""
-    return x if abs(x) > 1e300 else round(x, 6)
+    d = poly.derivative()
+    if _coprime_mod_p([poly, d]):
+        parts = [poly]
+    else:
+        g = poly_gcd(poly, d)
+        b, c = poly.exact_div(g), d.exact_div(g)
+        parts = []
+        while b.degree > 0:
+            c = c - b.derivative()
+            s = poly_gcd(b, c)
+            b, c = b.exact_div(s), c.exact_div(s)
+            parts.append(s)
+    out = []
+    for i, s in enumerate(parts, 1):
+        coeffs = s.float_coeffs()
+        if not all(map(cmath.isfinite, coeffs)):
+            # np.roots refuses inf; the monic companion entries are the
+            # exact ratios it would form
+            coeffs = s.monic().float_coeffs()
+        out += [(complex(r), i) for r in np.roots(coeffs)]
+    return sorted(out, key=lambda pm: (pm[0].real, pm[0].imag))
 
 
 def _excess_roots(a: Poly, b: Poly) -> list[tuple[complex, int]]:
-    """Clustered roots of a whose multiplicity exceeds that of a root of b
-    within 1e-8, with the excess: the poles (a = den) or zeros (a = num).
+    """The roots of a with their multiplicity in excess of b's, where it
+    exceeds it: the poles (a = den) or zeros (a = num), exactly.
 
-    The root at 0 is read exactly, from ``low_order`` of both, and only
-    the polynomials stripped of it go to ``np.roots``; the origin keeps
-    its place in the sorted list.  So z = 0 is neither matched with a
-    nearby root of b nor clustered with a nearby root of a.
+    The root at 0 is read from ``low_order`` of both.  The rest are the
+    roots of a / z**ord, divided by its gcd with b unless
+    ``exact._coprime_mod_p`` certifies the two coprime, through
+    ``_clustered_roots``; the origin keeps its place in the sorted list.
     """
     if a.degree < 1:
         return []
     a0, b0 = a.low_order(), b.low_order()
-    b_roots = _clustered_roots(b.drop_low(b0))
-    out = []
-    for p, ma in _clustered_roots(a.drop_low(a0)):
-        mb = next((m for q, m in b_roots if abs(q - p) < 1e-8), 0)
-        if ma > mb:
-            out.append((p, ma - mb))
+    a = a.drop_low(a0)
+    if not _coprime_mod_p([a, b]):
+        a = a.exact_div(poly_gcd(a, b))
+    out = _clustered_roots(a)
     if a0 > b0:
-        at = sum((_rounded6(p.real), _rounded6(p.imag)) < (0, 0)
-                 for p, _ in out)
+        at = sum((p.real, p.imag) < (0, 0) for p, _ in out)
         out.insert(at, (0j, a0 - b0))
     return out
 

@@ -24,9 +24,9 @@ F_k = N_k/Q, ``check_null_sl2`` at tol <= 0 decides unimodular as
 N1 N4 - N2 N3 == Q^2 and then null as N1' N4' - N2' N3' == Q'^2, and
 immersion and nonflatness from the images of N_k and Q modulo one prime
 (``exact._derivatives_coprime_mod_p``, ``exact._derivatives_vary_mod_p``):
-F' is built, from Q' and Q^2 made once, only where one of those two
-certificates declines.  Elsewhere sums of slot products (det F, det F')
-stay over Q^2 or Q^4 and are not cross-multiplied.
+F' is built, slot by slot, only where one of those two certificates
+declines.  Elsewhere sums of slot products (det F, det F') stay over Q^2
+or Q^4 and are not cross-multiplied.
 """
 
 from __future__ import annotations
@@ -70,17 +70,15 @@ class SL2NullCurve:
     The derivative F' = (F1', F2', F3', F4'), det F' = F1'F4' - F2'F3' and
     omega = F1 F3' - F3 F1' are computed once per curve, on first use, and
     every check that reads them (validity, both Gauss maps, the Hopf
-    cross-check, the Maurer-Cartan trace) shares them.  Where the four
-    slots share one stored denominator Q, F' is (N_k' Q - N_k Q')/Q^2 with
-    Q' and Q^2 built once, each slot's own power of z dropped, so each
-    slot equals its ``differentiate()``.  ``check_null_sl2`` at tol <= 0
-    reads det F' only where N1 N4 - N2 N3 != Q^2, and F' only where a
-    modular certificate on N_k and Q declines: on a certified
-    one-denominator curve checked at tol 0, F' is never built.  Caching
-    is sound because the slots are immutable and the three values do not
-    depend on a tolerance.  They are cached outside the fields, so
-    equality, hashing, repr and serialization see only the slots and the
-    two point sets; a new curve (a shear, a rotation,
+    cross-check, the Maurer-Cartan trace) shares them.  F' is each slot's
+    ``differentiate()``.  Where the four slots share one stored
+    denominator Q, ``check_null_sl2`` at tol <= 0 reads det F' only where
+    N1 N4 - N2 N3 != Q^2, and F' only where a modular certificate on N_k
+    and Q declines: on a certified one-denominator curve checked at tol 0,
+    F' is never built.  Caching is sound because the slots are immutable
+    and the three values do not depend on a tolerance.  They are cached
+    outside the fields, so equality, hashing, repr and serialization see
+    only the slots and the two point sets; a new curve (a shear, a rotation,
     ``dataclasses.replace``, a reload) starts without them.
     """
 
@@ -104,21 +102,7 @@ class SL2NullCurve:
 
     @cached_property
     def _derivative(self) -> tuple[MeroFunction, ...]:
-        slots = self.slots()
-        shared = _one_denominator(slots)
-        if shared is None:
-            return tuple(s.differentiate() for s in slots)
-        # F_k' = (N_k' Q - N_k Q') / Q**2 with Q' and Q**2 built once; each
-        # slot drops its own power of z, as MeroFunction.differentiate does
-        Q, *nums = shared
-        if Q.degree == 0:
-            pairs = [(Q, n.derivative()) for n in nums]
-        else:
-            dQ, QQ = Q.derivative(), Q * Q
-            pairs = [_cancel_monomial(QQ, n.derivative() * Q - n * dQ)
-                     for n in nums]
-        return tuple(MeroFunction(Rational(num, den), s.base_point, s.domain)
-                     for (den, num), s in zip(pairs, slots))
+        return tuple(s.differentiate() for s in self.slots())
 
     @cached_property
     def _det_derivative(self) -> MeroFunction:

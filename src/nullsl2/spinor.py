@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .errors import DegenerateEta, EtaIdenticallyZero, NonExactField
 from ._lazy import np
 from .exact import Poly, _coprime_mod_p, _ratio_varies_mod_p, poly_gcd
-from .series import MeroFunction, ZERO_TOL, _window_slice
+from .series import MeroFunction, ZERO_TOL, _clustered_roots, _window_slice
 
 _I = 1j
 
@@ -281,16 +281,18 @@ def spinor_common_zero_points(s: SpinorData, tol: float = 1e-8
     (bookkeeping helper; the type itself only validates eta != 0 at
     construction), sorted.
 
-    Exact on rational data: the roots of the squarefree part of the gcd
-    of the reduced numerators (``_common_zero_poly``), each listed once
-    whatever its multiplicity.  `tol` is not read.  Window data have no
-    zero list and give ``[]``.
+    Exact on rational data: the roots of the gcd of the reduced
+    numerators (``_common_zero_poly``), from the one root kernel
+    ``series._clustered_roots``, each listed once whatever its
+    multiplicity.  `tol` is not read.  Window data have no zero list and
+    give ``[]``.
     """
     q = (s.f3 * s.f3) / s.eta
     fns = [f for f in (s.eta, q) if not f.is_identically_zero(0.0)]
     if not all(f.is_rational for f in fns):
         return []
-    return list(_sorted_points(_distinct_roots(_common_zero_poly(fns))))
+    g = _common_zero_poly(fns)
+    return list(_sorted_points(p for p, _ in _clustered_roots(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +344,6 @@ def _common_zero_poly(fns) -> Poly:
     return g
 
 
-def _distinct_roots(g: Poly):
-    """The roots of g, each once: ``np.roots`` of g / gcd(g, g')."""
-    if g.degree < 1:
-        return []
-    return np.roots(g.exact_div(poly_gcd(g, g.derivative())).float_coeffs())
-
-
 def _has_common_zero(derivs, singular, tol) -> bool:
     """Whether the nonzero derivs share a zero away from the points of
     ``singular`` (a curve's ``singular_set``).  No pole set is read: a
@@ -377,4 +372,4 @@ def _has_common_zero(derivs, singular, tol) -> bool:
     if not singular:
         return g.degree >= 1  # exact: no root is found
     return any(all(abs(p - e) >= 1e-8 for e in singular)
-               for p in _distinct_roots(g))
+               for p, _ in _clustered_roots(g))

@@ -291,6 +291,78 @@ def test_higher_order_pole_has_zero_period():
     assert abs(period(inv_z(2), Cycle.circle(0, 1.0))) < 1e-12
 
 
+def _power_of_linear(p, k) -> Poly:
+    out, lin = Poly([1]), Poly([-p, 1])
+    for _ in range(k):
+        out = out * lin
+    return out
+
+
+def _counted_residues(monkeypatch) -> list:
+    calls = []
+    real = nullsl2.periods._residue_near
+
+    def counted(f, p, clearance):
+        calls.append(p)
+        return real(f, p, clearance)
+
+    monkeypatch.setattr(nullsl2.periods, "_residue_near", counted)
+    return calls
+
+
+def test_a_pole_of_order_six_off_the_origin_has_zero_period(monkeypatch):
+    # (1 + z + z**2)/(z - p)**6 has no 1/(z - p) term; np.roots splits the
+    # pole into six simple ones, whose residues of about 3e13 summed to
+    # nothing near the quadrature, and the cross-check raised
+    calls = _counted_residues(monkeypatch)
+    p = 0.3 + 0.2j
+    f = MeroFunction.from_rational([1, 1, 1], _power_of_linear(p, 6).coeffs)
+    assert f.poles() == [(p, 6)]
+    assert abs(period(f, Cycle.circle(0, 1))) < 1e-12
+    assert calls == []
+
+
+@pytest.mark.parametrize("contour", ["circle", "polyline"])
+def test_an_order_three_pole_inside_gives_its_first_coefficient(contour):
+    # the benchmark's spray input: sum of c_r/(z - p)**r plus a quadratic,
+    # p off the origin and inside the contour
+    p = 0.31 - 0.22j
+    cs = [0.7 - 1.1j, -0.4 + 0.3j, 1.3 + 0.2j]
+    den = _power_of_linear(p, 3)
+    num = Poly([0.5, -1j, 0.25]) * den
+    for r, c in enumerate(cs, start=1):
+        num = num + _power_of_linear(p, 3 - r).scale(c)
+    f = MeroFunction.from_rational(num.coeffs, den.coeffs)
+    cycle = (Cycle.circle(0, abs(p) + 0.5) if contour == "circle" else
+             Cycle.polyline([p + 0.8 * cmath.exp(1j * math.pi * k / 3)
+                             for k in range(6)]))
+    assert period(f, cycle) == pytest.approx(TWO_PI_I * cs[0], abs=1e-10)
+
+
+def test_a_near_double_pole_inside_and_a_pole_outside(monkeypatch):
+    # z**2 + 0.2 z + 0.01 stored from floats has two simple roots 1.9e-9
+    # apart, each with a residue of about 1e9; their exact sum is read at
+    # infinity, and only the pole at 3, outside, takes a residue of its own
+    calls = _counted_residues(monkeypatch)
+    den = Poly([0.01, 0.2, 1]) * Poly([-3, 1])
+    f = MeroFunction.from_rational((2, 1), den.coeffs)
+    assert [m for _, m in f.poles()] == [1, 1, 1]
+    assert period(f, Cycle.circle(0, 1)) == pytest.approx(
+        TWO_PI_I * -5 / 9.61, abs=1e-10)
+    assert [round(p.real, 12) for p in calls] == [3]
+
+
+def test_a_tie_of_winding_numbers_takes_the_smaller_one(monkeypatch):
+    # two poles in, two out: the sum is read pole by pole over the two
+    # inside, as it is with no pole inside
+    calls = _counted_residues(monkeypatch)
+    den = Poly([-0.25, 0, 1]) * Poly([-9, 0, 1])    # poles +-1/2, +-3
+    f = MeroFunction.from_rational((1, 0, 0, 1), den.coeffs)
+    want = TWO_PI_I * sum(f.residue(p) for p in (-0.5, 0.5))
+    assert period(f, Cycle.circle(0, 1)) == pytest.approx(want, abs=1e-12)
+    assert sorted(round(p.real, 12) for p in calls) == [-0.5, 0.5]
+
+
 # ---------------------------------------------------------------------------
 # spray families
 # ---------------------------------------------------------------------------

@@ -19,12 +19,14 @@ from nullsl2 import (
     TruncationTooShort,
     annulus,
     disk,
+    end_model,
     plane,
     punctured_disk,
 )
+from nullsl2 import series
 from nullsl2.exact import ExactComplex, Poly, poly_gcd
 from nullsl2.series import (DomainTag, Rational, _cancel_monomial,
-                            _merge_domain, _rounded6)
+                            _clustered_roots, _merge_domain)
 
 from conftest import st_rational, st_window
 
@@ -440,9 +442,6 @@ def test_evaluate_many_redoes_entries_of_any_memory_layout():
 
 
 def test_root_sort_key_past_the_range():
-    assert _rounded6(np.float64(1.5e308)) == 1.5e308
-    for x in (0.1234567, -3.14159265, 1e299, 2.5e-7):
-        assert _rounded6(np.float64(x)) == round(np.float64(x), 6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert MeroFunction.from_poly([1.5e308, 1]).zeros() == \
@@ -706,6 +705,38 @@ def test_origin_roots_of_a_rational_are_read_exactly():
     # a common power of z in a stored pair is read as its excess
     h = MeroFunction(Rational(Poly([0, 0, 1, 1]), Poly([0, 2])))
     assert h.poles() == [] and h.zeros() == [(-1 + 0j, 1), (0j, 1)]
+
+
+@pytest.mark.parametrize("c", [0.5 + 0.5j, 0.3137 + 0.2719j])
+def test_a_pole_of_order_nine_is_listed_once(c):
+    # np.roots splits it into nine simple roots about 0.025 apart, which
+    # the 1e-6 clustering listed as nine simple poles
+    assert end_model(8, c).F3.poles() == [(c, 9)]
+
+
+def test_a_quotient_lists_the_poles_of_its_reduced_form():
+    # eta = (z - 1/2)**2, f3 = (z - 1/2)**3: q = f3**2/eta = (z - 1/2)**4
+    eta = MeroFunction.from_poly([0.25, -1, 1])
+    f3 = MeroFunction.from_poly([-0.125, 0.75, -1.5, 1])
+    q = f3 * f3 / eta
+    assert q.poles() == [] and q.zeros() == [(0.5 + 0j, 4)]
+
+
+def test_kernel_skips_the_gcds_of_a_certified_squarefree_polynomial(
+        monkeypatch):
+    calls = []
+    monkeypatch.setattr(series, "poly_gcd",
+                        lambda a, b: calls.append(1) or poly_gcd(a, b))
+
+    def rounded(poly):
+        return [(round(p.real, 12), round(p.imag, 12), m)
+                for p, m in _clustered_roots(poly)]
+
+    assert rounded(Poly([-1, 0, 1])) == [(-1, 0, 1), (1, 0, 1)]
+    assert calls == []
+    # (z - 1)**2 (z + 1): one gcd with the derivative, then Yun's steps
+    assert rounded(Poly([1, -1, -1, 1])) == [(-1, 0, 1), (1, 0, 2)]
+    assert calls
 
 
 def test_zero_test_at_negative_tol_is_exact_on_both_representations():
