@@ -3,11 +3,13 @@
 
 For each seed given, the script builds the construct and ends pools of
 ``perfbench/workloads.py`` and runs every op.  Each curve an op hands to
-``check_null_sl2`` is checked again at tol 0, 1e-12, 1e-8 and 1e-4, and
-each ``classify_end`` report is kept.  All reports, as JSON with sorted
-keys, go into one SHA-256.  Two checkouts that print the same digest for
-the same seeds decide every one of these verdicts alike, so a change meant
-to keep the verdicts can be compared with the commit it starts from:
+``check_null_sl2`` is checked again at tol 0, 1e-12, 1e-8 and 1e-4, each
+C^3 curve a construct op hands to ``tee_curve`` is checked by
+``check_null_c3`` at the same four tols, and each ``classify_end`` report
+is kept.  All reports, as JSON with sorted keys, go into one SHA-256.
+Two checkouts that print the same digest for the same seeds decide every
+one of these verdicts alike, so a change meant to keep the verdicts can
+be compared with the commit it starts from:
 
     python3 scripts/verdict_digest.py 1 7
     python3 scripts/verdict_digest.py --tree ../base-checkout 1 7
@@ -29,9 +31,10 @@ TOLS = (0.0, 1e-12, 1e-8, 1e-4)
 
 
 def records(seed: int, nl, workloads) -> list:
-    """Every report the construct and ends ops of one seed ask for."""
+    """Every report the construct and ends ops of one seed ask for, and
+    the ``check_null_c3`` reports of the curves they lift."""
     out = []
-    check, classify = nl.check_null_sl2, nl.classify_end
+    check, classify, tee = nl.check_null_sl2, nl.classify_end, nl.tee_curve
 
     def checked(F, tol=nl.ZERO_TOL):
         rep = check(F, tol)
@@ -39,17 +42,24 @@ def records(seed: int, nl, workloads) -> list:
                     [check(F, t).as_dict() for t in TOLS]])
         return rep
 
+    def lifted(X):
+        out.append(["check_null_c3",
+                    [nl.check_null_c3(X, t).as_dict() for t in TOLS]])
+        return tee(X)
+
     def classified(F, center, *args, **kwargs):
         rep = classify(F, center, *args, **kwargs)
         out.append(["classify_end", rep.as_dict()])
         return rep
 
-    nl.check_null_sl2, nl.classify_end = checked, classified
+    nl.check_null_sl2, nl.classify_end, nl.tee_curve = (checked, classified,
+                                                        lifted)
     try:
         for op in workloads.construct_ops(seed) + workloads.ends_ops(seed):
             op.run()
     finally:
-        nl.check_null_sl2, nl.classify_end = check, classify
+        nl.check_null_sl2, nl.classify_end, nl.tee_curve = (check, classify,
+                                                            tee)
     return out
 
 

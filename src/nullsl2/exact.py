@@ -20,12 +20,14 @@ The certificates work on images modulo one prime p (``_residues``, i
 mapped to a square root of -1), and False means only "not certified".
 Coprimality is one kernel, Euclid with a leading-coefficient guard
 (``_coprime_residues``), fed with the images of given numerators
-(``_coprime_mod_p``) or of the derivative numerators N_k' Q - N_k Q' of
-quotients N_k/Q, formed modulo p with no exact product
-(``_derivatives_coprime_mod_p``).  Nonconstancy of a quotient is one
-Wronskian evaluation at a residue, from Horner jets (``_jet_mod_p``): of
-(a/u)/(b/v) (``_ratio_varies_mod_p``), or of (N_c/Q)'/(N_r/Q)' for some
-pair (``_derivatives_vary_mod_p``).
+(``_coprime_mod_p``, the root kernel's test of ``series``) or of the
+derivative numerators N_k' D_k - N_k D_k' of the quotients N_k/D_k of a
+rational curve, formed modulo p with no exact product
+(``_derivatives_coprime_mod_p``: immersion).  Nonflatness is one
+evaluation at a residue, from Horner jets of N_k and D_k (``_jet_mod_p``),
+of the numerator of ((N_c/D_c)'/(N_r/D_r)')' for some pair
+(``_derivatives_vary_mod_p``).  Both read each slot's own (N_k, D_k), and
+the images of a denominator that several slots share are formed once.
 
 Only what the package needs is implemented.  The exact calculus of
 :mod:`nullsl2.series` (series quotients, Hermite reduction of rational
@@ -668,57 +670,58 @@ def _coprime_mod_p(polys: Iterable[Poly]) -> bool:
     """A certificate that the numerators of ``polys`` share no root:
     ``_coprime_residues`` on their images, with the leading-coefficient
     guard read from each numerator's top coefficient; ``_den`` is a unit
-    and is ignored.  Curves over one denominator offer their derivative
-    numerators to ``_derivatives_coprime_mod_p`` first, which needs no
-    exact product; this runs where that one declines, on the numerators
-    of the built derivatives."""
+    and is ignored.  The root kernel of ``series`` reads it; the immersion
+    test of a curve reads ``_derivatives_coprime_mod_p``, on the stored
+    slots, and no derivative numerators come here."""
     polys = [f for f in polys if f._re]
     lead = any((f._re[-1] + _S * f._im[-1]) % _P for f in polys)
     return _coprime_residues((_residues(f)[::-1] for f in polys), lead)
 
 
-def _derivatives_coprime_mod_p(den: Poly, *nums: Poly) -> bool:
-    """A certificate that the derivatives of the quotients N_k/Q, N_k in
-    ``nums`` and Q = ``den`` (nonzero), share no zero: the immersion test
-    of a curve over one denominator, read from the images of N_k and Q
-    modulo ``_P`` with no exact product.
+def _derivatives_coprime_mod_p(slots: Sequence[tuple[Poly, Poly]]) -> bool:
+    """A certificate that the derivatives of the quotients N_k/D_k, one
+    (N_k, D_k) pair in ``slots`` for each (D_k nonzero), share no zero:
+    the immersion test of a rational curve, read from the images of N_k
+    and D_k modulo ``_P`` with no exact product.
 
-    The derivative of N_k/Q is W_k/Q**2 with W_k = N_k' Q - N_k Q', whose
-    coefficient at z**j is the sum of (a - b) n_a q_b over a + b = j + 1;
-    that sum is formed on the images.  Cancelling the common power of z
-    leaves W_k / z**s_k over Q**2 / z**s_k, and s_k is taken from the exact
-    orders n = ord N_k and q = ord Q, never from an image that may have
-    lost its low terms: the coefficient of z**(n + q - 1) in W_k is
-    (n - q) a_n b_q, so s_k = min(n + q - 1, 2 q) where n != q, and
+    The derivative of N_k/D_k is W_k/D_k**2 with W_k = N_k' D_k -
+    N_k D_k', and z W_k = (z N_k') D_k - N_k (z D_k') is formed on the
+    images by two products (``_conv``).  Every common zero of
+    the derivatives is a root of each W_k / z**s_k, and s_k is taken from
+    the exact orders n = ord N_k and q = ord D_k, never from an image that
+    may have lost its low terms: the coefficient of z**(n + q - 1) in W_k
+    is (n - q) a_n b_q, so s_k = min(n + q - 1, 2 q) where n != q, and
     s_k = 2 q where n = q (there ord W_k >= 2 q).  A slot proves its true
     degree, the guard of ``_coprime_residues``, only when its image is
-    nonzero at deg N_k + deg Q - 1, whose exact coefficient is
-    (deg N_k - deg Q) lc N_k lc Q; a slot with deg N_k = deg Q never
-    does.  A constant Q gives s_k = 0 and W_k = Q N_k'.  False means
+    nonzero at deg N_k + deg D_k - 1, whose exact coefficient is
+    (deg N_k - deg D_k) lc N_k lc D_k; a slot with deg N_k = deg D_k
+    never does.  A constant D_k gives s_k = 0 and W_k = D_k N_k'.  The
+    images of a denominator are formed once for a run of slots that share
+    it (a curve over one denominator passes it four times), and the slots
+    are read only until the gcd is constant.  False means
     only "not certified", and the caller differentiates exactly.
     """
-    q_ord, q = den.low_order(), _residues(den)
-    nums = [f for f in nums if f._re]
-    lead = any((f.degree - den.degree) * q[-1] * (f._re[-1] + _S * f._im[-1])
-               % _P for f in nums)
+    slots = [(num, den) for num, den in slots if num._re]
+    lead = any((num.degree - den.degree) * (num._re[-1] + _S * num._im[-1])
+               * (den._re[-1] + _S * den._im[-1]) % _P for num, den in slots)
 
     def images():
-        for num in nums:
+        for k, (num, den) in enumerate(slots):
+            if not k or den is not slots[k - 1][1]:
+                q_ord, q = den.low_order(), _residues(den)
+                zdq = [b * y for b, y in enumerate(q)]          # z D_k'
             n_ord, n = num.low_order(), _residues(num)
-            w = [0] * (len(n) + len(q) - 1)
-            for b, y in enumerate(q):
-                if y:
-                    for j, x in enumerate(n, b):    # j = a + b
-                        w[j] += (j - 2 * b) * x * y
-            s = (2 * q_ord if n_ord == q_ord
-                 else min(n_ord + q_ord - 1, 2 * q_ord))
+            zdn = [a * x for a, x in enumerate(n)]              # z N_k'
+            # z W_k = (z N_k') D_k - N_k (z D_k')
+            w = [x - y for x, y in zip(_conv(zdn, q), _conv(n, zdq))]
+            s = min(n_ord + q_ord - (n_ord != q_ord), 2 * q_ord)
             # W_k / z**s_k, descending: w[j + 1] is W_k's coefficient j
             yield [c % _P for c in w[:s:-1]]
 
     return _coprime_residues(images(), lead)
 
 
-#: the point, a residue modulo ``_P``, at which ``_ratio_varies_mod_p``
+#: the point, a residue modulo ``_P``, at which ``_derivatives_vary_mod_p``
 #: evaluates; not 0, +-1 or +-i (the images of +-``_S``), where the
 #: numerators of structured inputs tend to vanish
 _X = 271828183
@@ -736,48 +739,38 @@ def _jet_mod_p(f: Poly) -> tuple[int, int, int]:
     return v, s, h
 
 
-def _ratio_varies_mod_p(a: Poly, u: Poly, b: Poly, v: Poly) -> bool:
-    """A certificate that (a/u) / (b/v) is not constant, for nonzero b,
-    u and v.
+def _derivatives_vary_mod_p(slots: Sequence[tuple[Poly, Poly]]) -> bool:
+    """A certificate that the derivatives of the quotients N_k/D_k, one
+    (N_k, D_k) pair in ``slots`` for each (D_k nonzero), do not span one
+    direction: the nonflatness test of a rational curve, from one jet
+    (``_jet_mod_p``) of each N_k and of each distinct D_k.
 
-    The quotient is N/D with N = a v and D = b u, and its derivative is
-    W / D**2 with W = N'D - ND'.  True when W's image at ``_X`` modulo
-    ``_P`` (i -> ``_S``) is nonzero; only the values and first derivatives
-    of the four numerators at ``_X`` (``_jet_mod_p``) are needed.  That is
-    sound: built from the Gaussian-integer numerators, W is multiplied by
-    the product of the four ``_den``, a nonzero constant, and the map into
-    Z/p commutes with d/dz, so a nonzero image means W != 0.  False means
-    only "not certified": a constant quotient, or a W whose image vanishes
-    at ``_X``, which for a nonzero image of degree d happens at d of the p
-    points at most (Schwartz, J. ACM 27, 1980).  ``is_flat`` offers it
-    the built slot derivatives of a curve whose residue certificate
-    ``_derivatives_vary_mod_p`` declined, and of every other rational
-    curve.
+    With W = N'D - ND', (N_c/D_c)' / (N_r/D_r)' = A/B for the pair
+    A = W_c D_r**2, B = W_r D_c**2, and A'B - AB' = D_c D_r E with
+
+        E = D_c D_r (W_c' W_r - W_c W_r') + 2 W_c W_r (D_r' D_c - D_r D_c'),
+
+    W' = N''D - ND''.  True when E's image at ``_X`` modulo ``_P`` is
+    nonzero for some pair (c, r).  That is sound: built from the
+    Gaussian-integer numerators, E is multiplied by a nonzero constant,
+    and the map into Z/p commutes with d/dz, so a nonzero image means
+    E != 0; then W_c and W_r are nonzero and their ratio is not constant.
+    False means only "not certified": a flat curve, or an E whose image
+    vanishes at ``_X``, which for a nonzero image of degree d happens at
+    d of the p points at most (Schwartz, J. ACM 27, 1980), and the caller
+    differentiates exactly.  Over one denominator E = Q**2 (W_c' W_r -
+    W_c W_r').  The jet of a denominator is formed once for a run of
+    slots that share it, and slot k is paired with the slots before it,
+    so the slots are read only until a pair certifies.
     """
-    (a0, a1, _), (u0, u1, _), (b0, b1, _), (v0, v1, _) = (
-        _jet_mod_p(f) for f in (a, u, b, v))
-    n0, n1 = a0 * v0, a1 * v0 + a0 * v1
-    d0, d1 = b0 * u0, b1 * u0 + b0 * u1
-    return (n1 * d0 - n0 * d1) % _P != 0
-
-
-def _derivatives_vary_mod_p(den: Poly, *nums: Poly) -> bool:
-    """A certificate that the derivatives of the quotients N_k/Q, N_k in
-    ``nums`` and Q = ``den`` (nonzero), do not span one direction: the
-    nonflatness test of a curve over one denominator, from one jet
-    (``_jet_mod_p``) of each N_k and of Q.
-
-    With W = N'Q - NQ', (N_c/Q)' / (N_r/Q)' = W_c / W_r, since Q**2
-    cancels, and its derivative has the numerator W_c' W_r - W_c W_r' with
-    W' = N''Q - NQ''.  True when that numerator's image at ``_X`` is
-    nonzero for some pair (c, r): then W_c and W_r are nonzero and their
-    ratio is not constant, as in ``_ratio_varies_mod_p``.  False means
-    only "not certified", and the caller differentiates exactly.
-    """
-    q0, q1, q2 = _jet_mod_p(den)
     ws = []
-    for num in nums:
+    for k, (num, den) in enumerate(slots):
+        if not k or den is not slots[k - 1][1]:
+            d0, d1, d2 = _jet_mod_p(den)
         n0, n1, n2 = _jet_mod_p(num)
-        ws.append((n1 * q0 - n0 * q1, n2 * q0 - n0 * q2))   # W, W'/2
-    return any((wc * hr - hc * wr) % _P
-               for k, (wc, hc) in enumerate(ws) for wr, hr in ws[k + 1:])
+        w, h = n1 * d0 - n0 * d1, n2 * d0 - n0 * d2     # W, W'/2 at _X
+        if any((d0 * dr * (h * wr - w * hr) + w * wr * (er * d0 - dr * d1))
+               % _P for wr, hr, dr, er in ws):
+            return True
+        ws.append((w, h, d0, d1))
+    return False

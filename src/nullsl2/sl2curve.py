@@ -21,8 +21,10 @@ D common to the five products is not stored, else Q = D N3.  A shear keeps
 one denominator: it sums numerators over Q and drops a common power of z
 from Q and all four numerators at once.  On such a curve, with
 F_k = N_k/Q, ``check_null_sl2`` at tol <= 0 decides unimodular as
-N1 N4 - N2 N3 == Q^2 and then null as N1' N4' - N2' N3' == Q'^2, and
-immersion and nonflatness from the images of N_k and Q modulo one prime
+N1 N4 - N2 N3 == Q^2 and then null as N1' N4' - N2' N3' == Q'^2.  On
+every curve with rational slots F_k = N_k/D_k (over one denominator or
+four, as on end models) it decides immersion and nonflatness from the
+images of the stored N_k and D_k modulo one prime
 (``exact._derivatives_coprime_mod_p``, ``exact._derivatives_vary_mod_p``):
 F' is built, slot by slot, only where one of those two certificates
 declines.  Elsewhere sums of slot products (det F, det F') stay over Q^2
@@ -45,12 +47,12 @@ from .errors import (
     ThirdCoordinateZero,
     EvaluationAtPole,
 )
-from .exact import Poly, _derivatives_coprime_mod_p, _derivatives_vary_mod_p
+from .exact import Poly
 from .series import (MeroFunction, Rational, ZERO_TOL, _cancel_monomial,
                      _common_denominator, _merge_domain, _unit_roots,
                      punctured_disk)
-from .spinor import (C3NullCurve, _Deferred, _PoleSetField, _has_common_zero,
-                     _pole_source, _sorted_points, is_flat)
+from .spinor import (C3NullCurve, _Deferred, _PoleSetField, _certified,
+                     _has_common_zero, _pole_source, _sorted_points, is_flat)
 
 _I = 1j
 
@@ -73,9 +75,10 @@ class SL2NullCurve:
     cross-check, the Maurer-Cartan trace) shares them.  F' is each slot's
     ``differentiate()``.  Where the four slots share one stored
     denominator Q, ``check_null_sl2`` at tol <= 0 reads det F' only where
-    N1 N4 - N2 N3 != Q^2, and F' only where a modular certificate on N_k
-    and Q declines: on a certified one-denominator curve checked at tol 0,
-    F' is never built.  Caching is sound because the slots are immutable
+    N1 N4 - N2 N3 != Q^2.  On rational slots it reads F' only where a
+    modular certificate on the stored N_k and D_k declines: on a
+    certified curve over one denominator checked at tol 0, F' is never
+    built.  Caching is sound because the slots are immutable
     and the three values do not depend on a tolerance.  They are cached
     outside the fields, so equality, hashing, repr and serialization see
     only the slots and the two point sets; a new curve (a shear, a rotation,
@@ -246,28 +249,28 @@ def check_null_sl2(F: SL2NullCurve, tol: float = ZERO_TOL) -> SL2Report:
     slots over different denominators, or not unimodular) det F - 1 and
     det F' are built and tested.
 
-    On one denominator at ``tol <= 0`` immersion and nonflatness are first
-    offered to two certificates on the images of N_k and Q modulo one
-    prime, with no exact product and without F'.  The slot derivatives
-    are W_k/Q**2, W_k = N_k' Q - N_k Q'.  Immersion: the gcd of the images
-    of the W_k, each over its exact power of z, is a nonzero constant
-    (``exact._derivatives_coprime_mod_p``).  Nonflatness:
-    W_c W_r' - W_c' W_r is nonzero at one residue for some pair
-    (``exact._derivatives_vary_mod_p``).  A certificate that declines
-    leaves its verdict, and only that one, to F' as below.
+    On rational slots F_k = N_k/D_k, over one denominator or several,
+    immersion and (at ``tol <= 0``) nonflatness are first offered to one
+    certificate each on the images of the stored N_k and D_k modulo one
+    prime, with no exact product and, at ``tol <= 0``, without F'; at
+    ``tol > 0`` a slot whose derivative is zero to within tol is left
+    out.  The slot derivatives are W_k/D_k**2, W_k = N_k' D_k - N_k D_k'.
+    Immersion: the gcd of the images of the W_k, each over its exact
+    power of z, is a nonzero constant
+    (``exact._derivatives_coprime_mod_p``).
+    Nonflatness: the numerator of ((N_c/D_c)'/(N_r/D_r)')' is nonzero at
+    one residue for some pair (``exact._derivatives_vary_mod_p``).  A
+    certificate that declines leaves its verdict, and only that one,
+    straight to the exact test on F' below.
 
     Nonflatness is ``not is_flat(F')``: on rational slots F' spans a fixed
     direction exactly when (c/ref)' == 0 for each nonzero slot derivative
-    c against the smallest one, ref.  At ``tol <= 0`` one evaluation
-    modulo a prime of the numerator of (c/ref)' proves most nonflat curves
-    so, from the stored numerators alone, and only a zero residue builds
-    the quotient; at ``tol > 0`` each quotient derivative's numerator is
-    compared against its own denominator's scale.  Immersion is exact on
-    rational slots: a gcd modulo one prime certifies coprime derivative
-    numerators without a root, and otherwise the exact gcd of the reduced
-    derivative numerators decides (``spinor._has_common_zero``).  Only
-    ``singular_set`` is excluded; the pole set is not read.  A NaN or
-    infinite tol raises ValueError.
+    c against the smallest one, ref; at ``tol > 0`` each quotient
+    derivative's numerator is compared against its own denominator's
+    scale, which no certificate decides.  Immersion is exact on rational
+    slots: the exact gcd of the reduced derivative numerators decides
+    (``spinor._has_common_zero``).  Only ``singular_set`` is excluded; the
+    pole set is not read.  A NaN or infinite tol raises ValueError.
     """
     if not isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
@@ -282,10 +285,10 @@ def check_null_sl2(F: SL2NullCurve, tol: float = ZERO_TOL) -> SL2Report:
         null = d1 * d4 - d2 * d3 == dQ * dQ
     else:
         null = F._det_derivative.is_identically_zero(tol)
-    immersion = ((shared is not None and _derivatives_coprime_mod_p(*shared))
+    immersed, nonflat = _certified(F.slots(), lambda: F._derivative, tol)
+    immersion = (immersed
                  or not _has_common_zero(F._derivative, F.singular_set, tol))
-    nonflat = ((shared is not None and _derivatives_vary_mod_p(*shared))
-               or not is_flat(F._derivative, tol))
+    nonflat = nonflat or not is_flat(F._derivative, tol)
     return SL2Report(unimodular, null, immersion, nonflat)
 
 

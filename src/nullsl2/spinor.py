@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 from .errors import DegenerateEta, EtaIdenticallyZero, NonExactField
 from ._lazy import np
-from .exact import Poly, _coprime_mod_p, _ratio_varies_mod_p, poly_gcd
+from .exact import (Poly, _derivatives_coprime_mod_p, _derivatives_vary_mod_p,
+                    poly_gcd)
 from .series import MeroFunction, ZERO_TOL, _clustered_roots, _window_slice
 
 _I = 1j
@@ -182,22 +183,26 @@ def check_null_c3(X: C3NullCurve, tol: float = ZERO_TOL) -> C3Report:
     """Report nullity, immersion and flatness of a C^3 curve.
 
     Nullity and flatness are exact verdicts on rational representations
-    at ``tol == 0`` and coefficient tests at `tol` on windows.  Flatness
-    is ``is_flat`` of X': (c/ref)' == 0 for each nonzero component c
-    against the smallest one, ref; at ``tol == 0`` an evaluation modulo
-    one prime proves most nonflat fields so without building a quotient,
-    and at ``tol > 0`` each quotient derivative's numerator is compared
-    against its own denominator's scale.  Immersion is exact on rational
-    components: a gcd modulo one prime certifies most immersed curves
-    without a root, and otherwise the exact gcd of the reduced derivative
-    numerators decides (``_has_common_zero``).  A C^3 curve has no
-    singular set, so no point is excluded; the pole set is not read.
+    at ``tol <= 0`` and coefficient tests at `tol` on windows.  On
+    rational components X_k = N_k/D_k, immersion and (at ``tol <= 0``)
+    nonflatness are first offered to one modular certificate each, read
+    from the stored (N_k, D_k) (``_certified``):
+    ``exact._derivatives_coprime_mod_p`` and
+    ``exact._derivatives_vary_mod_p``.  Where one declines, its verdict
+    goes straight to the exact test on X': immersion is the exact gcd of
+    the reduced derivative numerators (``_has_common_zero``), and flatness
+    is ``is_flat`` of X', (c/ref)' == 0 for each nonzero component c
+    against the smallest one, ref.  At ``tol > 0`` each quotient
+    derivative's numerator is compared against its own denominator's
+    scale, which no certificate decides.  A C^3 curve has no singular
+    set, so no point is excluded; the pole set is not read.
     """
     derivs = [c.differentiate() for c in X.components()]
     s = derivs[0] * derivs[0] + derivs[1] * derivs[1] + derivs[2] * derivs[2]
     null = s.is_identically_zero(tol)
-    immersion = not _has_common_zero(derivs, (), tol)
-    flat = is_flat(derivs, tol)
+    immersed, nonflat = _certified(X.components(), lambda: derivs, tol)
+    immersion = immersed or not _has_common_zero(derivs, (), tol)
+    flat = not nonflat and is_flat(derivs, tol)
     return C3Report(null=null, immersion=immersion, flat=flat)
 
 
@@ -232,15 +237,13 @@ def is_flat(components, tol: float = ZERO_TOL) -> bool:
     nonzero component c, taken in order of that size; the test stops at
     the first c that fails.  For meromorphic functions this is the
     Wronskian test c'*ref - c*ref' == 0 on smaller polynomials.  At
-    ``tol <= 0`` the verdict is exact, and each c is first offered to
-    ``exact._ratio_varies_mod_p``: one evaluation modulo a prime of the
-    numerator of (c/ref)' from the four stored numerators, which when
-    nonzero proves c fails without building the quotient; a zero residue
-    falls through to the exact quotient test.  At ``tol > 0`` the
-    numerator of each (c/ref)' is compared against its own denominator's
-    scale, as ``MeroFunction.is_identically_zero`` does, and components
-    zero to within `tol` are left out.  Windows use 2x2 minors of the
-    coefficient matrix against the leading-direction row.
+    ``tol <= 0`` the verdict is exact.  At ``tol > 0`` the numerator of
+    each (c/ref)' is compared against its own denominator's scale, as
+    ``MeroFunction.is_identically_zero`` does, and components zero to
+    within `tol` are left out.  Windows use 2x2 minors of the coefficient
+    matrix against the leading-direction row.  The curve checks offer
+    nonflatness to ``exact._derivatives_vary_mod_p`` first, on the
+    undifferentiated slots, and call this where it declines.
     """
     comps = list(components)
     nonzero = [c for c in comps if not c.is_identically_zero(tol)]
@@ -249,13 +252,8 @@ def is_flat(components, tol: float = ZERO_TOL) -> bool:
     if all(c.is_rational for c in comps):
         ref, *rest = sorted(
             nonzero, key=lambda c: c.rep.num.degree + c.rep.den.degree)
-        b, v = ref.rep.num, ref.rep.den
-        for c in rest:
-            if tol <= 0 and _ratio_varies_mod_p(c.rep.num, c.rep.den, b, v):
-                return False
-            if not (c / ref).differentiate().is_identically_zero(tol):
-                return False
-        return True
+        return all((c / ref).differentiate().is_identically_zero(tol)
+                   for c in rest)
     # window path: minors row[i]*ref[j] - row[j]*ref[i], i < j, against the
     # row of largest peak, in real parts rounded one by one as Python's
     # complex product rounds them (numpy's fuses them on FMA hardware)
@@ -344,17 +342,35 @@ def _common_zero_poly(fns) -> Poly:
     return g
 
 
+def _certified(fns, derivs, tol) -> tuple[bool, bool]:
+    """(immersed, nonflat) as the two modular certificates read them from
+    the stored (num, den) of the ``fns`` (``exact._derivatives_coprime_mod_p``,
+    ``exact._derivatives_vary_mod_p``); False means only "not certified",
+    and the caller decides that verdict exactly.  At ``tol > 0`` a fn
+    whose derivative in ``derivs()`` is zero to within tol is left out, as
+    ``_has_common_zero`` leaves it out (``derivs`` is called only there),
+    and nonflatness, a test at tol, is not certified.  Nothing is
+    certified unless every fn left is rational."""
+    if tol > 0:
+        fns = [f for f, d in zip(fns, derivs())
+               if not d.is_identically_zero(tol)]
+    slots = ([(f.rep.num, f.rep.den) for f in fns]
+             if all(f.is_rational for f in fns) else [])
+    return (_derivatives_coprime_mod_p(slots),
+            tol <= 0 and _derivatives_vary_mod_p(slots))
+
+
 def _has_common_zero(derivs, singular, tol) -> bool:
     """Whether the nonzero derivs share a zero away from the points of
     ``singular`` (a curve's ``singular_set``).  No pole set is read: a
     genuine pole of a slot is a pole of its derivative, never a zero.
 
     Windows are read at their base point only.  On rational derivs the
-    answer is exact.  It is False at once when their numerators are
-    coprime, as ``exact._coprime_mod_p`` certifies modulo one prime.
-    Otherwise G = ``_common_zero_poly(derivs)`` is built, and the derivs
-    share a zero iff G has a root that is not within 1e-8 of a point of
-    ``singular``.
+    answer is exact: G = ``_common_zero_poly(derivs)`` is built, and the
+    derivs share a zero iff G has a root that is not within 1e-8 of a
+    point of ``singular``.  The curve checks offer immersion to
+    ``exact._derivatives_coprime_mod_p`` first, on the undifferentiated
+    slots, and call this where it declines.
     """
     nonzero = [d for d in derivs if not d.is_identically_zero(tol)]
     if not nonzero:
@@ -366,8 +382,6 @@ def _has_common_zero(derivs, singular, tol) -> bool:
         if any(abs(base - e) < 1e-8 for e in singular):
             return False
         return all(d.ord(base) >= 1 for d in nonzero)
-    if _coprime_mod_p([d.rep.num for d in nonzero]):
-        return False
     g = _common_zero_poly(nonzero)
     if not singular:
         return g.degree >= 1  # exact: no root is found

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nullsl2 import MeroFunction, is_flat
+from nullsl2 import C3NullCurve, MeroFunction, check_null_c3
+from nullsl2 import exact
 from nullsl2.exact import (_P, _S, _X, ExactComplex, Poly, _coprime_mod_p,
                            _derivatives_coprime_mod_p, _derivatives_vary_mod_p,
-                           _ratio_varies_mod_p, poly_gcd)
+                           poly_gcd)
 from nullsl2.series import Rational
 from nullsl2.spinor import _common_zero_poly
 
@@ -379,99 +380,62 @@ def test_a_constant_divisible_by_p_is_not_certified():
 
 
 # ---------------------------------------------------------------------------
-# the modular nonconstancy certificate of a quotient
+# the residue certificates on the derivatives of the slots N_k / D_k
 # ---------------------------------------------------------------------------
 
-#: (a, u, b, v): the quotient (a/u) / (b/v) with nonzero u, b and v
-_ratio_parts = st.tuples(_poly, _nonzero_poly, _nonzero_poly, _nonzero_poly)
-
-
-def _sym_wronskian(a, u, b, v):
-    """N'D - ND' for N = a v and D = b u, in sympy over Q(i)."""
-    n, d = to_sym(a) * to_sym(v), to_sym(b) * to_sym(u)
-    return n.diff(X) * d - n * d.diff(X)
-
-
-@settings(deadline=None, max_examples=60)
-@given(_ratio_parts)
-def test_a_ratio_certificate_means_a_nonzero_sympy_derivative(parts):
-    w = _sym_wronskian(*parts)
-    if _ratio_varies_mod_p(*parts):
-        assert not w.is_zero
-    # the certificate reads the image of W at _X: the Gaussian-integer
-    # numerators give W times the product of the four denominators
-    scale = math.prod(p._den for p in parts)
-    value = w.eval(_X) * scale
-    re, im = (int(sp.Integer(t)) for t in (sp.re(value), sp.im(value)))
-    assert _ratio_varies_mod_p(*parts) == ((re + _S * im) % _P != 0)
-
-
-@settings(deadline=None, max_examples=60)
-@given(_nonzero_poly, _nonzero_poly, _nonzero_poly, _scalar)
-def test_a_constant_ratio_is_never_certified(b, v, w, k):
-    # c = k ref, written over a common factor w: a = k b w, u = v w
-    assert not _ratio_varies_mod_p(b.scale(k) * w, v * w, b, v)
-
-
-@settings(deadline=None, max_examples=40)
-@given(_moderate_poly.filter(lambda p: not p.is_zero()), _nonzero_poly,
-       _nonzero_poly)
-def test_a_ratio_vanishing_at_the_point_falls_through_to_the_exact_test(
-        g, u, ref_num):
-    # a = (z - _X)**2 g: N = a and D = ref_num u both stay, and W = N'D -
-    # ND' has a root at _X, so its image vanishes there
-    a = Poly([-_X, 1]) * Poly([-_X, 1]) * g
-    one = Poly.one()
-    assert not _ratio_varies_mod_p(a, u, ref_num, one)
-    assert not _ratio_varies_mod_p(ref_num, one, a, u)
-    comps = [MeroFunction.from_rational(a, u),
-             MeroFunction.from_rational(ref_num)]
-    assert is_flat(comps, 0.0) == _sym_wronskian(a, u, ref_num, one).is_zero
-
-
-def test_a_linear_factor_at_the_point_is_decided_exactly():
-    # c = z**2 - 2 _X z against 1: c' = 2 (z - _X) vanishes at _X mod p
-    c = Poly([0, -2 * _X, 1])
-    assert not _ratio_varies_mod_p(c, Poly.one(), Poly.one(), Poly.one())
-    assert not is_flat([MeroFunction.constant(1),
-                        MeroFunction.from_rational(c)], 0.0)
-    assert _ratio_varies_mod_p(Poly([0, 1]), Poly.one(), Poly.one(),
-                               Poly.one())
-
-
-# ---------------------------------------------------------------------------
-# the residue certificates on the derivatives of N_k / Q
-# ---------------------------------------------------------------------------
-
-#: polynomials with a planted power of z, so that Q(0) = 0 and
-#: ord N_k = ord Q come up
+#: polynomials with a planted power of z, so that D_k(0) = 0 and
+#: ord N_k = ord D_k come up
 _low_poly = st.builds(lambda p, k: p * Poly.monomial(k), _poly,
                       st.integers(min_value=0, max_value=2))
-_quotients = st.tuples(_low_poly.filter(lambda p: not p.is_zero()),
-                       st.lists(_low_poly, min_size=1, max_size=4))
+_nonzero_scalar = _scalar.filter(lambda c: c != 0)
+#: denominators: planted powers of z, and constants
+_den = st.one_of(_low_poly.filter(lambda p: not p.is_zero()),
+                 _nonzero_scalar.map(lambda c: Poly([c])))
+
+
+def _of_degree(d):
+    """Slots (N, d) with deg N = deg d."""
+    return st.builds(lambda low, top: (Poly(low + [top]), d),
+                     st.lists(_scalar, min_size=d.degree,
+                              max_size=d.degree),
+                     _nonzero_scalar)
+
+
+#: lists of (N_k, D_k): a denominator per slot (deg N_k = deg D_k among
+#: them), or one denominator shared by every slot
+_quotients = st.one_of(
+    st.lists(st.one_of(st.tuples(_low_poly, _den), _den.flatmap(_of_degree)),
+             min_size=1, max_size=4),
+    st.builds(lambda d, nums: [(n, d) for n in nums], _den,
+              st.lists(_low_poly, min_size=1, max_size=4)))
+
+
+def _over(q, *nums):
+    """The slots N_k / Q over one denominator."""
+    return [(n, q) for n in nums]
 
 
 def _sym_ord(w) -> int:
     return next(k for k, c in enumerate(reversed(w.all_coeffs())) if c)
 
 
-def _sym_derivative_numerators(q, nums):
-    """The nonzero W_k = N_k' Q - N_k Q' in sympy, each divided by
-    z**min(ord W_k, 2 ord Q) as the numerator of (N_k/Q)' over Q**2 is."""
-    Q = to_sym(q)
+def _sym_derivative_numerators(slots):
+    """The nonzero W_k = N_k' D_k - N_k D_k' in sympy, each divided by
+    z**min(ord W_k, 2 ord D_k) as the numerator of (N_k/D_k)' over
+    D_k**2 is."""
     out = []
-    for n in nums:
-        N = to_sym(n)
-        w = N.diff(X) * Q - N * Q.diff(X)
+    for n, d in slots:
+        N, D = to_sym(n), to_sym(d)
+        w = N.diff(X) * D - N * D.diff(X)
         if not w.is_zero:
-            t = min(_sym_ord(w), 2 * _sym_ord(Q))
+            t = min(_sym_ord(w), 2 * _sym_ord(D))
             out.append(sp.Poly(w.all_coeffs()[:w.degree() + 1 - t], X,
                                domain=QQ_I))
     return out
 
 
-def _sym_share_a_root(q, nums) -> bool:
-    ws = _sym_derivative_numerators(q, nums)
+def _sym_share_a_root(slots) -> bool:
+    ws = _sym_derivative_numerators(slots)
     if not ws:
         return True
     g = ws[0]
@@ -482,39 +446,112 @@ def _sym_share_a_root(q, nums) -> bool:
 
 @settings(deadline=None, max_examples=40)   # sympy's gcd over Q(i) is slow
 @given(_quotients)
-def test_a_derivative_certificate_means_a_sympy_gcd_of_one(parts):
-    q, nums = parts
-    if _derivatives_coprime_mod_p(q, *nums):
-        assert not _sym_share_a_root(q, nums)
+def test_a_derivative_certificate_means_a_sympy_gcd_of_one(slots):
+    if _derivatives_coprime_mod_p(slots):
+        assert not _sym_share_a_root(slots)
 
 
-def _sym_pair_wronskians(q, nums):
-    """W_c W_r' - W_c' W_r for each pair c < r, in sympy, over the
-    Gaussian-integer numerators: W_k times den_k den_Q."""
-    Q = to_sym(q) * q._den
+def _sym_pair_wronskians(slots):
+    """E = D_c D_r (W_c' W_r - W_c W_r') + 2 W_c W_r (D_r' D_c - D_r D_c')
+    for each pair c < r, in sympy, over the Gaussian-integer numerators:
+    N_k and D_k times their ``_den``."""
+    parts = []
+    for n, d in slots:
+        N, D = to_sym(n) * n._den, to_sym(d) * d._den
+        parts.append((N.diff(X) * D - N * D.diff(X), D))
+    return [dc * dr * (wc.diff(X) * wr - wc * wr.diff(X))
+            + 2 * wc * wr * (dr.diff(X) * dc - dr * dc.diff(X))
+            for k, (wc, dc) in enumerate(parts) for wr, dr in parts[k + 1:]]
+
+
+def _image(w) -> int:
+    """The image modulo _P (i -> _S) of the Gaussian integer w(_X)."""
+    value = w.eval(_X)
+    re, im = (int(sp.Integer(t)) for t in (sp.re(value), sp.im(value)))
+    return (re + _S * im) % _P
+
+
+def _sym_ratio_varies(c, r) -> bool:
+    """Whether (N_c/D_c)' = W_c/D_c**2 and (N_r/D_r)' = W_r/D_r**2 are
+    nonzero with a nonconstant ratio A/B, A = W_c D_r**2 and
+    B = W_r D_c**2: A'B - AB' != 0, in sympy over Q(i)."""
     ws = []
-    for n in nums:
-        N = to_sym(n) * n._den
-        ws.append(N.diff(X) * Q - N * Q.diff(X))
-    return [a * b.diff(X) - a.diff(X) * b
-            for k, a in enumerate(ws) for b in ws[k + 1:]]
+    for n, d in (c, r):
+        N, D = to_sym(n), to_sym(d)
+        ws.append((N.diff(X) * D - N * D.diff(X), D))
+    (wc, dc), (wr, dr) = ws
+    a, b = wc * dr * dr, wr * dc * dc
+    return not (a.is_zero or b.is_zero
+                or (a.diff(X) * b - a * b.diff(X)).is_zero)
 
 
 @settings(deadline=None, max_examples=40)
 @given(_quotients)
-def test_a_nonflat_certificate_means_a_nonconstant_sympy_ratio(parts):
-    # certified: some (W_c / W_r)' != 0; and the certificate is exactly
-    # "some pair's numerator has a nonzero image at _X"
-    q, nums = parts
-    pairs = _sym_pair_wronskians(q, nums)
-    if _derivatives_vary_mod_p(q, *nums):
+def test_a_nonflat_certificate_means_a_nonconstant_sympy_ratio(slots):
+    # certified: some pair's E != 0, so (W_c D_r**2 / (W_r D_c**2))' != 0;
+    # and the certificate is exactly "some pair's E has a nonzero image at
+    # _X"
+    pairs = _sym_pair_wronskians(slots)
+    if _derivatives_vary_mod_p(slots):
         assert any(not w.is_zero for w in pairs)
-    images = []
-    for w in pairs:
-        value = w.eval(_X)
-        re, im = (int(sp.Integer(t)) for t in (sp.re(value), sp.im(value)))
-        images.append((re + _S * im) % _P)
-    assert _derivatives_vary_mod_p(q, *nums) == any(images)
+    assert _derivatives_vary_mod_p(slots) == any(_image(w) for w in pairs)
+
+
+#: two slots (a, u) and (b, v), nonzero u and v
+_two_slots = st.tuples(st.tuples(_poly, _nonzero_poly),
+                       st.tuples(_poly, _nonzero_poly))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_two_slots)
+def test_a_ratio_certificate_means_a_nonzero_sympy_derivative(slots):
+    # the independent oracle: sympy's Wronskian of (a/u)' and (b/v)'; and
+    # the certificate reads the exact image of the one pair's E at _X
+    slots = list(slots)
+    if _derivatives_vary_mod_p(slots):
+        assert _sym_ratio_varies(*slots)
+    (w,) = _sym_pair_wronskians(slots)
+    assert _derivatives_vary_mod_p(slots) == (_image(w) != 0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_nonzero_poly, _poly, _nonzero_poly, _scalar, _scalar)
+def test_a_constant_ratio_is_never_certified(v, b, w, k, m):
+    # N_c/D_c = k b/v + m, written over a common factor w: its derivative
+    # is k (b/v)'
+    c = ((b.scale(k) + v.scale(m)) * w, v * w)
+    assert not _derivatives_vary_mod_p([c, (b, v)])
+    assert not _derivatives_vary_mod_p([(b, v), c, (b.scale(m), v)])
+
+
+_moderate_nonzero = _moderate_poly.filter(lambda p: not p.is_zero())
+
+
+@settings(deadline=None, max_examples=30)
+@given(_moderate_nonzero, _moderate_nonzero,
+       st.tuples(_moderate_poly, _moderate_nonzero))
+def test_a_ratio_vanishing_at_the_point_falls_through_to_the_exact_test(
+        g, u, r):
+    # N_c/D_c = (z - _X)**3 g/u: W_c has the factor (z - _X)**2, so every
+    # pair's E vanishes at _X; a zero third slot pairs to E = 0, and the
+    # verdict is the exact is_flat
+    h = Poly([-_X, 1])
+    c = (h * h * h * g, u)
+    assert not _derivatives_vary_mod_p([c, r, (Poly.zero(), Poly.one())])
+    curve = C3NullCurve(MeroFunction.from_rational(*c),
+                        MeroFunction.from_rational(*r), MeroFunction.zero())
+    assert check_null_c3(curve, 0).flat == (not _sym_ratio_varies(c, r))
+
+
+def test_a_linear_factor_at_the_point_is_decided_exactly():
+    # c = z**3 - 3 _X z**2 against z: (c'/1)' = 6 (z - _X) vanishes at _X
+    # mod p, and the exact is_flat finds the curve nonflat
+    z, c, one = Poly([0, 1]), Poly([0, 0, -3 * _X, 1]), Poly.one()
+    assert not _derivatives_vary_mod_p([(z, one), (c, one)])
+    curve = C3NullCurve(MeroFunction.from_poly([0, 1]),
+                        MeroFunction.from_rational(c), MeroFunction.zero())
+    assert not check_null_c3(curve, 0).flat
+    assert _derivatives_vary_mod_p([(z, one), (Poly([0, 0, 1]), one)])
 
 
 @settings(deadline=None, max_examples=60)
@@ -523,7 +560,7 @@ def test_a_nonflat_certificate_means_a_nonconstant_sympy_ratio(parts):
 def test_a_flat_curve_is_never_certified_nonflat(q, n, coefs):
     # N_k = a_k N + b_k Q: every (N_k/Q)' is a_k (N/Q)'
     nums = [n.scale(a) + q.scale(b) for a, b in coefs]
-    assert not _derivatives_vary_mod_p(q, *nums)
+    assert not _derivatives_vary_mod_p(_over(q, *nums))
 
 
 def test_the_power_of_z_comes_from_exact_orders():
@@ -531,52 +568,88 @@ def test_the_power_of_z_comes_from_exact_orders():
     # Q(0) = 0 and ord N_1 = ord Q = 1: W_1 = z**2 (z**2 + 2z - 2), and
     # s_1 = 2 q = 2; W_2 = -Q' = -(1 + 2z)
     q = Poly([0, 1, 1])
-    assert _derivatives_coprime_mod_p(q, Poly([0, 2, 0, 1]), Poly([1]))
-    assert not _sym_share_a_root(q, [Poly([0, 2, 0, 1]), Poly([1])])
+    slots = _over(q, Poly([0, 2, 0, 1]), Poly([1]))
+    assert _derivatives_coprime_mod_p(slots)
+    assert not _sym_share_a_root(slots)
     # Q = z and N_k = c_k z + d_k z**3: W_k = 2 d_k z**3, and the
     # numerators of (N_k/Q)' are 2 d_k z, which share the root 0
-    nums = [Poly([0, 1, 0, 2]), Poly([0, 3, 0, -1j])]
-    assert _sym_share_a_root(z, nums)
-    assert not _derivatives_coprime_mod_p(z, *nums)
+    slots = _over(z, Poly([0, 1, 0, 2]), Poly([0, 3, 0, -1j]))
+    assert _sym_share_a_root(slots)
+    assert not _derivatives_coprime_mod_p(slots)
     # Q = z and N_k = c_k z + (z + p)**2 R_k: every (N_k/Q)' vanishes at
     # -p, and W_k(0) = -p**2 R_k(0) != 0, so s_k = 0 although the images
     # of the W_k start at z**2
     h = Poly([_P, 1])
-    nums = [z.scale(c) + h * h * r
-            for c, r in ((1, Poly([1])), (2j, Poly([2, 1])),
-                         (-3, Poly([1j, 0, 1])))]
-    assert _sym_share_a_root(z, nums)
-    assert not _derivatives_coprime_mod_p(z, *nums)
+    slots = _over(z, *(z.scale(c) + h * h * r
+                       for c, r in ((1, Poly([1])), (2j, Poly([2, 1])),
+                                    (-3, Poly([1j, 0, 1])))))
+    assert _sym_share_a_root(slots)
+    assert not _derivatives_coprime_mod_p(slots)
+    # a denominator per slot: 1/z**2 and z (D = 1) have derivatives
+    # -2/z**3 and 1, which share no zero; z/(z**2 + z) = 1/(z + 1) and
+    # z**2/z have W = -z**2 and z**2 over z**2 (s = 2 q = 2): -1/(z + 1)**2
+    # and 1 share no zero either
+    slots = [(Poly.one(), Poly([0, 0, 1])), (z, Poly.one())]
+    assert _derivatives_coprime_mod_p(slots)
+    slots = [(z, Poly([0, 1, 1])), (Poly([0, 0, 1]), z)]
+    assert _derivatives_coprime_mod_p(slots)
+    assert not _sym_share_a_root(slots)
 
 
 def test_a_slot_of_the_degree_of_q_gives_no_leading_guard():
     # N = 2 + 3z over Q = 1 + z: W = 1, below its nominal degree 1
     q = Poly([1, 1])
-    assert not _derivatives_coprime_mod_p(q, Poly([2, 3]))
-    assert not _sym_share_a_root(q, [Poly([2, 3])])
+    assert not _derivatives_coprime_mod_p(_over(q, Poly([2, 3])))
+    assert not _sym_share_a_root(_over(q, Poly([2, 3])))
     # z**2 over Q: W = z (2 + z) keeps its degree and gives the guard
-    assert _derivatives_coprime_mod_p(q, Poly([2, 3]), Poly([0, 0, 1]))
+    assert _derivatives_coprime_mod_p(_over(q, Poly([2, 3]), Poly([0, 0, 1])))
+    # the same over a denominator per slot: (2 + 3z)/(1 + z) and
+    # 1/(1 + z), both of the degree of theirs or below it ...
+    slots = [(Poly([2, 3]), q), (Poly([0, 1]), Poly([5, 1]))]
+    assert not _derivatives_coprime_mod_p(slots)
+    # ... and z**2/(z - 3), which gives the guard
+    assert _derivatives_coprime_mod_p(slots + [(Poly([0, 0, 1]),
+                                                Poly([-3, 1]))])
 
 
 def test_a_leading_coefficient_divisible_by_p_gives_no_guard():
     # N_k = c_k Q + h**2 M_k with h = p z + 1: every (N_k/Q)' vanishes at
     # -1/p, but h's image is 1 and the images of the W_k are constants
     q, h = Poly([1, 1]), Poly([1, _P])
-    nums = [q.scale(c) + (h * h).scale(m)
-            for c, m in ((1, 1), (2j, -1), (0.5, 3))]
-    assert _sym_share_a_root(q, nums)
-    assert not _derivatives_coprime_mod_p(q, *nums)
+    slots = _over(q, *(q.scale(c) + (h * h).scale(m)
+                       for c, m in ((1, 1), (2j, -1), (0.5, 3))))
+    assert _sym_share_a_root(slots)
+    assert not _derivatives_coprime_mod_p(slots)
     # lc Q divisible by p: no slot gives the guard, though W = 1 here
-    assert not _derivatives_coprime_mod_p(Poly([1, _P]), Poly([0, 1]))
+    assert not _derivatives_coprime_mod_p([(Poly([0, 1]), Poly([1, _P]))])
 
 
 def test_a_slot_whose_image_is_zero_is_left_out():
     q = Poly([1, 1])
     zero_image = Poly([_P, 2 * _P, -_P * 1j])
-    assert not _derivatives_coprime_mod_p(q, zero_image)
-    assert _derivatives_coprime_mod_p(q, zero_image, Poly([0, 0, 1]),
-                                      Poly([1]))
-    assert not _sym_share_a_root(q, [zero_image, Poly([0, 0, 1]), Poly([1])])
+    assert not _derivatives_coprime_mod_p(_over(q, zero_image))
+    slots = _over(q, zero_image, Poly([0, 0, 1]), Poly([1]))
+    assert _derivatives_coprime_mod_p(slots)
+    assert not _sym_share_a_root(slots)
     # a zero N_k and N_k = 2 Q have W_k = 0: left out, like a zero image
-    assert _derivatives_coprime_mod_p(q, Poly.zero(), q.scale(2), Poly([3]))
-    assert not _derivatives_coprime_mod_p(q, Poly.zero(), q.scale(2))
+    assert _derivatives_coprime_mod_p(
+        _over(q, Poly.zero(), q.scale(2), Poly([3])))
+    assert not _derivatives_coprime_mod_p(_over(q, Poly.zero(), q.scale(2)))
+    assert not _derivatives_coprime_mod_p([])
+    assert not _derivatives_vary_mod_p([])
+
+
+def test_a_shared_denominator_is_read_once(monkeypatch):
+    # four slots over one Q: Q's images and jet are formed once, each
+    # N_k's once
+    q = Poly([1, 2j, 3])
+    slots = _over(q, q, Poly([0, 1]), Poly([0, 1]), Poly([1, 0, 0, 1]))
+    for name in ("_residues", "_jet_mod_p"):
+        seen = []
+        real = getattr(exact, name)
+        monkeypatch.setattr(exact, name, lambda f: seen.append(f) or real(f))
+        kernel = {"_residues": _derivatives_coprime_mod_p,
+                  "_jet_mod_p": _derivatives_vary_mod_p}[name]
+        assert kernel(slots)
+        assert sum(f is q for f in seen) == 1 + 1    # as Q, and as N_1
+        assert len(seen) == 1 + 4

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nullsl2.exact as exact
 import nullsl2.series as series
+import nullsl2.sl2curve as sl2curve
 import nullsl2.spinor as spinor
 from nullsl2 import (
     C3NullCurve,
@@ -30,6 +32,7 @@ from nullsl2 import (
     ThirdCoordinateZero,
     annulus,
     aux_rotations,
+    check_null_c3,
     check_null_sl2,
     classify_end,
     disk,
@@ -47,8 +50,9 @@ from nullsl2 import (
     tee_inv,
     tee_inv_curve,
 )
-from nullsl2.exact import (Poly, _coprime_mod_p, _derivatives_coprime_mod_p,
-                           _derivatives_vary_mod_p, _ratio_varies_mod_p)
+from nullsl2.exact import (_P, Poly, _coprime_mod_p,
+                           _derivatives_coprime_mod_p, _derivatives_vary_mod_p,
+                           _jet_mod_p)
 from nullsl2.serialize import sl2_to_dict
 from nullsl2.series import Rational, _common_denominator
 from nullsl2.sl2curve import _SHEAR_RECIPES, _one_denominator
@@ -471,17 +475,29 @@ def test_one_denominator_check_rejects_a_non_finite_tol(tol):
         check_null_sl2(F, tol)
 
 
+def _ratio_varies_at_x(c, ref) -> bool:
+    """Whether the numerator of (c/ref)' has a nonzero image at ``_X``
+    modulo ``_P``, for rational c = a/u and ref = b/v: N'D - ND' with
+    N = a v and D = b u, from one jet of each of the four."""
+    (a0, a1, _), (u0, u1, _), (b0, b1, _), (v0, v1, _) = (
+        _jet_mod_p(f) for f in (c.rep.num, c.rep.den, ref.rep.num,
+                                ref.rep.den))
+    n0, n1 = a0 * v0, a1 * v0 + a0 * v1
+    d0, d1 = b0 * u0, b1 * u0 + b0 * u1
+    return (n1 * d0 - n0 * d1) % _P != 0
+
+
 def _derivative_certificates_certify(G) -> bool:
-    """Whether both modular certificates read on F' certify, on a copy of
-    G: ``_coprime_mod_p`` on the nonzero slot derivatives' numerators
-    (immersion) and ``_ratio_varies_mod_p`` of one of them against the
-    reference of ``is_flat`` (nonflatness)."""
+    """Whether the two modular certificates read on F' certify, on a copy
+    of G: ``_coprime_mod_p`` on the nonzero slot derivatives' numerators
+    (immersion), and a nonzero image of the numerator of (c/ref)' at one
+    residue for one of them against the reference of ``is_flat``
+    (nonflatness)."""
     d = [f for f in SL2NullCurve(*G.slots())._derivative
          if not f.is_identically_zero(0.0)]
     ref, *rest = sorted(d, key=lambda f: f.rep.num.degree + f.rep.den.degree)
     return (_coprime_mod_p([f.rep.num for f in d])
-            and any(_ratio_varies_mod_p(c.rep.num, c.rep.den, ref.rep.num,
-                                        ref.rep.den) for c in rest))
+            and any(_ratio_varies_at_x(c, ref) for c in rest))
 
 
 def test_tee_curve_check_differentiates_no_slot_and_builds_no_det_derivative(
@@ -489,8 +505,8 @@ def test_tee_curve_check_differentiates_no_slot_and_builds_no_det_derivative(
     # the null verdict reads the numerators, so det F' is never built;
     # wherever the certificates on F' would certify, the residues of N_k
     # and Q certify too, and F' is not built, so no slot is differentiated.
-    # is_flat differentiates a quotient only where its modular residue is
-    # zero, which happens on the flat curve alone
+    # is_flat differentiates a quotient only where the nonflat certificate
+    # declines, which happens on the flat curve alone
     calls = []
     real_differentiate = MeroFunction.differentiate
 
@@ -526,39 +542,96 @@ def test_residue_certificates_give_the_verdicts_of_the_derivative_path():
         d = G._derivative
         assert rep.immersion == (not _has_common_zero(d, G.singular_set, 0))
         assert rep.nonflat == (not is_flat(d, 0))
-        shared = _one_denominator(G.slots())
-        if _derivatives_coprime_mod_p(*shared):
+        slots = [(f.rep.num, f.rep.den) for f in G.slots()]
+        if _derivatives_coprime_mod_p(slots):
             assert rep.immersion
-        if _derivatives_vary_mod_p(*shared):
+        if _derivatives_vary_mod_p(slots):
             assert rep.nonflat
 
 
 def test_derivative_numerators_with_a_common_factor_read_f_prime(
         monkeypatch):
     # pool inputs 3 and 18 (X1 z + 1) are immersed, but the numerators of
-    # F' share a linear factor: the residue certificate declines as the
-    # one on F' does, and F' is built and goes to the exact gcd
-    gcds = []
+    # F' share a linear factor: the residue certificate declines, and F'
+    # is built and goes straight to the exact gcd, with no second modular
+    # Euclid on its numerators (one would decline too)
+    gcds, euclids = [], []
     real = spinor._common_zero_poly
     monkeypatch.setattr(spinor, "_common_zero_poly",
                         lambda fns: gcds.append(fns) or real(fns))
+    real_euclid = exact._coprime_residues
+    monkeypatch.setattr(exact, "_coprime_residues",
+                        lambda *args: euclids.append(args)
+                        or real_euclid(*args))
     pool = _tee_pool()
     for F, lam in (pool[3], pool[18]):
         for G in (F, *(shear(F, lam, kind) for kind in SHEAR_KINDS)):
+            slots = [(f.rep.num, f.rep.den) for f in G.slots()]
+            assert not _derivatives_coprime_mod_p(slots)
             gcds.clear()
-            assert not _derivatives_coprime_mod_p(*_one_denominator(G.slots()))
+            euclids.clear()
             rep = check_null_sl2(G, tol=0.0)
             assert rep.unimodular and rep.immersion and rep.nonflat
             assert "_derivative" in vars(G)
-            assert not _coprime_mod_p([d.rep.num for d in G._derivative])
             assert len(gcds) == 1
+            assert len(euclids) == 1
+            assert not _coprime_mod_p([d.rep.num for d in G._derivative])
+
+
+def _construct_curves(monkeypatch):
+    """The X curves that one round of construct curve ops (seed 7) pass
+    to ``tee_curve``: a = -1, 0 and 1 at three heights, P of degree 1
+    and 3."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import nullsl2
+    import workloads
+    monkeypatch.setitem(workloads.CYCLES, "construct",
+                        workloads.ROUND["construct"])
+    seen, real = [], nullsl2.tee_curve
+    monkeypatch.setattr(nullsl2, "tee_curve",
+                        lambda X: seen.append(X) or real(X))
+    for op in workloads.construct_ops(7):
+        op.run()
+    monkeypatch.setattr(nullsl2, "tee_curve", real)
+    return seen
+
+
+def test_end_models_and_construct_curves_build_no_gcd_and_no_quotient(
+        monkeypatch):
+    # end models (a denominator per slot) at 0 and at a dyadic centre,
+    # plain and sheared, and the construct X curves: at tol 0 the two
+    # certificates on the stored slots decide immersion and nonflatness,
+    # so no common-zero gcd and no is_flat quotient is built
+    curves = _construct_curves(monkeypatch)
+    assert len(curves) == 18
+    calls = []
+    monkeypatch.setattr(spinor, "_common_zero_poly",
+                        lambda fns: calls.append(fns))
+    for module in (spinor, sl2curve):
+        monkeypatch.setattr(module, "is_flat",
+                            lambda *args: calls.append(args))
+    for X in curves:
+        rep = check_null_c3(X, 0)
+        assert rep.null and rep.immersion and not rep.flat
+    for m in range(1, 9):
+        for center in (0j, 0.5 + 0.25j):
+            base = end_model(m, center)
+            for kind in (None,) + SHEAR_KINDS:
+                F = base if kind is None else shear(base, 0.75 - 0.5j, kind)
+                assert _one_denominator(F.slots()) is None
+                rep = check_null_sl2(F, 0)
+                assert rep.unimodular and rep.null
+                assert rep.immersion and rep.nonflat
+    assert calls == []
 
 
 def test_verdict_digest_script_records_every_check_and_classification(
         monkeypatch):
-    # one construct cycle (three curve ops, each checking a curve and its
-    # shear) and one ends cycle (35 ops, each one check and one
-    # classification), with the pools' namespace restored afterwards
+    # one construct cycle (three curve ops, each lifting a C^3 curve and
+    # checking the lift and its shear) and one ends cycle (35 ops, each one
+    # check and one classification), with the pools' namespace restored
+    # afterwards
     root = Path(__file__).resolve().parents[1]
     monkeypatch.syspath_prepend(str(root / "perfbench"))
     import nullsl2
@@ -566,14 +639,19 @@ def test_verdict_digest_script_records_every_check_and_classification(
     monkeypatch.setitem(workloads.CYCLES, "construct", 1)
     monkeypatch.setitem(workloads.CYCLES, "ends", 1)
     script = runpy.run_path(str(root / "scripts" / "verdict_digest.py"))
-    check, classify = nullsl2.check_null_sl2, nullsl2.classify_end
+    patched = ("check_null_sl2", "classify_end", "tee_curve")
+    real = [getattr(nullsl2, name) for name in patched]
     recs = script["records"](5, nullsl2, workloads)
-    assert (nullsl2.check_null_sl2, nullsl2.classify_end) == (check, classify)
+    assert [getattr(nullsl2, name) for name in patched] == real
     assert Counter(r[0] for r in recs) == {"check_null_sl2": 6 + 35,
+                                          "check_null_c3": 3,
                                           "classify_end": 35}
     checks = [r[1] for r in recs if r[0] == "check_null_sl2"]
     assert all(len(reps) == 4 and reps[0]["unimodular"] and reps[0]["null"]
                for reps in checks)
+    lifts = [r[1] for r in recs if r[0] == "check_null_c3"]
+    assert all(len(reps) == 4 and reps[0]["null"] and reps[0]["immersion"]
+               for reps in lifts)
 
 
 # ---------------------------------------------------------------------------

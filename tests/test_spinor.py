@@ -27,7 +27,6 @@ from nullsl2 import (
     shear,
     spinor_common_zero_points,
 )
-from nullsl2 import spinor as spinor_module
 from nullsl2.serialize import curve_from_dict, sl2_to_dict
 
 from conftest import (
@@ -238,6 +237,35 @@ def test_immersion_keeps_a_tiny_nonzero_component_at_tol_zero():
     assert check_null_c3(X, tol=0.0).immersion is True
 
 
+def test_immersion_at_a_positive_tol_leaves_out_a_slot_zero_within_it():
+    # X' = (2z, 2iz, 1e-9): at tol 1e-8 the constant is zero within tol and
+    # is left out, so 2z and 2iz share the zero 0; the certificate on the
+    # stored slots must leave it out too.  At tol 0 nothing is shared
+    X = C3NullCurve(MeroFunction.from_poly([0, 0, 1]),
+                    MeroFunction.from_poly([0, 0, 1j]),
+                    MeroFunction.from_poly([0, 1e-9]))
+    assert check_null_c3(X, tol=1e-8).immersion is False
+    assert check_null_c3(X, tol=0.0).immersion is True
+    one = MeroFunction.constant(1)
+    F = SL2NullCurve(X.X1, X.X2, X.X3, one)
+    assert check_null_sl2(F, tol=1e-8).immersion is False
+    assert check_null_sl2(F, tol=0.0).immersion is True
+
+
+def test_flatness_at_a_positive_tol_is_not_certified():
+    # X' = (1, 2 + 2e-9 z, 0): the ratio of the two is not constant, so
+    # the curve is nonflat at tol 0, but within 1e-8 it is constant, and
+    # no exact certificate may decide that verdict
+    X = C3NullCurve(MeroFunction.from_poly([0, 1]),
+                    MeroFunction.from_poly([0, 2, 1e-9]), MeroFunction.zero())
+    assert check_null_c3(X, tol=1e-8).flat is True
+    assert check_null_c3(X, tol=0.0).flat is False
+    one = MeroFunction.constant(1)
+    F = SL2NullCurve(X.X1, X.X2, one, one)
+    assert check_null_sl2(F, tol=1e-8).nonflat is False
+    assert check_null_sl2(F, tol=0.0).nonflat is True
+
+
 def test_window_immersion_reads_orders_at_the_window_base_point():
     # X' = (z, z, 0) with the second slot a window at base 1: the window
     # branch reads every order at 1, where z does not vanish, and never
@@ -331,30 +359,19 @@ def test_is_flat_differentiates_quotients_not_components(monkeypatch):
         return differentiate(self)
 
     monkeypatch.setattr(MeroFunction, "differentiate", record)
-    certify = spinor_module._ratio_varies_mod_p
-    offered = []
-
-    def offer(a, u, b, v):
-        offered.append(a)
-        return certify(a, u, b, v)
-
-    monkeypatch.setattr(spinor_module, "_ratio_varies_mod_p", offer)
     z = [MeroFunction.monomial(k) for k in range(1, 5)]
     f = MeroFunction.from_rational((1, 2), (3, 0, 1))
     flat = [f * 2, f, f * (1 - 1j), f * 0.5]
     assert is_flat(flat, 0.0)
     assert len(seen) == 3
     assert not any(r is c for r in seen for c in flat)
-    seen.clear()
     nonflat = z[::-1]   # z^4, z^3, z^2, z: the reference is z
-    offered.clear()
-    assert not is_flat(nonflat, 0.0)
-    assert seen == []   # certified modulo a prime: no quotient is built
-    assert offered == [z[1].rep.num]   # and it stops at z^2, the first
-    assert not is_flat(nonflat, 1e-12)
-    assert len(seen) == 1   # the first quotient, z^2 / z, already fails
-    assert seen[0].rep == (z[1] / z[0]).rep
-    assert not any(r is c for r in seen for c in nonflat)
+    for tol in (0.0, 1e-12):
+        seen.clear()
+        assert not is_flat(nonflat, tol)
+        assert len(seen) == 1   # the first quotient, z^2 / z, already fails
+        assert seen[0].rep == (z[1] / z[0]).rep
+        assert not any(r is c for r in seen for c in nonflat)
 
 
 _TOL_CENTER = 0.3137 + 0.2719j   # not dyadic: the round trip rounds
