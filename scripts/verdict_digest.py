@@ -6,7 +6,10 @@ For each seed given, the script builds the construct and ends pools of
 ``check_null_sl2`` is checked again at tol 0, 1e-12, 1e-8 and 1e-4, each
 C^3 curve a construct op hands to ``tee_curve`` is checked by
 ``check_null_c3`` at the same four tols, and each ``classify_end`` report
-is kept.  All reports, as JSON with sorted keys, go into one SHA-256.
+is kept.  Each curve an ends op hands to ``classify_end`` is also read by
+``classify_end``, ``end_multiplicity`` and ``maurer_cartan_min_ord`` at
+the four tols; the record holds each value, or the name of the exception
+class raised.  All reports, as JSON with sorted keys, go into one SHA-256.
 Two checkouts that print the same digest for the same seeds decide every
 one of these verdicts alike, so a change meant to keep the verdicts can
 be compared with the commit it starts from:
@@ -31,8 +34,9 @@ TOLS = (0.0, 1e-12, 1e-8, 1e-4)
 
 
 def records(seed: int, nl, workloads) -> list:
-    """Every report the construct and ends ops of one seed ask for, and
-    the ``check_null_c3`` reports of the curves they lift."""
+    """Every report the construct and ends ops of one seed ask for, the
+    ``check_null_c3`` reports of the curves they lift, and the end readings
+    at each tol of the curves they classify."""
     out = []
     check, classify, tee = nl.check_null_sl2, nl.classify_end, nl.tee_curve
 
@@ -47,9 +51,19 @@ def records(seed: int, nl, workloads) -> list:
                     [nl.check_null_c3(X, t).as_dict() for t in TOLS]])
         return tee(X)
 
+    def outcome(read, F, center, tol):
+        try:
+            value = read(F, center, tol)
+        except nl.NullCurveError as exc:
+            return type(exc).__name__
+        return value.as_dict() if isinstance(value, nl.EndReport) else value
+
     def classified(F, center, *args, **kwargs):
         rep = classify(F, center, *args, **kwargs)
         out.append(["classify_end", rep.as_dict()])
+        reads = (classify, nl.end_multiplicity, nl.maurer_cartan_min_ord)
+        out.append(["end_readings", [[outcome(read, F, center, t)
+                                      for read in reads] for t in TOLS]])
         return rep
 
     nl.check_null_sl2, nl.classify_end, nl.tee_curve = (checked, classified,

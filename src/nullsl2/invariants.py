@@ -25,6 +25,30 @@ Q is invariant under aux_rotations when d(det F) = 0, since that reads
 F1'(F4 + g F3) = F3'(F2 + g F1), i.e. omega_R = g^2 omega for
 R = (F2, -F1, F4, -F3), whose g_R = -1/g.
 
+The Hopf cross-check and the Maurer-Cartan trace test are determinant
+tests.  For any F, with d = F' and a = F' F^-1 (adjugate inverse),
+
+    a11 + a22 = d1 F4 - d2 F3 + d4 F1 - d3 F2 = (det F)',
+
+and where F' has rank one (F2' = -g F1', F4' = -g F3'), with
+q_main = omega g' and q_alt = (F1'' - F1' omega'/omega)/F1,
+
+    q_main - det F q_alt = -omega ((det F)'/omega)',
+    a = [[d1 u, -d1 v], [d3 u, -d3 v]],  u = F4 + g F3,  v = F2 + g F1.
+
+So (det F)' == 0 gives q_main = det F q_alt, and det F == 1 gives
+q_main = q_alt.  On the branch F1' == 0, F1 and F2 are constant, q_alt
+is 0, and (det F)' == 0 makes g = -F2/F1 constant, so q_main is 0 too.
+tests/test_invariants.py proves the three identities with sympy.
+SL2NullCurve decides once per curve, with no tolerance, whether det F == 1
+and det F' == 0 hold exactly on rational slots.  Where they do, the two
+tests have exactly zero numerators and pass at every tol, so they are not
+computed: hopf returns q_main, and the Maurer-Cartan order is
+min(ord d1, ord d3) + min(ord u, ord v), with g = -d2/d1 (-d4/d3 where
+d1 == 0), and no entry of F' F^-1 is built.  Where d1 == d3 == 0, and on
+every other curve, the four entries (eight products) and the trace are
+built and tested.
+
 With J = [[0, 1], [-1, 0]] the rotations F J^-1, J F and J F J^-1 are
 signed permutations of the slots of F.  The one with slot i in front has
 F1 = +-Fi, F3 = +-F(i+2 mod 4) and omega = +-(F1 F3' - F3 F1') for even i,
@@ -42,7 +66,10 @@ arithmetic cancels.  Every centre is a float, hence Gaussian-rational, so
 the shift is exact; a window slot keeps its coefficients and only its base
 point moves.  The tolerance checks (F1, (F3/F1)' and omega == 0, det F',
 the Maurer-Cartan trace) compare coefficients of G, so for float-rounded
-input a curve and its exact translate get the same verdicts.
+input a curve and its exact translate get the same verdicts.  The
+translation keeps det F == 1 and det F' == 0, so G takes F's exact fact
+where F already holds det F and det F' (as after check_null_sl2(F, 0));
+otherwise G decides it on its own slots, which are short at the puncture.
 
 The end analysis reads each quantity of G once per call: F', det F' and
 omega once per curve (see SL2NullCurve), so each slot is differentiated
@@ -143,7 +170,9 @@ def omega(F: SL2NullCurve) -> MeroFunction:
 
 def hopf(F: SL2NullCurve, tol: float = ZERO_TOL) -> MeroFunction:
     """Q/dz^2 computed two ways, omega * g' and (F1'' - F1' omega'/omega)/F1
-    with omega' = F1 F3'' - F3 F1''; HopfMismatch when they disagree."""
+    with omega' = F1 F3'' - F3 F1''; HopfMismatch when they disagree.
+    Where det F == 1 and det F' == 0 hold exactly, the two are equal (module
+    docstring), so only omega * g' is built."""
     w = omega(F)
     if w.is_identically_zero(tol):
         raise DegenerateDenominator(
@@ -152,6 +181,8 @@ def hopf(F: SL2NullCurve, tol: float = ZERO_TOL) -> MeroFunction:
         raise DegenerateDenominator(
             "F1 == 0: the quotient path is undefined; rotate the curve first")
     q_main = w * secondary_gauss(F, tol).differentiate()
+    if F._unimodular_null:
+        return q_main  # q_alt == q_main exactly (module docstring)
     f1, d1 = F.F1, F._derivative[0]
     q_alt = d1.differentiate() / f1 - (d1 / f1) * (w.differentiate() / w)
     if not (q_main - q_alt).is_identically_zero(tol):
@@ -183,9 +214,14 @@ def _recentred(F: SL2NullCurve, p: complex) -> SL2NullCurve:
     -p; see the module docstring for why its exponents at 0 are those of F
     at p."""
     p = complex(p)
-    return SL2NullCurve(*(_translated(s, p) for s in F.slots()),
-                        pole_set=tuple(q - p for q in F.pole_set),
-                        singular_set=tuple(q - p for q in F.singular_set))
+    G = SL2NullCurve(*(_translated(s, p) for s in F.slots()),
+                     pole_set=tuple(q - p for q in F.pole_set),
+                     singular_set=tuple(q - p for q in F.singular_set))
+    known = vars(F)
+    if "_det" in known and "_det_derivative" in known:
+        # a translation keeps det F == 1 and det F' == 0: hand F's fact on
+        vars(G)["_unimodular_null"] = F._unimodular_null
+    return G
 
 
 def _slot_ord(f: MeroFunction) -> float:
@@ -235,14 +271,23 @@ class _SlotPair:
 def _maurer_cartan_min_ord(G: SL2NullCurve, tol: float) -> int:
     g1, g2, g3, g4 = G.slots()
     d1, d2, d3, d4 = G._derivative
-    a11 = d1 * g4 - d2 * g3
-    a12 = d2 * g1 - d1 * g2
-    a21 = d3 * g4 - d4 * g3
-    a22 = d4 * g1 - d3 * g2
-    if not (a11 + a22).is_identically_zero(tol):
-        raise HypothesisViolation(
-            "trace of F' F^-1 is nonzero; the input is not unimodular")
-    ords = [_slot_ord(a) for a in (a11, a12, a21, a22)]
+    o1 = o3 = math.inf
+    if G._unimodular_null:
+        o1, o3 = _slot_ord(d1), _slot_ord(d3)
+    if min(o1, o3) != math.inf:
+        # F' F^-1 = [[d1 u, -d1 v], [d3 u, -d3 v]] (module docstring)
+        g = -(d2 / d1) if o1 != math.inf else -(d4 / d3)
+        ou, ov = _slot_ord(g4 + g * g3), _slot_ord(g2 + g * g1)
+        ords = [o1 + ou, o1 + ov, o3 + ou, o3 + ov]
+    else:
+        a11 = d1 * g4 - d2 * g3
+        a12 = d2 * g1 - d1 * g2
+        a21 = d3 * g4 - d4 * g3
+        a22 = d4 * g1 - d3 * g2
+        if not (a11 + a22).is_identically_zero(tol):
+            raise HypothesisViolation(
+                "trace of F' F^-1 is nonzero; the input is not unimodular")
+        ords = [_slot_ord(a) for a in (a11, a12, a21, a22)]
     finite = [o for o in ords if o != math.inf]
     if not finite:
         raise NotAnEnd("F' F^-1 vanishes identically (constant curve)")
@@ -255,7 +300,10 @@ def maurer_cartan_min_ord(F: SL2NullCurve, p: complex,
     rotations (module docstring).
 
     F^-1 is the adjugate [[F4, -F2], [-F3, F1]] (det F == 1), and the trace
-    of F' F^-1 must vanish identically -- checked as a sanity condition.
+    of F' F^-1, which is (det F)', must vanish identically -- checked as a
+    sanity condition.  Where det F == 1 and det F' == 0 hold exactly, the
+    trace is zero and F' F^-1 has rank-one factors (module docstring), so
+    the order is read from those and the four entries are not built.
     """
     return _maurer_cartan_min_ord(_recentred(F, p), tol)
 

@@ -69,19 +69,31 @@ class SL2NullCurve:
     computed on first read when a builder deferred it (``tee_curve``,
     ``shear``); a tuple passed to the constructor is kept as given.
 
-    The derivative F' = (F1', F2', F3', F4'), det F' = F1'F4' - F2'F3' and
+    The derivative F' = (F1', F2', F3', F4'), det F = F1F4 - F2F3 (which
+    ``det()`` returns), det F' = F1'F4' - F2'F3' and
     omega = F1 F3' - F3 F1' are computed once per curve, on first use, and
     every check that reads them (validity, both Gauss maps, the Hopf
     cross-check, the Maurer-Cartan trace) shares them.  F' is each slot's
     ``differentiate()``.  Where the four slots share one stored
-    denominator Q, ``check_null_sl2`` at tol <= 0 reads det F' only where
-    N1 N4 - N2 N3 != Q^2.  On rational slots it reads F' only where a
-    modular certificate on the stored N_k and D_k declines: on a
+    denominator Q, ``check_null_sl2`` at tol <= 0 reads no det F, and
+    det F' only where N1 N4 - N2 N3 != Q^2.  On rational slots it reads F'
+    only where a modular certificate on the stored N_k and D_k declines: on a
     certified curve over one denominator checked at tol 0, F' is never
-    built.  Caching is sound because the slots are immutable
-    and the three values do not depend on a tolerance.  They are cached
-    outside the fields, so equality, hashing, repr and serialization see
-    only the slots and the two point sets; a new curve (a shear, a rotation,
+    built.
+
+    One exact fact is cached with them, again with no tolerance: all four
+    slots are rational, det F' has a zero numerator and det F is stored as
+    N/N (det F == 1).  Where it holds, the Hopf cross-check and the
+    Maurer-Cartan trace pass by an identity and are not computed (see the
+    ``invariants`` module docstring).  The end analysis's recentred curve
+    G(w) = F(w + p) takes F's fact where F already holds det F and det F',
+    since a translation keeps both identities, and otherwise decides it on
+    its own slots.
+
+    Caching is sound because the slots are immutable and the cached values
+    do not depend on a tolerance.  They are cached outside the fields, so
+    equality, hashing, repr and serialization see only the slots and the
+    two point sets; a new curve (a shear, a rotation,
     ``dataclasses.replace``, a reload) starts without them.
     """
 
@@ -101,6 +113,10 @@ class SL2NullCurve:
              [self.F3.evaluate(z), self.F4.evaluate(z)]], dtype=complex)
 
     def det(self) -> MeroFunction:
+        return self._det
+
+    @cached_property
+    def _det(self) -> MeroFunction:
         return self.F1 * self.F4 - self.F2 * self.F3
 
     @cached_property
@@ -111,6 +127,12 @@ class SL2NullCurve:
     def _det_derivative(self) -> MeroFunction:
         d1, d2, d3, d4 = self._derivative
         return d1 * d4 - d2 * d3
+
+    @cached_property
+    def _unimodular_null(self) -> bool:
+        return (all(s.is_rational for s in self.slots())
+                and self._det_derivative.rep.num.is_zero()
+                and self._det.rep.num == self._det.rep.den)
 
     @cached_property
     def _omega(self) -> MeroFunction:

@@ -28,6 +28,7 @@ from nullsl2 import (
     SL2NullCurve,
     UmbilicInput,
     aux_rotations,
+    check_null_sl2,
     classify_end,
     end_model,
     end_multiplicity,
@@ -40,7 +41,8 @@ from nullsl2 import (
     shear,
 )
 from nullsl2.errors import (GaussMapMismatch, HopfMismatch,
-                             HypothesisViolation, IdenticallyZero)
+                             HypothesisViolation, IdenticallyZero,
+                             NullCurveError)
 
 
 def poly(coeffs):
@@ -260,7 +262,9 @@ def test_classify_end_reads_each_slot_order_pair_and_head_once(
         monkeypatch, F, lead):
     # the slot orders give k and the multiplicity pair's orders, slot 0's
     # (F3/F1)' and omega are read once, and Q's Laurent head comes from one
-    # series quotient; ``lead`` is the slot with the lowest order
+    # series quotient; ``lead`` is the slot with the lowest order.  F holds
+    # det F == 1 and det F' == 0 exactly, so hopf builds no second path;
+    # its float-rounded copy R does not, and hopf's second path runs there
     valued, divided, differentiated, quotients, hopfs, recentred = \
         [], [], [], [], [], []
     real_ord, real_div = MeroFunction.ord, MeroFunction.__truediv__
@@ -298,19 +302,29 @@ def test_classify_end_reads_each_slot_order_pair_and_head_once(
     monkeypatch.setattr(series, "_exact_series_quotient", counted_quotient)
     monkeypatch.setattr(invariants, "hopf", captured_hopf)
     monkeypatch.setattr(invariants, "_recentred", captured_recentred)
-    rep = classify_end(F, 0)
-    (G,), (Q,) = recentred, hopfs
-    assert min(range(4), key=lambda i: (real_ord(G.slots()[i], 0), i)) == lead
-    assert rep.multiplicity == (1 if lead == 0 else 3)
-    assert [sum(f is s for f in valued) for s in G.slots()] == [1, 1, 1, 1]
-    assert len(valued) == (12 if lead == 0 else 14)
-    assert sum(a is G.F3 and b is G.F1 for a, b in divided) == 1
-    assert sum(ns is Q.rep.num for ns in quotients) == 1
-    # hopf's second path reads omega' = F1 F3'' - F3 F1'' off omega
-    assert not any(f is G._derivative[2] for f in differentiated)
-    assert sum(f is G._omega for f in differentiated) == 1
-    if lead == 0:
-        assert len(differentiated) == 8
+    R = SL2NullCurve(*(_rounded(s) for s in F.slots()), pole_set=(0j,))
+    for C, exact in ((F, True), (R, False)):
+        for log in (valued, divided, differentiated, quotients, hopfs,
+                    recentred):
+            log.clear()
+        rep = classify_end(C, 0)
+        (G,), (Q,) = recentred, hopfs
+        assert G._unimodular_null is exact
+        assert min(range(4),
+                   key=lambda i: (real_ord(G.slots()[i], 0), i)) == lead
+        assert rep.multiplicity == (1 if lead == 0 else 3)
+        assert [sum(f is s for f in valued) for s in G.slots()] == \
+            [1, 1, 1, 1]
+        assert len(valued) == (12 if lead == 0 else 14)
+        assert sum(a is G.F3 and b is G.F1 for a, b in divided) == 1
+        assert sum(ns is Q.rep.num for ns in quotients) == 1
+        # hopf's second path, where it runs, reads omega' = F1 F3'' - F3 F1''
+        # off omega
+        assert not any(f is G._derivative[2] for f in differentiated)
+        assert sum(f is G._omega for f in differentiated) == (0 if exact
+                                                              else 1)
+        if lead == 0:
+            assert len(differentiated) == (6 if exact else 8)
 
 
 def test_end_checks_keep_their_order_on_window_slots():
@@ -399,6 +413,215 @@ def test_hopf_at_tol_zero_sees_a_det_off_one_by_two_to_minus_40():
     with pytest.raises(HopfMismatch):
         hopf(G, 0)
     hopf(G, 1e-10)
+
+
+def test_determinant_identities_hold_for_any_rank_one_derivative():
+    # the identities behind the exact determinant fact, for generic F1, F3
+    # and g with F2' = -g F1' and F4' = -g F3', proved by sympy:
+    #   a11 + a22 = (det F)'                     (no hypothesis at all)
+    #   q_main - det F q_alt = -omega ((det F)'/omega)'
+    #   a11, a12, a21, a22 = d1 u, -d1 v, d3 u, -d3 v
+    # with u = F4 + g F3 and v = F2 + g F1, so (det F)' == 0 gives
+    # q_main = det F q_alt, and det F == 1 gives q_main = q_alt
+    sp = pytest.importorskip("sympy")
+    z = sp.Symbol("z")
+    f1, f2, f3, f4, g = (sp.Function(n)(z)
+                         for n in ("F1", "F2", "F3", "F4", "g"))
+    rank_one = {f2.diff(z): -g * f1.diff(z), f4.diff(z): -g * f3.diff(z)}
+
+    def D(e):
+        return sp.diff(e, z).subs(rank_one)
+
+    d1, d2, d3, d4 = (D(f) for f in (f1, f2, f3, f4))
+    a11, a12 = d1 * f4 - d2 * f3, d2 * f1 - d1 * f2
+    a21, a22 = d3 * f4 - d4 * f3, d4 * f1 - d3 * f2
+    det, w = f1 * f4 - f2 * f3, f1 * d3 - f3 * d1
+    free = [sp.Function(n)(z) for n in ("A", "B", "C", "E")]
+    da = [x.diff(z) for x in free]
+    trace = (da[0] * free[3] - da[1] * free[2]
+             + da[3] * free[0] - da[2] * free[1])
+    assert sp.expand(trace - sp.diff(free[0] * free[3] - free[1] * free[2],
+                                     z)) == 0
+    assert sp.expand(a11 + a22 - D(det)) == 0
+    q_main = w * g.diff(z)
+    q_alt = (D(d1) - d1 * D(w) / w) / f1
+    assert sp.simplify(q_main - det * q_alt + w * D(D(det) / w)) == 0
+    u, v = f4 + g * f3, f2 + g * f1
+    assert [sp.expand(x) for x in (a11 - d1 * u, a12 + d1 * v,
+                                   a21 - d3 * u, a22 + d3 * v)] == [0] * 4
+    # the branch F1' == 0: F1 = c and F2 = b are constant, q_alt = 0, and
+    # (det F)' = -(c g + b) F3' == 0 makes g = -b/c constant, so q_main = 0
+    b, c = sp.symbols("b c", nonzero=True)
+    rank_one = {f4.diff(z): -g * f3.diff(z)}
+    det, w = c * f4 - b * f3, c * D(f3)
+    assert sp.simplify(w * g.diff(z) + w * D(D(det) / w)) == 0
+    assert sp.solve(D(det), g) == [-b / c]
+    assert (w * g.diff(z)).subs(g, -b / c).doit() == 0
+
+
+_TOLS = (0.0, 1e-12, 1e-8, 1e-4)
+
+
+def _fresh(F):
+    return SL2NullCurve(*F.slots(), F.pole_set, F.singular_set)
+
+
+def _readings(F, c, fresh=True):
+    """classify_end, end_multiplicity and maurer_cartan_min_ord at c, and
+    hopf of F recentred at c, at each of _TOLS, each on a new copy of F (on
+    F itself, with what it has cached, if not ``fresh``): the value, or the
+    class of the exception raised.  (hopf of F itself would read the long
+    Taylor-shifted slots of a curve off the origin, several times slower
+    on the full path.)"""
+    out = []
+    for tol in _TOLS:
+        for read in (lambda C: classify_end(C, c, tol),
+                     lambda C: end_multiplicity(C, c, tol),
+                     lambda C: maurer_cartan_min_ord(C, c, tol),
+                     lambda C: hopf(invariants._recentred(C, c), tol)):
+            try:
+                out.append(read(_fresh(F) if fresh else F))
+            except NullCurveError as exc:
+                out.append(type(exc))
+    return out
+
+
+def _ends_pool(monkeypatch, seed):
+    """(curve, centre) of each op of one ends cycle of ``seed``."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import nullsl2
+    import workloads
+    monkeypatch.setitem(workloads.CYCLES, "ends", workloads.ROUND["ends"])
+    seen, real = [], nullsl2.classify_end
+    monkeypatch.setattr(nullsl2, "classify_end",
+                        lambda F, c: seen.append((F, c)) or real(F, c))
+    for op in workloads.ends_ops(seed):
+        op.run()
+    monkeypatch.setattr(nullsl2, "classify_end", real)
+    return seen
+
+
+def _inexact_ends():
+    """(curve, centre) where det F == 1 and det F' == 0 do not hold
+    exactly: det F == 2, det F = (1 + 2**-41)**2, two window curves and
+    float-rounded end models."""
+    F = end_model(2)
+    yield SL2NullCurve(2 * F.F1, 2 * F.F2, F.F3, F.F4, F.pole_set), 0j
+    c = 1 + 2.0 ** -41
+    yield SL2NullCurve(*(s * c for s in F.slots()), pole_set=(0j,)), 0j
+    eps = 1e-12
+    yield SL2NullCurve(MeroFunction.from_laurent(-1, [3.0, 0, 0, 0, 0]),
+                       MeroFunction.from_laurent(0, [1.0, 0, 0, 0]),
+                       MeroFunction.from_laurent(-1, [3.0, 0, eps, 0, 0]),
+                       MeroFunction.from_laurent(0, [1.0, 0, 0, 0]),
+                       pole_set=(0j,)), 0j
+    slots = [s.to_laurent(0j, 2) for s in end_model(1).slots()]
+    slots[1] = slots[1] + MeroFunction.from_laurent(0, [1e-6, 1e-6])
+    yield SL2NullCurve(*slots, pole_set=(0j,)), 0j
+    for m, kind in ((1, None), (3, "col1+col2"), (5, "row1+row2")):
+        F = _sheared(end_model(m), kind)
+        yield SL2NullCurve(*(_rounded(s) for s in F.slots()),
+                           pole_set=(0j,)), 0j
+
+
+def _rank_one_branches():
+    """(curve, centre) with det F == 1 and det F' == 0 exactly, where
+    F1' == 0, and where F1' == F3' == 0."""
+    one, zero = MeroFunction.constant(1), MeroFunction.zero()
+    inv = MeroFunction.from_rational((1,), (0, 1))
+    yield SL2NullCurve(one, zero, inv, one, pole_set=(0j,)), 0j
+    yield SL2NullCurve(one, inv, zero, one, pole_set=(0j,)), 0j
+
+
+def test_exact_determinant_fact_keeps_the_full_path_results(monkeypatch):
+    # where det F == 1 and det F' == 0 hold exactly, hopf skips its second
+    # path and the Maurer-Cartan order skips its trace test and reads rank
+    # one factors; with that fact forced off, every reading is the same
+    # value or the same exception class, at every tol.  The curves after
+    # the end models are also read after check_null_sl2(F, 0), as the ends
+    # ops leave them, so that the recentred curve takes F's fact
+    models = list(_end_models())
+    pool = _ends_pool(monkeypatch, 1) + _ends_pool(monkeypatch, 7)
+    inexact, branches = list(_inexact_ends()), list(_rank_one_branches())
+    for F, _ in inexact + branches:
+        check_null_sl2(F, 0.0)
+    checked = pool + inexact + branches
+    assert all({"_det", "_det_derivative"} <= vars(F).keys()
+               for F, _ in checked)
+    cases = models + checked
+    assert [_fresh(F)._unimodular_null for F, _ in cases] == \
+        [True] * (len(models) + len(pool)) + [False] * 7 + [True] * 2
+    fast = [_readings(F, c) for F, c in cases]
+    as_left = [_readings(F, c, fresh=False) for F, c in checked]
+    assert as_left == fast[len(models):]
+    monkeypatch.setattr(SL2NullCurve, "_unimodular_null",
+                        property(lambda self: False))
+    for (F, c), got in zip(cases, fast):
+        assert got == _readings(F, c), (F, c)
+    outcomes = {type(x) if isinstance(x, MeroFunction) else x
+                for got in fast for x in got
+                if not isinstance(x, (int, invariants.EndReport))}
+    assert {MeroFunction, HopfMismatch, HypothesisViolation} <= outcomes
+    # both branches are ends whose F' F^-1 has order -2
+    assert [got[2] for got in fast[-2:]] == [-2, -2]
+
+
+def test_exact_input_builds_no_hopf_second_path_and_no_trace(monkeypatch):
+    # on exact input neither omega' nor a11 + a22 of F' F^-1 is built; on
+    # the det F == 2 curve both are
+    log, recentred = [], []
+    real_recentred = invariants._recentred
+    for op in ("__mul__", "__sub__", "__add__"):
+        real = getattr(MeroFunction, op)
+
+        def logged(self, other, op=op, real=real):
+            log.append((op, self, other, real(self, other)))
+            return log[-1][-1]
+
+        monkeypatch.setattr(MeroFunction, op, logged)
+    real_differentiate = MeroFunction.differentiate
+
+    def logged_differentiate(self):
+        log.append(("d", self, None, real_differentiate(self)))
+        return log[-1][-1]
+
+    def captured(F, p):
+        recentred.append(real_recentred(F, p))
+        return recentred[-1]
+
+    monkeypatch.setattr(MeroFunction, "differentiate", logged_differentiate)
+    monkeypatch.setattr(invariants, "_recentred", captured)
+
+    def made(op, a, b):
+        return [out for o, x, y, out in log if o == op and x is a and y is b]
+
+    def built(C):
+        """(omega' built, a11 + a22 built) on the curve C."""
+        g1, g2, g3, g4 = C.slots()
+        d1, d2, d3, d4 = C._derivative
+        a11 = [s for x in made("__mul__", d1, g4)
+               for y in made("__mul__", d2, g3) for s in made("__sub__", x, y)]
+        a22 = [s for x in made("__mul__", d4, g1)
+               for y in made("__mul__", d3, g2) for s in made("__sub__", x, y)]
+        return (bool(made("d", C._omega, None)),
+                any(made("__add__", x, y) for x in a11 for y in a22))
+
+    for F, c in _end_models():
+        log.clear()
+        recentred.clear()
+        classify_end(F, c)
+        maurer_cartan_min_ord(F, c)
+        hopf(F)
+        assert [built(C) for C in recentred + [F]] == [(False, False)] * 3
+    F = end_model(2)
+    G = SL2NullCurve(2 * F.F1, 2 * F.F2, F.F3, F.F4, F.pole_set)
+    log.clear()
+    recentred.clear()
+    with pytest.raises(HopfMismatch):
+        hopf(G)
+    assert maurer_cartan_min_ord(G, 0) == -3
+    assert built(G)[0] and built(recentred[0])[1]
 
 
 def _sheared(F, kind):

@@ -630,8 +630,8 @@ def test_verdict_digest_script_records_every_check_and_classification(
         monkeypatch):
     # one construct cycle (three curve ops, each lifting a C^3 curve and
     # checking the lift and its shear) and one ends cycle (35 ops, each one
-    # check and one classification), with the pools' namespace restored
-    # afterwards
+    # check and one classification, whose curve is read again at four
+    # tols), with the pools' namespace restored afterwards
     root = Path(__file__).resolve().parents[1]
     monkeypatch.syspath_prepend(str(root / "perfbench"))
     import nullsl2
@@ -645,7 +645,17 @@ def test_verdict_digest_script_records_every_check_and_classification(
     assert [getattr(nullsl2, name) for name in patched] == real
     assert Counter(r[0] for r in recs) == {"check_null_sl2": 6 + 35,
                                           "check_null_c3": 3,
-                                          "classify_end": 35}
+                                          "classify_end": 35,
+                                          "end_readings": 35}
+    reports = [r[1] for r in recs if r[0] == "classify_end"]
+    readings = [r[1] for r in recs if r[0] == "end_readings"]
+    for rep, reads in zip(reports, readings):
+        assert len(reads) == 4 and all(len(r) == 3 for r in reads)
+        # every ends curve is an end at each tol, read as the op reads it
+        for end, mult, mc in reads:
+            assert end == rep
+            assert mult == rep["multiplicity"]
+            assert mc == rep["min_maurer_cartan_ord"]
     checks = [r[1] for r in recs if r[0] == "check_null_sl2"]
     assert all(len(reps) == 4 and reps[0]["unimodular"] and reps[0]["null"]
                for reps in checks)
