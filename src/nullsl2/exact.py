@@ -20,7 +20,9 @@ The certificates work on images modulo one prime p (``_residues``, i
 mapped to a square root of -1), and False means only "not certified".
 Coprimality is one kernel, Euclid with a leading-coefficient guard
 (``_coprime_residues``), fed with the images of given numerators
-(``_coprime_mod_p``, the root kernel's test of ``series``) or of the
+(``_coprime_mod_p``, the first step of :func:`poly_gcd`, so that a gcd
+of a pair it certifies coprime returns 1 with no exact division; it has
+no other caller) or of the
 derivative numerators N_k' D_k - N_k D_k' of the quotients N_k/D_k of a
 rational curve, formed modulo p with no exact product
 (``_derivatives_coprime_mod_p``: immersion).  Nonflatness is one
@@ -597,7 +599,12 @@ def _peak_within(num: Poly, den: Poly, tol) -> bool:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the exact complex-rational field (Euclid)."""
+    """Monic gcd over the exact complex-rational field.  Its first step is
+    the modular certificate ``_coprime_mod_p``: where it proves a and b
+    coprime the gcd is ``Poly.one()``, the monic form of the nonzero
+    constant Euclid would end on.  Otherwise Euclid runs."""
+    if _coprime_mod_p([a, b]):
+        return Poly.one()
     while not b.is_zero():
         a, b = b, a.divmod(b)[1]
     return a.monic() if not a.is_zero() else a
@@ -670,9 +677,10 @@ def _coprime_mod_p(polys: Iterable[Poly]) -> bool:
     """A certificate that the numerators of ``polys`` share no root:
     ``_coprime_residues`` on their images, with the leading-coefficient
     guard read from each numerator's top coefficient; ``_den`` is a unit
-    and is ignored.  The root kernel of ``series`` reads it; the immersion
-    test of a curve reads ``_derivatives_coprime_mod_p``, on the stored
-    slots, and no derivative numerators come here."""
+    and is ignored.  It is the first step of ``poly_gcd``, its only
+    caller; the immersion test of a curve reads
+    ``_derivatives_coprime_mod_p``, on the stored slots, and no
+    derivative numerators come here."""
     polys = [f for f in polys if f._re]
     lead = any((f._re[-1] + _S * f._im[-1]) % _P for f in polys)
     return _coprime_residues((_residues(f)[::-1] for f in polys), lead)

@@ -141,12 +141,16 @@ class EndReport:
 def _rank_one_quotient(F: SL2NullCurve, tol: float, first, second,
                        names: str) -> MeroFunction:
     """d[first[0]] / d[first[1]], or the second quotient where the first
-    denominator vanishes, for d = F'; they agree exactly when det F' == 0."""
+    denominator vanishes, for d = F'; they agree exactly when det F' == 0.
+    Where F's exact fact ``_unimodular_null`` holds, det F' has a zero
+    numerator and would pass its zero test at every tol, so the test is
+    not run; a recentred curve that took the fact from F builds no
+    det F'."""
     d = F._derivative
     den_a, den_b = d[first[1]], d[second[1]]
     if den_a.is_identically_zero(tol) and den_b.is_identically_zero(tol):
         raise DegenerateDenominator(f"both {names} vanish identically")
-    if not F._det_derivative.is_identically_zero(tol):
+    if not (F._unimodular_null or F._det_derivative.is_identically_zero(tol)):
         raise GaussMapMismatch("det F' != 0: the defining quotients disagree")
     if not den_a.is_identically_zero(tol):
         return d[first[0]] / den_a

@@ -48,8 +48,7 @@ from .errors import (
     NonExactField,
     TruncationTooShort,
 )
-from .exact import (EC_ONE, ExactComplex, Poly, _coprime_mod_p, _peak_within,
-                    poly_gcd)
+from .exact import EC_ONE, ExactComplex, Poly, _peak_within, poly_gcd
 
 #: default ``tol`` of the zero tests, and the floor below which a window's
 #: computed value away from its base point counts as zero (stored
@@ -780,19 +779,21 @@ def _clustered_roots(poly: Poly) -> list[tuple[complex, int]]:
     Yun's squarefree decomposition (SYMSAC '76) on ``poly_gcd`` writes
     poly = lc * s_1 * s_2**2 * s_3**3 ..., with each s_i squarefree and
     the s_i pairwise coprime, and ``np.roots`` locates the roots of each
-    s_i only, each with multiplicity i.  Where ``exact._coprime_mod_p``
-    certifies poly and poly' coprime, poly is squarefree and is the only
-    part, with no gcd.  No root is clustered or matched by distance.  A
-    part with a coefficient past the float range goes to ``np.roots``
-    monic.  The name stays: ``perfbench/tracer.py`` patches it by name.
+    s_i only, each with multiplicity i.  Where gcd(poly, poly') is 1,
+    which the modular certificate at the start of ``poly_gcd`` proves
+    with no exact division, poly is squarefree and is the only part,
+    kept as given so that ``np.roots`` reads its own coefficients.  No
+    root is clustered or matched by distance.  A part with a coefficient
+    past the float range goes to ``np.roots`` monic.  The name stays:
+    ``perfbench/tracer.py`` patches it by name.
     """
     if poly.degree < 1:
         return []
     d = poly.derivative()
-    if _coprime_mod_p([poly, d]):
+    g = poly_gcd(poly, d)
+    if g.degree == 0:
         parts = [poly]
     else:
-        g = poly_gcd(poly, d)
         b, c = poly.exact_div(g), d.exact_div(g)
         parts = []
         while b.degree > 0:
@@ -816,17 +817,17 @@ def _excess_roots(a: Poly, b: Poly) -> list[tuple[complex, int]]:
     exceeds it: the poles (a = den) or zeros (a = num), exactly.
 
     The root at 0 is read from ``low_order`` of both.  The rest are the
-    roots of a / z**ord, divided by its gcd with b unless
-    ``exact._coprime_mod_p`` certifies the two coprime, through
-    ``_clustered_roots``; the origin keeps its place in the sorted list.
+    roots of a / z**ord, divided by its gcd with b only where that gcd is
+    not 1, through ``_clustered_roots``; ``poly_gcd`` returns 1 at once
+    on a pair its modular certificate proves coprime.  The origin keeps
+    its place in the sorted list.
     """
     if a.degree < 1:
         return []
     a0, b0 = a.low_order(), b.low_order()
     a = a.drop_low(a0)
-    if not _coprime_mod_p([a, b]):
-        a = a.exact_div(poly_gcd(a, b))
-    out = _clustered_roots(a)
+    g = poly_gcd(a, b)
+    out = _clustered_roots(a.exact_div(g) if g.degree else a)
     if a0 > b0:
         at = sum((p.real, p.imag) < (0, 0) for p, _ in out)
         out.insert(at, (0j, a0 - b0))

@@ -332,7 +332,10 @@ def _with_cycle(err: NonExactField) -> NonExactField:
 def _common_zero_poly(fns) -> Poly:
     """The monic gcd over Q(i) of the numerators of the nonzero rational
     ``fns``, each first reduced by its gcd with its own denominator.  Its
-    roots are exactly the points where every fn is finite and zero."""
+    roots are exactly the points where every fn is finite and zero.  Each
+    ``poly_gcd`` starts with the modular certificate, so a pair it proves
+    coprime (a slot's num and den, or a reduced numerator and the running
+    gcd) runs no Euclid over Q(i)."""
     g = Poly.zero()
     for f in fns:
         num, den = f.rep.num, f.rep.den

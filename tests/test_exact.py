@@ -209,6 +209,45 @@ def test_poly_gcd_matches_sympy(a, b, c):
     assert g.is_zero() or g.lc == ExactComplex(1)
 
 
+def test_poly_gcd_of_a_certified_pair_runs_no_division(monkeypatch):
+    # the modular certificate is poly_gcd's first step: a pair it proves
+    # coprime gets 1, the value Euclid ends on, with no exact division
+    divisions = []
+    real = Poly.divmod
+    monkeypatch.setattr(Poly, "divmod", lambda a, b: divisions.append(1)
+                        or real(a, b))
+    pairs = [(Poly([0, 1]), Poly([1, 1])),
+             (Poly([1j, 1]), Poly([-1j, 1])),               # z + i, z - i
+             (Poly([0.1, 3, 2.5j]), Poly([Fraction(1, 3), 1])),
+             (Poly([-1, 0, 1]), Poly([0, 2])),              # z**2 - 1, 2 z
+             (Poly.zero(), Poly([3 - 4j]))]
+    for a, b in pairs:
+        assert poly_gcd(a, b) == Poly.one() == poly_gcd(b, a)
+    assert divisions == []
+
+
+def test_poly_gcd_matches_sympy_where_the_certificate_declines():
+    def check(a, b):
+        assert not _coprime_mod_p([a, b])
+        g = poly_gcd(a, b)
+        assert to_sym(g) == sp.gcd(to_sym(a), to_sym(b)).monic()
+        return g
+
+    # A = p z + 1 divides B = A (z + 2), and both leading coefficients
+    # vanish modulo p
+    a = Poly([1, _P])
+    assert check(a, a * Poly([2, 1])) == a.monic()
+    # a planted common factor of degree 2 with a non-real coefficient
+    c = Poly([1 - 2j, Fraction(1, 3), 1])
+    g = check(Poly([0.5, -1, 3j]) * c, Poly([2, 1j]) * c)
+    assert g == c.monic()
+    # a zero operand: the gcd with a constant the certificate cannot read
+    # is 1, and the gcd of two zeros is zero
+    assert check(Poly.zero(), Poly([_P])) == Poly.one()
+    assert poly_gcd(Poly.zero(), Poly.zero()).is_zero()
+    assert sp.gcd(to_sym(Poly.zero()), to_sym(Poly.zero())).is_zero
+
+
 # ---------------------------------------------------------------------------
 # normal form and the views
 # ---------------------------------------------------------------------------

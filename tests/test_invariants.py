@@ -567,6 +567,27 @@ def test_exact_determinant_fact_keeps_the_full_path_results(monkeypatch):
     assert [got[2] for got in fast[-2:]] == [-2, -2]
 
 
+def test_classify_end_builds_no_det_derivative_on_the_recentred_curve(
+        monkeypatch):
+    # after check_null_sl2(F, 0), as an ends op leaves F, the recentred
+    # curve G takes F's exact fact, and secondary_gauss reads it in place
+    # of a zero test of det F', so det F' of G is never built
+    pool = _ends_pool(monkeypatch, 7)
+    recentred = []
+    real = invariants._recentred
+    monkeypatch.setattr(invariants, "_recentred",
+                        lambda F, p: recentred.append(real(F, p))
+                        or recentred[-1])
+    for F, c in pool:
+        F = _fresh(F)
+        check_null_sl2(F, 0.0)
+        recentred.clear()
+        classify_end(F, c)
+        assert len(recentred) == 1
+        G = recentred[0]
+        assert G._unimodular_null and "_det_derivative" not in vars(G)
+
+
 def test_exact_input_builds_no_hopf_second_path_and_no_trace(monkeypatch):
     # on exact input neither omega' nor a11 + a22 of F' F^-1 is built; on
     # the det F == 2 curve both are

@@ -724,19 +724,26 @@ def test_a_quotient_lists_the_poles_of_its_reduced_form():
 
 def test_kernel_skips_the_gcds_of_a_certified_squarefree_polynomial(
         monkeypatch):
-    calls = []
+    # the one gcd with the derivative is certified 1 modulo p, so no
+    # Euclid step and no exact division runs
+    calls, divisions = [], []
     monkeypatch.setattr(series, "poly_gcd",
                         lambda a, b: calls.append(1) or poly_gcd(a, b))
+    real_divmod = Poly.divmod
+    monkeypatch.setattr(Poly, "divmod", lambda a, b: divisions.append(1)
+                        or real_divmod(a, b))
 
     def rounded(poly):
         return [(round(p.real, 12), round(p.imag, 12), m)
                 for p, m in _clustered_roots(poly)]
 
     assert rounded(Poly([-1, 0, 1])) == [(-1, 0, 1), (1, 0, 1)]
-    assert calls == []
-    # (z - 1)**2 (z + 1): one gcd with the derivative, then Yun's steps
+    assert calls == [1] and divisions == []
+    # (z - 1)**2 (z + 1): one gcd with the derivative, by Euclid, then
+    # Yun's steps, each a gcd and two exact divisions
+    calls.clear()
     assert rounded(Poly([1, -1, -1, 1])) == [(-1, 0, 1), (1, 0, 2)]
-    assert calls
+    assert len(calls) == 3 and len(divisions) >= 2 + 2 * 2
 
 
 def test_zero_test_at_negative_tol_is_exact_on_both_representations():

@@ -553,28 +553,44 @@ def test_derivative_numerators_with_a_common_factor_read_f_prime(
         monkeypatch):
     # pool inputs 3 and 18 (X1 z + 1) are immersed, but the numerators of
     # F' share a linear factor: the residue certificate declines, and F'
-    # is built and goes straight to the exact gcd, with no second modular
-    # Euclid on its numerators (one would decline too)
-    gcds, euclids = [], []
+    # is built and goes straight to the exact gcd, with no second slot
+    # certificate; inside the gcds, Euclid over Q(i) runs only on a pair
+    # whose modular certificate declines
+    gcds, slot_certs, divisions, euclids = [], [], [], []
     real = spinor._common_zero_poly
     monkeypatch.setattr(spinor, "_common_zero_poly",
                         lambda fns: gcds.append(fns) or real(fns))
-    real_euclid = exact._coprime_residues
-    monkeypatch.setattr(exact, "_coprime_residues",
-                        lambda *args: euclids.append(args)
-                        or real_euclid(*args))
+    real_cert = spinor._derivatives_coprime_mod_p
+    monkeypatch.setattr(spinor, "_derivatives_coprime_mod_p",
+                        lambda slots: slot_certs.append(slots)
+                        or real_cert(slots))
+    real_divmod = Poly.divmod
+    monkeypatch.setattr(Poly, "divmod", lambda a, b: divisions.append(1)
+                        or real_divmod(a, b))
+
+    def gcd(a, b):
+        before = len(divisions)
+        g = exact.poly_gcd(a, b)
+        if len(divisions) > before:
+            euclids.append(_coprime_mod_p([a, b]))
+        return g
+
+    for module in (spinor, series):
+        monkeypatch.setattr(module, "poly_gcd", gcd)
     pool = _tee_pool()
     for F, lam in (pool[3], pool[18]):
         for G in (F, *(shear(F, lam, kind) for kind in SHEAR_KINDS)):
             slots = [(f.rep.num, f.rep.den) for f in G.slots()]
             assert not _derivatives_coprime_mod_p(slots)
             gcds.clear()
+            slot_certs.clear()
             euclids.clear()
             rep = check_null_sl2(G, tol=0.0)
             assert rep.unimodular and rep.immersion and rep.nonflat
             assert "_derivative" in vars(G)
             assert len(gcds) == 1
-            assert len(euclids) == 1
+            assert len(slot_certs) == 1
+            assert euclids and not any(euclids)
             assert not _coprime_mod_p([d.rep.num for d in G._derivative])
 
 
