@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 of the verdicts on the construct and ends benchmark pools.
+"""Print one SHA-256 of the verdicts on the construct, ends and spray benchmark pools.
 
-For each seed given, the script builds the construct and ends pools of
-``perfbench/workloads.py`` and runs every op.  Each curve an op hands to
+For each seed given, the script builds the construct, ends and spray pools
+of ``perfbench/workloads.py`` and runs every op.  Each curve an op hands to
 ``check_null_sl2`` is checked again at tol 0, 1e-12, 1e-8 and 1e-4, each
 C^3 curve a construct op hands to ``tee_curve`` is checked by
 ``check_null_c3`` at the same four tols, and each ``classify_end`` report
 is kept.  Each curve an ends op hands to ``classify_end`` is also read by
 ``classify_end``, ``end_multiplicity`` and ``maurer_cartan_min_ord`` at
 the four tols; the record holds each value, or the name of the exception
-class raised.  All reports, as JSON with sorted keys, go into one SHA-256.
+class raised.  Each spray op's result is kept: the ``repr`` of a
+``period`` value, a ``SolveResult.as_dict()`` and a window-nullity
+verdict, or the name of the exception class raised; so is the
+``poles()`` list, in ``repr``, of each integrand an op hands to
+``period``.  All reports, as JSON with sorted keys, go into one SHA-256.
 Two checkouts that print the same digest for the same seeds decide every
 one of these verdicts alike, so a change meant to keep the verdicts can
 be compared with the commit it starts from:
@@ -33,12 +37,21 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOLS = (0.0, 1e-12, 1e-8, 1e-4)
 
 
+def spray_record(value):
+    """A spray op's result as a JSON value with every float bit kept."""
+    if isinstance(value, complex):
+        return repr(value)
+    return value.as_dict() if hasattr(value, "as_dict") else value
+
+
 def records(seed: int, nl, workloads) -> list:
     """Every report the construct and ends ops of one seed ask for, the
-    ``check_null_c3`` reports of the curves they lift, and the end readings
-    at each tol of the curves they classify."""
+    ``check_null_c3`` reports of the curves they lift, the end readings
+    at each tol of the curves they classify, and the result of each spray
+    op with the pole list of each integrand it integrates."""
     out = []
     check, classify, tee = nl.check_null_sl2, nl.classify_end, nl.tee_curve
+    period = nl.period
 
     def checked(F, tol=nl.ZERO_TOL):
         rep = check(F, tol)
@@ -66,14 +79,26 @@ def records(seed: int, nl, workloads) -> list:
                                       for read in reads] for t in TOLS]])
         return rep
 
+    def integrated(f, *args, **kwargs):
+        out.append(["period_poles", repr(f.poles())])
+        return period(f, *args, **kwargs)
+
     nl.check_null_sl2, nl.classify_end, nl.tee_curve = (checked, classified,
                                                         lifted)
+    nl.period = integrated
     try:
         for op in workloads.construct_ops(seed) + workloads.ends_ops(seed):
             op.run()
+        for op in workloads.spray_ops(seed):
+            try:
+                value = spray_record(op.run())
+            except nl.NullCurveError as exc:
+                value = type(exc).__name__
+            out.append(["spray", op.kind, value])
     finally:
         nl.check_null_sl2, nl.classify_end, nl.tee_curve = (check, classify,
                                                             tee)
+        nl.period = period
     return out
 
 

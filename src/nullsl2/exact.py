@@ -599,11 +599,13 @@ def _peak_within(num: Poly, den: Poly, tol) -> bool:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the exact complex-rational field.  Its first step is
-    the modular certificate ``_coprime_mod_p``: where it proves a and b
-    coprime the gcd is ``Poly.one()``, the monic form of the nonzero
-    constant Euclid would end on.  Otherwise Euclid runs."""
-    if _coprime_mod_p([a, b]):
+    """Monic gcd over the exact complex-rational field.  Where a or b is
+    a nonzero constant, or the modular certificate ``_coprime_mod_p``
+    proves a and b coprime, the gcd is ``Poly.one()``, the monic form of
+    the nonzero constant Euclid would end on; the constant case is read
+    from the degrees, before any residue is formed.  Otherwise Euclid
+    runs."""
+    if a.degree == 0 or b.degree == 0 or _coprime_mod_p([a, b]):
         return Poly.one()
     while not b.is_zero():
         a, b = b, a.divmod(b)[1]

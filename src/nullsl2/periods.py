@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from ._lazy import np
 from .errors import (CrossCheckFailed, MaxIterExceeded, PoleOnContour,
                      SingularJacobian)
+from .exact import _ratio
 from .series import (DomainTag, MeroFunction, annulus, _fft_expand,
                      _unit_roots)
 from .spinor import SpinorData
@@ -234,9 +235,17 @@ def period(f: MeroFunction, cycle: Cycle, cross_check: bool = True,
 def _residue_sum(num, den) -> complex:
     """The sum of the finite residues of num/den: with r the remainder of
     num by den, r's coefficient at z**(deg den - 1) over den's leading
-    coefficient."""
+    coefficient.  The quotient is formed on the Gaussian-integer
+    numerators, (a + bi)/d over (x + yi)/e = e(a + bi)(x - yi) / (d(x² +
+    y²)), and each part is rounded once by ``_ratio``, as
+    ``complex(ExactComplex)`` rounds the same rational."""
     r = num.divmod(den)[1]
-    return complex(r.coeff(den.degree - 1) / den.lc)
+    k = den.degree - 1
+    a, b = (r._re[k], r._im[k]) if k < len(r._re) else (0, 0)
+    x, y = den._re[-1], den._im[-1]
+    e, d = den._den, r._den * (x * x + y * y)
+    return complex(_ratio(e * (a * x + b * y), d),
+                   _ratio(e * (b * x - a * y), d))
 
 
 @dataclass(frozen=True)

@@ -509,7 +509,11 @@ class MeroFunction:
         r_outer), so a window's annulus is bounded by the float range of
         r**k: where some r**k is not a finite nonzero float it raises
         ValueError, e.g. ``to_laurent(domain=annulus(1e5, 1e7),
-        terms=60)`` (r = 1e6 and r**59 = 1e354).
+        terms=60)`` (r = 1e6 and r**59 = 1e354).  A nonzero constant is
+        its own window, (c, 0j, ..., 0j) from exponent 0, with c its exact
+        quotient rounded once, on every annulus, since no r**k is formed.
+        Over den = 1 the FFT gives the same bits; over another den its
+        float quotient can be an ulp away, or carry -0.0 (den < 0).
         """
         base = self.base_point if base_point is None else complex(base_point)
         dom = domain or self.domain
@@ -519,6 +523,11 @@ class MeroFunction:
             return self.with_domain(dom)
         if dom.is_annulus:
             half = terms - 1
+            num, den = self.rep.num, self.rep.den
+            if num.degree == 0 and den.degree == 0:
+                c = complex(num.coeff(0) / den.coeff(0))
+                return MeroFunction(LaurentWindow(0, (c,) + (0j,) * half,
+                                                  half), base, dom)
             win = _fft_expand(lambda zs: self.evaluate_many(zs), base, dom,
                               -half, half)
             return MeroFunction(win, base, dom)
@@ -779,12 +788,17 @@ def _clustered_roots(poly: Poly) -> list[tuple[complex, int]]:
     Yun's squarefree decomposition (SYMSAC '76) on ``poly_gcd`` writes
     poly = lc * s_1 * s_2**2 * s_3**3 ..., with each s_i squarefree and
     the s_i pairwise coprime, and ``np.roots`` locates the roots of each
-    s_i only, each with multiplicity i.  Where gcd(poly, poly') is 1,
-    which the modular certificate at the start of ``poly_gcd`` proves
-    with no exact division, poly is squarefree and is the only part,
-    kept as given so that ``np.roots`` reads its own coefficients.  No
-    root is clustered or matched by distance.  A part with a coefficient
-    past the float range goes to ``np.roots`` monic.  The name stays:
+    s_i of degree >= 1 only, each with multiplicity i.  Where
+    gcd(poly, poly') is 1, which the modular certificate at the start of
+    ``poly_gcd`` proves with no exact division, poly is squarefree and is
+    the only part, kept as given so that ``np.roots`` reads its own
+    coefficients.  Otherwise b = poly / gcd is the product of the s_i
+    still to find; Yun's loop stops once b is linear, since the one
+    root left has multiplicity deg poly - sum of i * deg s_i over the
+    parts found, and b.monic() is the gcd Yun's later steps would reach.
+    A step divides by s only where s has degree >= 1.  No root is
+    clustered or matched by distance.  A part with a coefficient past
+    the float range goes to ``np.roots`` monic.  The name stays:
     ``perfbench/tracer.py`` patches it by name.
     """
     if poly.degree < 1:
@@ -792,17 +806,23 @@ def _clustered_roots(poly: Poly) -> list[tuple[complex, int]]:
     d = poly.derivative()
     g = poly_gcd(poly, d)
     if g.degree == 0:
-        parts = [poly]
+        parts = [(poly, 1)]
     else:
-        b, c = poly.exact_div(g), d.exact_div(g)
-        parts = []
-        while b.degree > 0:
+        b = poly.exact_div(g)
+        c = d.exact_div(g) if b.degree > 1 else None
+        parts, found, i = [], 0, 0
+        while b.degree > 1:
+            i += 1
             c = c - b.derivative()
             s = poly_gcd(b, c)
-            b, c = b.exact_div(s), c.exact_div(s)
-            parts.append(s)
+            if s.degree:
+                b, c = b.exact_div(s), c.exact_div(s)
+                parts.append((s, i))
+                found += i * s.degree
+        if b.degree == 1:
+            parts.append((b.monic(), poly.degree - found))
     out = []
-    for i, s in enumerate(parts, 1):
+    for s, i in parts:
         coeffs = s.float_coeffs()
         if not all(map(cmath.isfinite, coeffs)):
             # np.roots refuses inf; the monic companion entries are the

@@ -226,6 +226,26 @@ def test_poly_gcd_of_a_certified_pair_runs_no_division(monkeypatch):
     assert divisions == []
 
 
+def test_poly_gcd_of_a_nonzero_constant_forms_no_residue(monkeypatch):
+    # a nonzero constant argument gives 1 from the degrees alone, before
+    # the certificate; p itself, whose image is 0, would leave it to Euclid
+    certificates, divisions = [], []
+    real_divmod = Poly.divmod
+    monkeypatch.setattr(exact, "_coprime_mod_p",
+                        lambda polys: certificates.append(1) or False)
+    monkeypatch.setattr(Poly, "divmod", lambda a, b: divisions.append(1)
+                        or real_divmod(a, b))
+    pairs = [(Poly([3]), Poly([1, 2, 1])),
+             (Poly([1, 1]), Poly([2j])),
+             (Poly([_P]), Poly([0, _P])),
+             (Poly([Fraction(1, 3)]), Poly.zero())]
+    for a, b in pairs:
+        assert poly_gcd(a, b) == Poly.one() == poly_gcd(b, a)
+    assert certificates == [] and divisions == []
+    # the zero polynomial is no constant here: gcd(0, b) is b's monic form
+    assert poly_gcd(Poly.zero(), Poly([2, 2])) == Poly([1, 1])
+
+
 def test_poly_gcd_matches_sympy_where_the_certificate_declines():
     def check(a, b):
         assert not _coprime_mod_p([a, b])

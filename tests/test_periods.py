@@ -17,6 +17,7 @@ import hashlib
 import math
 import runpy
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,7 @@ from nullsl2 import (
     window_exp,
 )
 import nullsl2.periods
+from nullsl2.exact import ExactComplex
 from nullsl2.periods import PeriodReport, _spray_periods
 from nullsl2.series import _unit_roots
 
@@ -361,6 +363,56 @@ def test_a_tie_of_winding_numbers_takes_the_smaller_one(monkeypatch):
     want = TWO_PI_I * sum(f.residue(p) for p in (-0.5, 0.5))
     assert period(f, Cycle.circle(0, 1)) == pytest.approx(want, abs=1e-12)
     assert sorted(round(p.real, 12) for p in calls) == [-0.5, 0.5]
+
+
+def _residue_sum_by_exact_complex(num, den):
+    """The residue sum as one ExactComplex quotient, rounded once."""
+    r = num.divmod(den)[1]
+    return complex(r.coeff(den.degree - 1) / den.lc)
+
+
+def test_integer_residue_sum_equals_the_exact_complex_quotient():
+    # the same rational, rounded once part by part: equal bits, signed
+    # zeros and infinities included
+    rng = np.random.default_rng(34)
+
+    def scalar():
+        kind = int(rng.integers(4))
+        if kind == 0:
+            return complex(rng.normal(), rng.normal())
+        if kind == 1:
+            return int(rng.integers(-9, 10))
+        if kind == 2:
+            return ExactComplex(Fraction(int(rng.integers(-99, 100)),
+                                         int(rng.integers(1, 100))),
+                                Fraction(int(rng.integers(-99, 100)),
+                                         int(rng.integers(1, 100))))
+        return complex(rng.normal(), 0.0) * 10.0 ** rng.integers(-200, 200)
+
+    pairs = []
+    for _ in range(300):
+        den = Poly([scalar() for _ in range(int(rng.integers(1, 6)))]
+                   + [scalar() or 1])
+        num = Poly([scalar() for _ in range(int(rng.integers(0, 9)))])
+        pairs.append((num, den))
+    big, tiny = Fraction(10 ** 400), Fraction(1, 10 ** 400)
+    pairs += [
+        (Poly([0, 1]) * Poly([1, 1]), Poly([1, 1])),    # remainder 0
+        (Poly([1, 0, 2]), Poly([0, 0, 3])),              # r_(n-1) = 0
+        (Poly([5, 0, 0]), Poly([1, 0, 7j])),             # r = 5, r_1 = 0
+        (Poly([ExactComplex(0, big), 1]), Poly([3, tiny])),    # past range
+        (Poly([ExactComplex(-big, big), 1]), Poly([0, ExactComplex(0, 1)])),
+        (Poly([ExactComplex(tiny, -tiny), 2]), Poly([1, big])),   # underflow
+        (Poly([-tiny, 0]), Poly([1, big])),
+    ]
+    parts = []
+    for num, den in pairs:
+        got = nullsl2.periods._residue_sum(num, den)
+        assert repr(got) == repr(_residue_sum_by_exact_complex(num, den))
+        parts += [got.real, got.imag]
+    # the pool reaches both infinities and both signed zeros
+    assert {math.inf, -math.inf} <= set(parts)
+    assert {math.copysign(1.0, x) for x in parts if x == 0} == {1.0, -1.0}
 
 
 # ---------------------------------------------------------------------------

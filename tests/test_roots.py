@@ -7,14 +7,16 @@ that ``np.roots`` on each squarefree part locates them well; the
 multiplicities are compared exactly and the locations to 1e-8 relative.
 """
 
+import cmath
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nullsl2 import MeroFunction
-from nullsl2.exact import ExactComplex, Poly
+from nullsl2.exact import ExactComplex, Poly, poly_gcd
 from nullsl2.series import Rational, _clustered_roots
 
 from test_series import _antiderivative_pool
@@ -124,3 +126,69 @@ def test_the_antiderivative_pool_lists_each_pole_once_with_its_order():
         want = sympy_roots(den.exquo(num.gcd(den)))
         assert len({p for p, _ in f.poles()}) == len(want)
         assert same_roots(f.poles(), want)
+
+
+# ---------------------------------------------------------------------------
+# Yun's loop stops at a linear part
+# ---------------------------------------------------------------------------
+
+def _full_yun(poly: Poly) -> list[tuple[complex, int]]:
+    """Yun's loop run to b = 1, every part (constants too) to np.roots:
+    the kernel with no early stop, as a reference for its bits."""
+    d = poly.derivative()
+    g = poly_gcd(poly, d)
+    if g.degree == 0:
+        parts = [poly]
+    else:
+        b, c = poly.exact_div(g), d.exact_div(g)
+        parts = []
+        while b.degree > 0:
+            c = c - b.derivative()
+            s = poly_gcd(b, c)
+            b, c = b.exact_div(s), c.exact_div(s)
+            parts.append(s)
+    out = []
+    for i, s in enumerate(parts, 1):
+        coeffs = s.float_coeffs()
+        if not all(map(cmath.isfinite, coeffs)):
+            coeffs = s.monic().float_coeffs()
+        out += [(complex(r), i) for r in np.roots(coeffs)]
+    return sorted(out, key=lambda pm: (pm[0].real, pm[0].imag))
+
+
+def _power(*factors) -> Poly:
+    """The product of (z - p)**k over the (p, k) given, lead 3 - 2i."""
+    poly = Poly([ExactComplex(3, -2)])
+    for p, k in factors:
+        for _ in range(k):
+            poly = poly * Poly([-p, 1])
+    return poly
+
+
+_ONE_ROOT = [ExactComplex(0.3137, -1.7), ExactComplex(Fraction(3, 4),
+                                                      Fraction(-5, 2))]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("p", _ONE_ROOT, ids=["float", "gaussian"])
+def test_kernel_reads_one_root_of_any_multiplicity(p, k):
+    poly = _power((p, k))
+    got = _clustered_roots(poly)
+    assert [m for _, m in got] == [k]
+    assert same_roots(got, sympy_roots(to_sym(poly)))
+    assert repr(got) == repr(_full_yun(poly))
+
+
+@pytest.mark.parametrize("factors", [
+    [(1, 2), (-2, 3)],                      # b = (z - 1)(z + 2): s_1 = 1
+    [(ExactComplex(0, 1), 4), (-1, 1)],
+    [(Fraction(1, 2), 1), (3, 2), (ExactComplex(0, -2), 5)],
+    [(0.25, 3), (-0.75, 3), (ExactComplex(1, 1), 1)],
+    [(2, 6), (-2, 1), (ExactComplex(Fraction(1, 3), 1), 2)],
+], ids=["1^2,-2^3", "i^4,-1", "1/2,3^2,-2i^5", "two-cubes", "2^6,-2,g^2"])
+def test_kernel_leaves_yun_on_a_linear_part_with_the_same_bits(factors):
+    poly = _power(*factors)
+    got = _clustered_roots(poly)
+    assert sum(m for _, m in got) == poly.degree
+    assert same_roots(got, sympy_roots(to_sym(poly)))
+    assert repr(got) == repr(_full_yun(poly))

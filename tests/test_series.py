@@ -739,11 +739,26 @@ def test_kernel_skips_the_gcds_of_a_certified_squarefree_polynomial(
 
     assert rounded(Poly([-1, 0, 1])) == [(-1, 0, 1), (1, 0, 1)]
     assert calls == [1] and divisions == []
-    # (z - 1)**2 (z + 1): one gcd with the derivative, by Euclid, then
-    # Yun's steps, each a gcd and two exact divisions
+    # (z - 1)**2 (z + 1): the gcd z - 1 with the derivative (two Euclid
+    # steps), b = poly/g and c = poly'/g, then one Yun step: the gcd z + 1
+    # of b and c (one Euclid step) and b/s, c/s; b = z - 1 is then linear
+    # and the loop stops, with no gcd of a linear b
     calls.clear()
     assert rounded(Poly([1, -1, -1, 1])) == [(-1, 0, 1), (1, 0, 2)]
-    assert len(calls) == 3 and len(divisions) >= 2 + 2 * 2
+    assert len(calls) == 2 and len(divisions) == 2 + 2 + 1 + 2
+    # (z - 1)**2: poly/g is linear already, so c = poly'/g is not formed
+    calls.clear()
+    divisions.clear()
+    assert rounded(Poly([1, -2, 1])) == [(1, 0, 2)]
+    assert len(calls) == 1 and len(divisions) == 1 + 1
+    # (z - 1)**2 (z + 2)**3: the gcd with the derivative (two Euclid
+    # steps) and b, c; Yun's first gcd is 1, certified with no Euclid step,
+    # and divides nothing; the second is z - 1 (one Euclid step), divided
+    # out of b and c, after which b = z + 2 is linear
+    calls.clear()
+    divisions.clear()
+    assert rounded(Poly([8, -4, -10, 1, 4, 1])) == [(-2, 0, 3), (1, 0, 2)]
+    assert len(calls) == 3 and len(divisions) == 2 + 2 + 1 + 2
 
 
 def test_zero_test_at_negative_tol_is_exact_on_both_representations():

@@ -645,24 +645,36 @@ def test_end_models_and_construct_curves_build_no_gcd_and_no_quotient(
 def test_verdict_digest_script_records_every_check_and_classification(
         monkeypatch):
     # one construct cycle (three curve ops, each lifting a C^3 curve and
-    # checking the lift and its shear) and one ends cycle (35 ops, each one
+    # checking the lift and its shear), one ends cycle (35 ops, each one
     # check and one classification, whose curve is read again at four
-    # tols), with the pools' namespace restored afterwards
+    # tols) and one spray cycle (24 periods, each with the pole list of
+    # its integrand, 6 solves and 2 window verdicts), with the pools'
+    # namespace restored afterwards
     root = Path(__file__).resolve().parents[1]
     monkeypatch.syspath_prepend(str(root / "perfbench"))
     import nullsl2
     import workloads
     monkeypatch.setitem(workloads.CYCLES, "construct", 1)
     monkeypatch.setitem(workloads.CYCLES, "ends", 1)
+    monkeypatch.setitem(workloads.CYCLES, "spray", 1)
     script = runpy.run_path(str(root / "scripts" / "verdict_digest.py"))
-    patched = ("check_null_sl2", "classify_end", "tee_curve")
+    patched = ("check_null_sl2", "classify_end", "tee_curve", "period")
     real = [getattr(nullsl2, name) for name in patched]
     recs = script["records"](5, nullsl2, workloads)
     assert [getattr(nullsl2, name) for name in patched] == real
     assert Counter(r[0] for r in recs) == {"check_null_sl2": 6 + 35,
                                           "check_null_c3": 3,
                                           "classify_end": 35,
-                                          "end_readings": 35}
+                                          "end_readings": 35,
+                                          "period_poles": 24,
+                                          "spray": 24 + 6 + 2}
+    spray = [r[1:] for r in recs if r[0] == "spray"]
+    assert [kind.split(".")[1] for kind, _ in spray] == \
+        ["period"] * 24 + ["solve"] * 6 + ["window_nullity"] * 2
+    assert all(complex(v) == complex(v) for _, v in spray[:24])
+    assert all(v["converged"] for _, v in spray[24:30])
+    assert all(v is True for _, v in spray[30:])
+    assert all(r[1].startswith("[(") for r in recs if r[0] == "period_poles")
     reports = [r[1] for r in recs if r[0] == "classify_end"]
     readings = [r[1] for r in recs if r[0] == "end_readings"]
     for rep, reads in zip(reports, readings):

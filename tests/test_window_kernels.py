@@ -13,6 +13,7 @@ empty windows.
 from __future__ import annotations
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -294,6 +295,75 @@ def test_fft_expand_refuses_radii_without_float_powers(r_in, r_out):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"radius .* \[-59, 59\]"):
             f.to_laurent(terms=60, domain=annulus(r_in, r_out))
+
+
+def _float_constants(seed, count):
+    """Nonzero constants from floats at magnitudes 1e-30 .. 1e30: real,
+    imaginary and general, with signed zero parts."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        re, im = (rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-30, 30)
+                  for _ in range(2))
+        zero = rng.choice([0.0, -0.0])
+        out.append(complex(*((re, zero), (zero, im), (re, im))[i % 3]))
+    return out
+
+
+def test_constant_windows_equal_the_fft_bit_for_bit():
+    # annuli 0.01 .. 40, off-origin bases, 25 .. 60 terms
+    rng = np.random.default_rng(34)
+    for c in _float_constants(34, 600):
+        r_in = 10.0 ** rng.uniform(-2, 1.2)
+        dom = annulus(r_in, min(40.0, r_in * 10.0 ** rng.uniform(0.05, 0.8)))
+        base = complex(*rng.uniform(-2, 2, size=2)) if rng.uniform() < 0.5 \
+            else 0j
+        terms = int(rng.integers(25, 61))
+        f = MeroFunction.constant(c)
+        got = f.to_laurent(base, terms, dom)
+        want = _fft_expand(f.evaluate_many, base, dom, 1 - terms, terms - 1)
+        assert _same(got.rep, want)
+        assert (got.base_point, got.domain) == (base, dom)
+
+
+def test_a_constant_quotient_is_rounded_once():
+    # c = num / den is the exact quotient rounded once, with +0.0 zero
+    # parts.  The FFT reads the float quotient of the rounded num and den
+    # instead, which can be an ulp away or carry -0.0 (den < 0); where its
+    # samples hold c's bits, the two windows agree bit for bit
+    rng = np.random.default_rng(35)
+    dom = annulus(0.5, 2.0)
+    agreed = 0
+    for _ in range(200):
+        num, den = (Fraction(int(rng.integers(1, 100)) * int(sign),
+                             int(rng.integers(1, 100)))
+                    for sign in rng.choice([-1, 1], size=2))
+        f = MeroFunction.from_rational([num], [den])
+        got = f.to_laurent(terms=25, domain=dom).rep
+        c = complex(float(num / den), 0.0)
+        assert _same(got, LaurentWindow(0, (c,) + (0j,) * 24, 24))
+        if repr(complex(f.evaluate_many([1.0])[0])) == repr(c):
+            agreed += 1
+            assert _same(got, _fft_expand(f.evaluate_many, 0j, dom, -24, 24))
+    assert 0 < agreed < 200
+
+
+@pytest.mark.parametrize("r_in, r_out", [(1e5, 1e7), (1e-7, 1e-5)])
+def test_a_constant_has_a_window_on_every_annulus(r_in, r_out):
+    # no r**k is formed, so the radii of the FFT's ValueError do not apply
+    dom = annulus(r_in, r_out)
+    w = MeroFunction.constant(2.5 - 1j).to_laurent(terms=60, domain=dom)
+    assert _same(w.rep, LaurentWindow(0, (2.5 - 1j,) + (0j,) * 59, 59))
+    # the zero constant keeps the FFT, and its refusal
+    with pytest.raises(ValueError, match=r"radius .* \[-59, 59\]"):
+        MeroFunction.zero().to_laurent(terms=60, domain=dom)
+
+
+def test_the_zero_constant_keeps_the_fft():
+    dom = annulus(0.5, 2.0)
+    f = MeroFunction.zero()
+    assert _same(f.to_laurent(terms=25, domain=dom).rep,
+                 _fft_expand(f.evaluate_many, 0j, dom, -24, 24))
 
 
 def test_window_residue_on_annulus_10_100():
