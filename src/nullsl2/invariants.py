@@ -40,8 +40,8 @@ So (det F)' == 0 gives q_main = det F q_alt, and det F == 1 gives
 q_main = q_alt.  On the branch F1' == 0, F1 and F2 are constant, q_alt
 is 0, and (det F)' == 0 makes g = -F2/F1 constant, so q_main is 0 too.
 tests/test_invariants.py proves the three identities with sympy.
-SL2NullCurve decides once per curve, with no tolerance, whether det F == 1
-and det F' == 0 hold exactly on rational slots.  Where they do, the two
+One exact decision of SL2NullCurve, with no tolerance, says whether
+det F == 1 and det F' == 0 on rational slots.  Where both hold, the two
 tests have exactly zero numerators and pass at every tol, so they are not
 computed: hopf returns q_main, and the Maurer-Cartan order is
 min(ord d1, ord d3) + min(ord u, ord v), with g = -d2/d1 (-d4/d3 where
@@ -67,8 +67,8 @@ the shift is exact; a window slot keeps its coefficients and only its base
 point moves.  The tolerance checks (F1, (F3/F1)' and omega == 0, det F',
 the Maurer-Cartan trace) compare coefficients of G, so for float-rounded
 input a curve and its exact translate get the same verdicts.  The
-translation keeps det F == 1 and det F' == 0, so G takes F's exact fact
-where F already holds det F and det F' (as after check_null_sl2(F, 0));
+translation keeps det F == 1 and det F' == 0, so G takes F's exact
+decision where F has made it (as after check_null_sl2(F) at any tol);
 otherwise G decides it on its own slots, which are short at the puncture.
 
 The end analysis reads each quantity of G once per call: F', det F' and
@@ -142,15 +142,14 @@ def _rank_one_quotient(F: SL2NullCurve, tol: float, first, second,
                        names: str) -> MeroFunction:
     """d[first[0]] / d[first[1]], or the second quotient where the first
     denominator vanishes, for d = F'; they agree exactly when det F' == 0.
-    Where F's exact fact ``_unimodular_null`` holds, det F' has a zero
-    numerator and would pass its zero test at every tol, so the test is
-    not run; a recentred curve that took the fact from F builds no
-    det F'."""
+    Where F's exact decision has det F' == 0, the zero test of det F' is
+    not run (it passes at every tol), nor is det F' built."""
     d = F._derivative
     den_a, den_b = d[first[1]], d[second[1]]
     if den_a.is_identically_zero(tol) and den_b.is_identically_zero(tol):
         raise DegenerateDenominator(f"both {names} vanish identically")
-    if not (F._unimodular_null or F._det_derivative.is_identically_zero(tol)):
+    null = (F._det_identities or (False, False))[1]
+    if not (null or F._det_derivative.is_identically_zero(tol)):
         raise GaussMapMismatch("det F' != 0: the defining quotients disagree")
     if not den_a.is_identically_zero(tol):
         return d[first[0]] / den_a
@@ -221,10 +220,9 @@ def _recentred(F: SL2NullCurve, p: complex) -> SL2NullCurve:
     G = SL2NullCurve(*(_translated(s, p) for s in F.slots()),
                      pole_set=tuple(q - p for q in F.pole_set),
                      singular_set=tuple(q - p for q in F.singular_set))
-    known = vars(F)
-    if "_det" in known and "_det_derivative" in known:
-        # a translation keeps det F == 1 and det F' == 0: hand F's fact on
-        vars(G)["_unimodular_null"] = F._unimodular_null
+    if "_det_identities" in vars(F):
+        # a translation keeps det F == 1 and det F' == 0: hand F's decision on
+        vars(G)["_det_identities"] = F._det_identities
     return G
 
 

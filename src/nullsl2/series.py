@@ -1041,7 +1041,13 @@ def _fft_expand(evaluate_many, base: complex, dom: DomainTag,
         n *= 2
     zs = base + r * _unit_roots(n)
     vals = np.asarray(evaluate_many(zs), dtype=complex)
-    hat = np.fft.fft(vals)[np.arange(lo, hi + 1) % n] / n
+    # past about 1.7e305 the FFT's sums overflow to inf and NaN, which
+    # would strip to an all-zero window: refuse them by name instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        hat = np.fft.fft(vals)[np.arange(lo, hi + 1) % n] / n
+    if not (np.isfinite(vals).all() and np.isfinite(hat).all()):
+        raise ValueError("cannot read a window on the circle of radius "
+                         f"{r!r}: a sample or a mode is not a finite float")
     # strip the round-off in mode space, where it is absolute: divided by
     # r**k first, it could outgrow the true coefficients
     modes = _normalized_window(lo, hat, _STRIP_REL)

@@ -19,16 +19,15 @@ On a rational curve, written X = (N1, N2, N3)/D over one denominator D,
 divides N1^2 + N2^2 + N3^2 (one exact division tells), so that the factor
 D common to the five products is not stored, else Q = D N3.  A shear keeps
 one denominator: it sums numerators over Q and drops a common power of z
-from Q and all four numerators at once.  On such a curve, with
-F_k = N_k/Q, ``check_null_sl2`` at tol <= 0 decides unimodular as
-N1 N4 - N2 N3 == Q^2 and then null as N1' N4' - N2' N3' == Q'^2.  On
-every curve with rational slots F_k = N_k/D_k (over one denominator or
-four, as on end models) it decides immersion and nonflatness from the
+from Q and all four numerators at once.  Over Q, the exact decision of
+det F == 1 and det F' == 0 reads the numerators (``SL2NullCurve``), and
+det F and det F', where built, stay over Q^2 and Q^4.  On every curve
+with rational slots F_k = N_k/D_k (over one denominator or four, as on
+end models) ``check_null_sl2`` decides immersion and nonflatness from the
 images of the stored N_k and D_k modulo one prime
 (``exact._derivatives_coprime_mod_p``, ``exact._derivatives_vary_mod_p``):
 F' is built, slot by slot, only where one of those two certificates
-declines.  Elsewhere sums of slot products (det F, det F') stay over Q^2
-or Q^4 and are not cross-multiplied.
+declines.
 """
 
 from __future__ import annotations
@@ -74,21 +73,21 @@ class SL2NullCurve:
     omega = F1 F3' - F3 F1' are computed once per curve, on first use, and
     every check that reads them (validity, both Gauss maps, the Hopf
     cross-check, the Maurer-Cartan trace) shares them.  F' is each slot's
-    ``differentiate()``.  Where the four slots share one stored
-    denominator Q, ``check_null_sl2`` at tol <= 0 reads no det F, and
-    det F' only where N1 N4 - N2 N3 != Q^2.  On rational slots it reads F'
-    only where a modular certificate on the stored N_k and D_k declines: on a
-    certified curve over one denominator checked at tol 0, F' is never
-    built.
+    ``differentiate()``; ``check_null_sl2`` builds it only where a modular
+    certificate declines (module docstring).
 
-    One exact fact is cached with them, again with no tolerance: all four
-    slots are rational, det F' has a zero numerator and det F is stored as
-    N/N (det F == 1).  Where it holds, the Hopf cross-check and the
-    Maurer-Cartan trace pass by an identity and are not computed (see the
-    ``invariants`` module docstring).  The end analysis's recentred curve
-    G(w) = F(w + p) takes F's fact where F already holds det F and det F',
-    since a translation keeps both identities, and otherwise decides it on
-    its own slots.
+    One exact decision is cached with them, with no tolerance: the pair
+    (det F == 1, det F' == 0) on rational slots, None on windows.  Over one
+    stored denominator Q (F_k = N_k/Q: ``tee_curve`` output and its shears)
+    it reads the numerators: det F == 1 is N1 N4 - N2 N3 == Q**2, and then
+    det F' == 0 is N1' N4' - N2' N3' == Q'**2, since the numerator of
+    det F' over Q**4 is Q**2 (N1' N4' - N2' N3' - Q'**2) there; det F' is
+    built only where det F != 1.  Other rational slots read det F == N/N
+    and a zero numerator of det F'.  ``check_null_sl2``, the Gauss maps,
+    the Hopf cross-check and the Maurer-Cartan trace read it (``invariants``
+    module docstring).  A translation keeps both identities, so the end
+    analysis's recentred curve G(w) = F(w + p) takes F's decision where F
+    has made it.
 
     Caching is sound because the slots are immutable and the cached values
     do not depend on a tolerance.  They are cached outside the fields, so
@@ -129,10 +128,22 @@ class SL2NullCurve:
         return d1 * d4 - d2 * d3
 
     @cached_property
+    def _det_identities(self) -> tuple[bool, bool] | None:
+        shared = _one_denominator(self.slots())
+        if shared is not None:
+            Q, N1, N2, N3, N4 = shared
+            if N1 * N4 - N2 * N3 == Q * Q:
+                dQ, d1, d2, d3, d4 = (p.derivative() for p in shared)
+                return True, d1 * d4 - d2 * d3 == dQ * dQ
+        elif not all(s.is_rational for s in self.slots()):
+            return None
+        # det F is built only off one denominator; over Q, det F != 1 here
+        unimodular = shared is None and self._det.rep.num == self._det.rep.den
+        return unimodular, self._det_derivative.rep.num.is_zero()
+
+    @property
     def _unimodular_null(self) -> bool:
-        return (all(s.is_rational for s in self.slots())
-                and self._det_derivative.rep.num.is_zero()
-                and self._det.rep.num == self._det.rep.den)
+        return self._det_identities == (True, True)
 
     @cached_property
     def _omega(self) -> MeroFunction:
@@ -206,9 +217,9 @@ def tee_curve(X: C3NullCurve) -> SL2NullCurve:
     numerators without the shared D.  ``series._cancel_monomial`` drops a
     common power of z from all five at once, since dropping it slot by
     slot would split Q where X3(0) = 0.  ``shear`` keeps one denominator
-    the same way.  ``check_null_sl2`` at tol <= 0 reads the first two
-    verdicts from these numerators; at tol > 0 det F and det F' sum over
-    Q**2 and Q**4 by the shared-denominator rule of
+    the same way.  The exact decision of det F == 1 and det F' == 0 reads
+    these numerators (``SL2NullCurve``); where det F or det F' is built,
+    it sums over Q**2 or Q**4 by the shared-denominator rule of
     ``series._binary_rational``.  Windows take the four divisions.  The
     pole set (X's and the zeros of X3) is computed on first read of
     ``pole_set``.
@@ -261,15 +272,9 @@ def _with_zeros(poles, f) -> tuple[complex, ...]:
 def check_null_sl2(F: SL2NullCurve, tol: float = ZERO_TOL) -> SL2Report:
     """Unimodularity, nullity, immersion and nonflatness verdicts.
 
-    Exact on rational slots at ``tol <= 0``; coefficient tests at `tol` on
-    windows.  Where the four slots are rational over one stored
-    denominator Q (F_k = N_k/Q: ``tee_curve`` output and its shears),
-    ``tol <= 0`` decides the first two on the numerators: unimodular is
-    N1 N4 - N2 N3 == Q**2, and then null is N1' N4' - N2' N3' == Q'**2,
-    since the numerator of det F' over Q**4 is Q**2 (N1' N4' - N2' N3' -
-    Q'**2) wherever N1 N4 - N2 N3 = Q**2.  Otherwise (tol > 0, windows,
-    slots over different denominators, or not unimodular) det F - 1 and
-    det F' are built and tested.
+    The first two read the exact decision of det F == 1 and det F' == 0
+    (``SL2NullCurve``); det F - 1 and det F' are tested at `tol` only on
+    windows, or at ``tol > 0`` for a verdict the decision leaves False.
 
     On rational slots F_k = N_k/D_k, over one denominator or several,
     immersion and (at ``tol <= 0``) nonflatness are first offered to one
@@ -296,17 +301,11 @@ def check_null_sl2(F: SL2NullCurve, tol: float = ZERO_TOL) -> SL2Report:
     """
     if not isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
-    shared = _one_denominator(F.slots()) if tol <= 0 else None
-    if shared is None:
-        unimodular = (F.det() - 1).is_identically_zero(tol)
-    else:
-        Q, N1, N2, N3, N4 = shared
-        unimodular = N1 * N4 - N2 * N3 == Q * Q
-    if shared is not None and unimodular:
-        dQ, d1, d2, d3, d4 = (p.derivative() for p in shared)
-        null = d1 * d4 - d2 * d3 == dQ * dQ
-    else:
-        null = F._det_derivative.is_identically_zero(tol)
+    decided = F._det_identities
+    unimodular, null = decided or (False, False)
+    if decided is None or tol > 0:
+        unimodular = unimodular or (F.det() - 1).is_identically_zero(tol)
+        null = null or F._det_derivative.is_identically_zero(tol)
     immersed, nonflat = _certified(F.slots(), lambda: F._derivative, tol)
     immersion = (immersed
                  or not _has_common_zero(F._derivative, F.singular_set, tol))

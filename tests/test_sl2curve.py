@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nullsl2.exact as exact
+import nullsl2.invariants as invariants
 import nullsl2.series as series
 import nullsl2.sl2curve as sl2curve
 import nullsl2.spinor as spinor
@@ -42,6 +43,7 @@ from nullsl2 import (
     min_sup_norm_on_circle,
     punctured_disk,
     push_norm,
+    secondary_gauss,
     shear,
     shear_matrix,
     shear_operator_norm,
@@ -450,17 +452,22 @@ def _one_denominator_curves():
 
 
 def test_one_denominator_verdicts_equal_the_general_path():
-    # at tol 0 the numerators decide unimodular (N1 N4 - N2 N3 == Q^2)
-    # and null (N1' N4' - N2' N3' == Q'^2); det F - 1 and det F' over Q^4
-    # must give the same verdicts, and F' must be the per-slot derivative
+    # over Q the exact decision reads the numerators: unimodular is
+    # N1 N4 - N2 N3 == Q^2 and null N1' N4' - N2' N3' == Q'^2; det F - 1
+    # and det F' over Q^4, built on a fresh copy, must give the same
+    # verdicts at every tol, and F' must be the per-slot derivative
     outcomes, dens = set(), []
     for G in _one_denominator_curves():
         Q = _one_denominator(G.slots())[0]
-        rep = check_null_sl2(G, tol=0.0)
-        assert rep.unimodular == (G.det() - 1).is_identically_zero(0)
-        assert rep.null == G._det_derivative.is_identically_zero(0)
+        for tol in (0.0, 1e-12, 1e-8, 1e-4):
+            rep = check_null_sl2(G, tol=tol)
+            fresh = SL2NullCurve(*G.slots())
+            assert rep.unimodular == \
+                (fresh.det() - 1).is_identically_zero(tol)
+            assert rep.null == fresh._det_derivative.is_identically_zero(tol)
+            if tol == 0.0:
+                outcomes.add((rep.unimodular, rep.null))
         assert G._derivative == tuple(s.differentiate() for s in G.slots())
-        outcomes.add((rep.unimodular, rep.null))
         dens.append(Q)
     assert outcomes == {(True, True), (True, False), (False, False)}
     # constant Q, and non-constant Q with Q(0) = 0 and with Q(0) != 0
@@ -468,11 +475,51 @@ def test_one_denominator_verdicts_equal_the_general_path():
         {(False, False), (True, True), (True, False)}
 
 
+def _window_curve():
+    """end_model(2) with each slot read as a window on an annulus."""
+    return SL2NullCurve(*(s.to_laurent(terms=25, domain=annulus(0.5, 2.0))
+                          for s in end_model(2).slots()))
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
 def test_one_denominator_check_rejects_a_non_finite_tol(tol):
+    # over one denominator, on an end model (four denominators) and on
+    # windows alike: NaN > 0 is False, so no verdict may read it as tol 0
     F, _ = _tee_pool()[0]
-    with pytest.raises(ValueError):
-        check_null_sl2(F, tol)
+    for C in (F, end_model(2), _window_curve()):
+        with pytest.raises(ValueError):
+            check_null_sl2(C, tol)
+
+
+def _unimodular_null_curves():
+    """The _one_denominator_curves() that hold det F == 1 and det F' == 0,
+    each fresh."""
+    return [G for G in _one_denominator_curves()
+            if SL2NullCurve(*G.slots())._det_identities == (True, True)]
+
+
+def test_default_tol_check_builds_no_det_where_both_identities_hold():
+    # an exactly zero numerator passes the zero test at every tol, so the
+    # decision settles both verdicts and neither det F nor det F' is built
+    curves = _unimodular_null_curves()
+    assert len(curves) == 85
+    for G in curves:
+        rep = check_null_sl2(G)
+        assert rep.unimodular and rep.null
+        assert not {"_det", "_det_derivative"} & vars(G).keys()
+
+
+@pytest.mark.parametrize("p", [0j, 0.5 - 0.25j])
+def test_recentred_curve_takes_the_decision_and_builds_no_det_derivative(p):
+    # after check_null_sl2(F, 0) the recentred curve G(w) = F(w + p)
+    # carries F's decision, so secondary_gauss of G reads det F' == 0
+    # from it and builds no det F'
+    for F in _unimodular_null_curves():
+        check_null_sl2(F, tol=0.0)
+        G = invariants._recentred(F, p)
+        assert vars(G)["_det_identities"] == (True, True)
+        secondary_gauss(G)
+        assert "_det_derivative" not in vars(G)
 
 
 def _ratio_varies_at_x(c, ref) -> bool:

@@ -297,6 +297,18 @@ def test_fft_expand_refuses_radii_without_float_powers(r_in, r_out):
             f.to_laurent(terms=60, domain=annulus(r_in, r_out))
 
 
+@pytest.mark.parametrize("num", [[3e306, 1e306], [1e308, 1e308]])
+def test_fft_expand_refuses_values_past_the_float_range(num):
+    # 3e306 + 1e306 z has finite samples whose FFT sums overflow, which
+    # read as an all-zero window; 1e308 (1 + z) has infinite samples.
+    # Both are a named ValueError with no RuntimeWarning
+    f = MeroFunction.from_rational(num, [1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not a finite float"):
+            f.to_laurent(terms=25, domain=annulus(0.5, 2.0))
+
+
 def _float_constants(seed, count):
     """Nonzero constants from floats at magnitudes 1e-30 .. 1e30: real,
     imaginary and general, with signed zero parts."""
