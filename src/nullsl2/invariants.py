@@ -59,17 +59,22 @@ those of F, so its Maurer-Cartan order and trace test are those of F.
 
 Every exponent above is invariant under the translation z -> w + p: dz is
 unchanged, so ord, Laurent coefficients, omega and Q of G(w) = F(w + p) at
-0 are those of F at p.  The end analysis therefore recentres once: it
-Taylor-shifts each slot's numerator and denominator to G and works at the
-origin, where a pole of order n is the monomial w^n that the rational
-arithmetic cancels.  Every centre is a float, hence Gaussian-rational, so
-the shift is exact; a window slot keeps its coefficients and only its base
-point moves.  The tolerance checks (F1, (F3/F1)' and omega == 0, det F',
-the Maurer-Cartan trace) compare coefficients of G, so for float-rounded
-input a curve and its exact translate get the same verdicts.  The
-translation keeps det F == 1 and det F' == 0, so G takes F's exact
-decision where F has made it (as after check_null_sl2(F) at any tol);
-otherwise G decides it on its own slots, which are short at the puncture.
+0 are those of F at p.  The end analysis therefore recentres once and
+works at the origin, where a pole of order n is the monomial w^n that the
+rational arithmetic cancels.  Every function stores its coefficients in
+powers of z - base_point (``series`` module docstring), so where p is the
+slots' base point, as for an end model read at its centre, G holds F's own
+polynomials and only the base point is relabelled to 0; F's cached F',
+det F, det F' and omega, where F has built them, are relabelled copies of
+G's, and G takes them, so no slot is differentiated twice.  A slot at
+another base point is Taylor-shifted once, exactly, by p - base_point (every
+float is Gaussian-rational), and G builds its own derived functions.  The
+tolerance checks (F1, (F3/F1)' and omega == 0, det F', the Maurer-Cartan
+trace) compare coefficients of G, so for float-rounded input a curve and
+its exact translate get the same verdicts.  The translation keeps
+det F == 1 and det F' == 0, so G takes F's exact decision where F has made
+it (as after check_null_sl2(F) at any tol); otherwise G decides it on its
+own slots, which are short at the puncture.
 
 The end analysis reads each quantity of G once per call: F', det F' and
 omega once per curve (see SL2NullCurve), so each slot is differentiated
@@ -212,17 +217,27 @@ def _metric_factor(gv: complex, wv: complex) -> float:
 # end analysis
 # ---------------------------------------------------------------------------
 
+#: the derived functions of a curve that its recentred copy takes over
+_HANDED_ON = ("_derivative", "_det", "_det_derivative", "_omega")
+
+
 def _recentred(F: SL2NullCurve, p: complex) -> SL2NullCurve:
     """The curve G(w) = F(w + p), with its pole and singular sets moved by
     -p; see the module docstring for why its exponents at 0 are those of F
-    at p."""
+    at p, and for what G takes from F's caches."""
     p = complex(p)
     G = SL2NullCurve(*(_translated(s, p) for s in F.slots()),
                      pole_set=tuple(q - p for q in F.pole_set),
                      singular_set=tuple(q - p for q in F.singular_set))
-    if "_det_identities" in vars(F):
-        # a translation keeps det F == 1 and det F' == 0: hand F's decision on
-        vars(G)["_det_identities"] = F._det_identities
+    # a translation keeps det F == 1 and det F' == 0, so F's decision is
+    # G's; where G holds F's own polynomials, so are F's derived functions
+    local = all(s.base_point == p for s in F.slots())
+    for name, x in vars(F).items():
+        if name == "_det_identities":
+            vars(G)[name] = x
+        elif local and name in _HANDED_ON:
+            vars(G)[name] = (tuple(_translated(d, p) for d in x)
+                             if type(x) is tuple else _translated(x, p))
     return G
 
 

@@ -36,7 +36,7 @@ from ._lazy import np
 from .errors import (CrossCheckFailed, MaxIterExceeded, PoleOnContour,
                      SingularJacobian)
 from .exact import _ratio
-from .series import (DomainTag, MeroFunction, annulus, _fft_expand,
+from .series import (DomainTag, MeroFunction, annulus, _fft_expand, _offset,
                      _unit_roots)
 from .spinor import SpinorData
 
@@ -176,12 +176,13 @@ def _residue_near(f: MeroFunction, p: complex, clearance: float) -> complex:
     """Residue at a numerically located pole.
 
     If p is exactly a root of the denominator (an exact synthetic-division
-    test, no shift), the residue is ``f.residue(p)``, read from the exact
-    Laurent head of the translate; otherwise it is recovered by a small
-    trapezoid circle around p, which tolerates root-finding error.
+    test at the exact offset p - base_point, no shift), the residue is
+    ``f.residue(p)``, read from the exact Laurent head of the translate;
+    otherwise it is recovered by a small trapezoid circle around p, which
+    tolerates root-finding error.
     """
     p = complex(p)
-    if f.rep.den.multiplicity_at(p):
+    if f.rep.den.multiplicity_at(_offset(p, f.base_point)):
         return f.residue(p)
     rho = 0.45 * min(1.0, clearance)
     e = _unit_roots(256)
@@ -310,11 +311,17 @@ class SprayFamily:
 
 def window_exp(f: MeroFunction, domain: DomainTag,
                halfwidth: int = SPRAY_HALFWIDTH) -> MeroFunction:
-    """exp(f) as a two-sided Laurent window on an annulus domain."""
+    """exp(f) as a two-sided Laurent window on an annulus domain.  A
+    sample past the float range is inf, which ``_fft_expand`` refuses with
+    ValueError, so its overflow is not also warned about."""
     if not domain.is_annulus:
         raise ValueError("window_exp needs an annulus domain")
-    win = _fft_expand(lambda zs: np.exp(f.evaluate_many(zs)),
-                      f.base_point, domain, -halfwidth, halfwidth)
+
+    def samples(zs):
+        with np.errstate(over="ignore"):
+            return np.exp(f.evaluate_many(zs))
+
+    win = _fft_expand(samples, f.base_point, domain, -halfwidth, halfwidth)
     return MeroFunction(win, f.base_point, domain)
 
 

@@ -6,7 +6,11 @@ of two representation keys:
     {"rational": {"num": [[re, im], ...], "den": [[re, im], ...]}}
     {"laurent":  {"min_exp": n, "coeffs": [[re, im], ...]}}
 
-plus "base_point" and "domain".  A rational coefficient list that floats
+plus "base_point" and "domain".  Rational coefficients are in powers of
+z, whatever the base point: a function stores them in powers of
+z - base_point, so the dump shifts them back exactly and the load
+(``MeroFunction.from_rational``) shifts them once to the base point again,
+which gives the stored ``Poly`` back.  A rational coefficient list that floats
 cannot hold exactly (a Taylor shift to a non-dyadic centre) also gets an
 exact payload under "rational"/"exact", keyed "num" or "den": the stored
 integers of the ``Poly``, coefficient k being (re[k] + i im[k]) / den,
@@ -96,7 +100,10 @@ def mero_to_dict(f: MeroFunction) -> dict:
     if f.is_rational:
         rat = out["rational"] = {}
         exact = {}
-        for key, p in (("num", f.rep.num), ("den", f.rep.den)):
+        num, den, b = f.rep.num, f.rep.den, f.base_point
+        if b:   # files keep coefficients in z: one exact shift back
+            num, den = num.shift(-b), den.shift(-b)
+        for key, p in (("num", num), ("den", den)):
             floats = p.float_coeffs()[::-1]
             rat[key] = [complex_pair(c) for c in floats]
             if Poly(floats) != p:

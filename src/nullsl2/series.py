@@ -7,6 +7,18 @@
     The zero test compares integer numerators, exact at every magnitude;
     residues and values at a point are read from the translate to it.
 
+One coordinate convention for both: a function stores its coefficients in
+powers of the local variable w = z - base_point, and every read at a point
+p works at the offset p - base_point.  Float reads take the float offset,
+as a window always has; exact reads (orders, Laurent heads, residues, the
+pole test of ``evaluate``) take it exactly, as an ``ExactComplex``
+difference, and shift nothing where p is the base point.  Arithmetic on
+two Rationals at different base points first shifts the right operand
+exactly to the left one's base point, which the result takes.  The
+public constructors ``from_rational`` and ``from_poly`` take coefficients
+in z and shift them once to the base point; ``monomial`` and ``constant``
+are local already.  At base point 0 the two variables coincide.
+
 ``LaurentWindow``
     A finite floating window of Laurent coefficients around ``base_point``:
     exponents run from ``min_exponent`` to ``truncation_order``.  Coefficients
@@ -205,7 +217,8 @@ class MeroFunction:
     curves reads their pole sets.
     """
 
-    __slots__ = ("rep", "base_point", "domain")
+    __slots__ = {"rep": "Rational or window, in powers of z - base_point",
+                 "base_point": None, "domain": None}
 
     def __init__(self, rep, base_point: complex = 0j,
                  domain: DomainTag | None = None):
@@ -242,9 +255,14 @@ class MeroFunction:
     def from_rational(num: Iterable, den: Iterable = (1,),
                       base_point: complex = 0j,
                       domain: DomainTag | None = None) -> "MeroFunction":
-        """Build from ascending coefficient lists (exact; floats stay exact)."""
+        """Build from ascending coefficient lists in powers of z (exact;
+        floats stay exact).  Off base point 0 they are Taylor-shifted
+        once, exactly, to the stored powers of w = z - base_point; a
+        common power of w is then cancelled."""
         n = num if isinstance(num, Poly) else Poly(num)
         d = den if isinstance(den, Poly) else Poly(den)
+        if base_point:
+            n, d = n.shift(base_point), d.shift(base_point)
         d, n = _cancel_monomial(d, n)
         return MeroFunction(Rational(n, d), base_point, domain)
 
@@ -263,22 +281,23 @@ class MeroFunction:
     @staticmethod
     def constant(c, base_point: complex = 0j,
                  domain: DomainTag | None = None) -> "MeroFunction":
-        return MeroFunction.from_rational((c,), (1,), base_point, domain)
+        """c, the same in every coordinate, so it is stored as given."""
+        return MeroFunction(Rational(Poly((c,)), Poly.one()), base_point,
+                            domain)
 
     @staticmethod
     def zero(base_point: complex = 0j) -> "MeroFunction":
-        return MeroFunction.from_rational((), (1,), base_point)
+        return MeroFunction.constant(0, base_point)
 
     @staticmethod
     def monomial(exponent: int, c=1, base_point: complex = 0j,
                  domain: DomainTag | None = None) -> "MeroFunction":
-        """c * (z - base_point)**exponent, exact for any integer exponent."""
+        """c * (z - base_point)**exponent = c * w**exponent, exact for any
+        integer exponent, and stored as that monomial in w."""
         if exponent >= 0:
             num, den = Poly.monomial(exponent, c), Poly.one()
         else:
             num, den = Poly((c,)), Poly.monomial(-exponent)
-        if base_point != 0:
-            num, den = num.shift(-base_point), den.shift(-base_point)
         return MeroFunction(Rational(num, den), base_point, domain)
 
     # -- representation queries -----------------------------------------------
@@ -309,10 +328,13 @@ class MeroFunction:
         return all(abs(c) <= tol or not c for c in self.rep.coeffs)
 
     def __repr__(self) -> str:
+        """A Rational shows its stored coefficients, ascending, in powers
+        of w = z - base_point, and the base point where it is not 0."""
         if self.is_rational:
             num, den = self.rep.num.float_coeffs(), self.rep.den.float_coeffs()
+            at = f", base_point={self.base_point}" if self.base_point else ""
             return (f"MeroFunction(num={list(reversed(num))}, "
-                    f"den={list(reversed(den))})")
+                    f"den={list(reversed(den))}{at})")
         w = self.rep
         return (f"MeroFunction(window [{w.min_exponent}..{w.truncation_order}] "
                 f"at {self.base_point})")
@@ -380,7 +402,8 @@ class MeroFunction:
         offending pole (``.pole``) and the cycle period (``.period``).
         """
         if self.is_rational:
-            num, den = _rational_antiderivative(self.rep.num, self.rep.den)
+            num, den = _rational_antiderivative(self.rep.num, self.rep.den,
+                                                self.base_point)
             return MeroFunction(Rational(num, den), self.base_point, self.domain)
         w = self.rep
         res = _window_slice(w, -1, -1)[0].item()
@@ -401,12 +424,13 @@ class MeroFunction:
 
     def ord(self, p: complex) -> int:
         """Vanishing order at p: the unique n with (z-p)^-n * f regular and
-        nonzero at p. Exact for Rational; certified-by-window otherwise."""
+        nonzero at p. Exact for Rational, at the exact offset from the base
+        point; certified-by-window otherwise."""
         if self.is_rational:
             num, den = self.rep.num, self.rep.den
             if num.is_zero():
                 raise IdenticallyZero("ord of the zero function is undefined")
-            p = complex(p)
+            p = _offset(complex(p), self.base_point)
             return num.multiplicity_at(p) - den.multiplicity_at(p)
         w = self.rep
         if not w.coeffs:
@@ -437,7 +461,7 @@ class MeroFunction:
         """Pointwise value; removable singularities of Rational are filled
         exactly, genuine poles raise EvaluationAtPole."""
         if self.is_rational:
-            return _evaluate_rational(self.rep, complex(z))
+            return _evaluate_rational(self, complex(z))
         w = self.rep
         dz = complex(z) - self.base_point
         if not w.coeffs:
@@ -457,13 +481,14 @@ class MeroFunction:
         """Vectorized evaluation on an array of sample points."""
         zs = np.asarray(zs, dtype=complex)
         if self.is_rational:
+            ws = zs - self.base_point if self.base_point else zs
             out = np.empty_like(zs)
             # a zero denominator or a value past the float range gives a
             # non-finite quotient, and a denominator part at or past
             # _SMITH_LIMIT an unreliable one: the scalar path redoes both
             with np.errstate(all="ignore"):
-                dv = np.polyval(self.rep.den.float_coeffs(), zs)
-                np.divide(np.polyval(self.rep.num.float_coeffs() or (0j,), zs),
+                dv = np.polyval(self.rep.den.float_coeffs(), ws)
+                np.divide(np.polyval(self.rep.num.float_coeffs() or (0j,), ws),
                           dv, out=out)
             bad = ~np.isfinite(out)
             parts = np.abs(dv.ravel("K").view(np.float64))
@@ -494,7 +519,7 @@ class MeroFunction:
             raise TypeError("exact_laurent requires the Rational representation")
         if self.rep.num.is_zero():
             raise IdenticallyZero("the zero function has no Laurent expansion")
-        t = _translated(self, p).rep
+        t = _local_rep(self, complex(p))
         n, q = _exact_series_quotient(t.num, t.den, count)
         return n, list(q.coeffs[::-1][:max(count, 1)])
 
@@ -545,7 +570,7 @@ class MeroFunction:
         if self.is_rational:
             n, cs = 0, ()
             if not self.rep.num.is_zero():
-                t = _translated(self, p).rep
+                t = _local_rep(self, complex(p))
                 n = t.num.low_order() - t.den.low_order()
                 if hi >= n:   # else every requested exponent is below ord
                     cs = _exact_series_quotient(t.num, t.den,
@@ -568,7 +593,8 @@ class MeroFunction:
         On a Rational the orders are exact: they are the multiplicities of
         the roots of den / gcd(num, den) (``_excess_roots``), and only the
         locations are floats, from ``np.roots`` on each squarefree part.
-        A window lists its base point only."""
+        A window lists its base point only.  Roots are found in the
+        stored variable w and then moved by the base point."""
         if self.is_window:
             w = self.rep
             if w.min_exponent < 0 and any(w.coeffs):
@@ -576,14 +602,17 @@ class MeroFunction:
                 return [(self.base_point, -k)] if k < 0 else []
             return []
         num = self.rep.num
-        return [] if num.is_zero() else _excess_roots(self.rep.den, num)
+        if num.is_zero():
+            return []
+        return _placed(_excess_roots(self.rep.den, num), self.base_point)
 
     def zeros(self) -> list[tuple[complex, int]]:
         """Zero list [(location, order)] of a Rational, as ``poles`` reads
         num / gcd(num, den); a window has none and gives []."""
         if self.is_window:
             return []
-        return _excess_roots(self.rep.num, self.rep.den)
+        return _placed(_excess_roots(self.rep.num, self.rep.den),
+                       self.base_point)
 
 
 # the slot writers behind the immutable MeroFunction, as for exact.Poly
@@ -624,10 +653,11 @@ def evaluate(f: MeroFunction, z: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 def _cancel_monomial(den: Poly, *nums: Poly) -> tuple[Poly, ...]:
-    """(den, *nums) over z^t, t the least valuation of den and the nonzero
-    nums (a cheap exact reduction that keeps monomial-denominator chains
-    from growing); the inputs themselves where t = 0 or every num is 0,
-    with no num scanned where den(0) != 0."""
+    """(den, *nums) over w^t, w the stored variable z - base_point and t
+    the least valuation of den and the nonzero nums (a cheap exact
+    reduction that keeps monomial-denominator chains, such as the poles of
+    an end at its own base point, from growing); the inputs themselves
+    where t = 0 or every num is 0, with no num scanned where den(0) != 0."""
     t = 0 if den.is_zero() else den.low_order()
     if t:
         ts = [n.low_order() for n in nums if not n.is_zero()]
@@ -638,24 +668,27 @@ def _cancel_monomial(den: Poly, *nums: Poly) -> tuple[Poly, ...]:
 
 
 def _common_denominator(fs) -> tuple[list[Poly], Poly]:
-    """(nums, D) with f == nums[k] / D for each Rational f in fs, exactly.
+    """(nums, D) with f == nums[k] / D for each Rational f in fs, exactly,
+    in powers of z - b for b the first one's base point (the others are
+    shifted there where theirs differs).
 
     D is the product of the distinct (by ``Poly`` equality) non-constant
     stored denominators, not their lcm: no gcd is taken.  Each numerator is
     num * (D / den): num times the other distinct factors, divided by den's
     value where den is a constant.
     """
+    reps = [_local_rep(f, fs[0].base_point) for f in fs]
     dens: list[Poly] = []
-    for f in fs:
-        d = f.rep.den
+    for r in reps:
+        d = r.den
         if d.degree > 0 and d not in dens:
             dens.append(d)
     D = Poly.one()
     for d in dens:
         D = D * d
     nums = []
-    for f in fs:
-        num, den = f.rep.num, f.rep.den
+    for r in reps:
+        num, den = r.num, r.den
         for d in dens:
             if d != den:
                 num = num * d
@@ -665,35 +698,61 @@ def _common_denominator(fs) -> tuple[list[Poly], Poly]:
     return nums, D
 
 
+def _offset(p: complex, base: complex):
+    """p - base, exactly: p itself where base is 0, else an
+    ``ExactComplex`` difference (a float one could round)."""
+    return ExactComplex.of(p) - ExactComplex.of(base) if base else p
+
+
+def _local_rep(f: MeroFunction, p: complex) -> Rational:
+    """The Rational f in powers of z - p: the stored one where p is f's
+    base point, else its numerator and denominator Taylor-shifted exactly
+    by the offset p - base_point (every float is Gaussian-rational)."""
+    if p == f.base_point:
+        return f.rep
+    off = _offset(p, f.base_point)
+    return Rational(f.rep.num.shift(off), f.rep.den.shift(off))
+
+
+def _placed(roots: list[tuple[complex, int]], base: complex):
+    """Roots found in w = z - base moved to z, sorted by (real, imag)."""
+    moved = [(p + base, k) for p, k in roots] if base else roots
+    return sorted(moved, key=lambda pm: (pm[0].real, pm[0].imag))
+
+
 def _translated(f: MeroFunction, p: complex) -> MeroFunction:
-    """w -> f(w + p), exactly.  A Rational has its numerator and denominator
-    Taylor-shifted by p (p is a float, hence Gaussian-rational, so the shift
-    is exact; nothing is cancelled).  A window keeps its coefficients, which
-    are in powers of z - base_point, and its base point moves by -p."""
+    """w -> f(w + p), exactly.  Where p is f's base point this only
+    relabels the base point to 0: the stored coefficients, in powers of
+    z - p, are the translate's in powers of w.  A window always keeps its
+    coefficients, and its base point moves by -p.  A Rational at another
+    base point is re-expressed around p (``_local_rep``, one exact shift)
+    and gets base point 0."""
     p = complex(p)
-    rep = f.rep
-    if f.is_rational:
-        rep = Rational(rep.num.shift(p), rep.den.shift(p))
-    return MeroFunction(rep, f.base_point - p, f.domain)
+    if f.is_window:
+        return MeroFunction(f.rep, f.base_point - p, f.domain)
+    return MeroFunction(_local_rep(f, p), 0j, f.domain)
 
 
-def _evaluate_rational(rep: Rational, z: complex) -> complex:
-    """num(z)/den(z) in floats while trusted; else exactly from the
-    translates to z: a pole, or their ratio at d0 = ord den (a removable
-    point filled; past the float range, +-inf part by part)."""
+def _evaluate_rational(f: MeroFunction, z: complex) -> complex:
+    """num(w)/den(w) in floats at w = z - base while trusted; else exactly
+    from the translates to the exact offset: a pole, or their ratio at
+    d0 = ord den (a removable point filled; past the float range, +-inf
+    part by part)."""
+    rep, base = f.rep, f.base_point
     if rep.num.is_zero():
         return 0j
-    dv = rep.den(z)
+    w = z - base if base else z
+    dv = rep.den(w)
     if (abs(dv.real) < _SMITH_LIMIT and abs(dv.imag) < _SMITH_LIMIT
             and abs(dv) > 1e-150):
-        v = rep.num(z) / dv
+        v = rep.num(w) / dv
         if cmath.isfinite(v):
             return v
-    n, d = rep.num.shift(z), rep.den.shift(z)
-    n0, d0 = n.low_order(), d.low_order()
+    t = _local_rep(f, z)
+    n0, d0 = t.num.low_order(), t.den.low_order()
     if n0 < d0:
         raise EvaluationAtPole(f"pole of order {d0 - n0} at {z}")
-    return complex(n.coeff(d0) / d.coeff(d0))
+    return complex(t.num.coeff(d0) / t.den.coeff(d0))
 
 
 def _exact_series_quotient(ns: Poly, ds: Poly, count: int
@@ -728,8 +787,10 @@ def _diophantine(a: Poly, b: Poly, c: Poly) -> tuple[Poly, Poly]:
     return s, (c - s * a).exact_div(b)
 
 
-def _rational_antiderivative(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Exact antiderivative of num/den as (num, den), or NonExactField.
+def _rational_antiderivative(num: Poly, den: Poly, base: complex = 0j
+                             ) -> tuple[Poly, Poly]:
+    """Exact antiderivative of num/den as (num, den), or NonExactField,
+    whose pole is moved from w to z by ``base``.
 
     Hermite reduction, quadratic form (Bronstein, Symbolic Integration I,
     2.2), with no factorization: the proper part r/D, D monic, becomes
@@ -756,13 +817,14 @@ def _rational_antiderivative(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         R = R + B * V.exact_div(dm)
         dm = dm2
     if not A.is_zero():
-        _raise_non_exact(A, U)
+        _raise_non_exact(A, U, base)
     # antiderivative = q_int + R/V  ->  (q_int*V + R)/V
     return q_int * V + R, V
 
 
-def _raise_non_exact(W: Poly, U: Poly):
-    """Report the worst simple pole of W/U as a NonExactField error."""
+def _raise_non_exact(W: Poly, U: Poly, base: complex):
+    """Report the worst simple pole of W/U, in w = z - base, as a
+    NonExactField error located in z."""
     roots = _clustered_roots(U)
     du = U.derivative()
     best = None
@@ -773,6 +835,7 @@ def _raise_non_exact(W: Poly, U: Poly):
     if best is None:  # degenerate: U = D/gcd(D, D') has degree >= 1
         raise AssertionError("non-exact part without poles")
     p, res = best
+    p = p + base if base else p
     err = NonExactField(
         f"nonvanishing residue {res} at pole {p}; "
         "the field has no single-valued antiderivative",
@@ -904,7 +967,8 @@ def _binary(op: str, f: MeroFunction, g: MeroFunction) -> MeroFunction:
 
 
 def _binary_rational(op: str, f: MeroFunction, g: MeroFunction) -> MeroFunction:
-    """f op g on the exact pairs, with a common z**t cancelled.
+    """f op g on the exact pairs, with a common w**t cancelled, at f's base
+    point: g is shifted there exactly first where its own differs.
 
     Over a shared denominator D (equal stored ``Poly``; a tuple compare)
     the sum and difference stay over D and the quotient is a.num/b.num,
@@ -918,7 +982,7 @@ def _binary_rational(op: str, f: MeroFunction, g: MeroFunction) -> MeroFunction:
     numerators over Q itself and cancels one z**t from Q and all four at
     once, which keeps Q shared where Q(0) = 0.
     """
-    a, b = f.rep, g.rep
+    a, b = f.rep, _local_rep(g, f.base_point)
     dom = _merge_domain(f.domain, g.domain)
     if op == "div" and b.num.is_zero():
         raise DivisionByZeroFunction("division by the zero function")

@@ -87,7 +87,8 @@ class SL2NullCurve:
     the Hopf cross-check and the Maurer-Cartan trace read it (``invariants``
     module docstring).  A translation keeps both identities, so the end
     analysis's recentred curve G(w) = F(w + p) takes F's decision where F
-    has made it.
+    has made it, and, where p is the slots' base point, relabelled copies
+    of the derived functions F has built.
 
     Caching is sound because the slots are immutable and the cached values
     do not depend on a tolerance.  They are cached outside the fields, so
@@ -214,7 +215,9 @@ def tee_curve(X: C3NullCurve) -> SL2NullCurve:
     poles of X lie in X1 - i X2 alone (X1 + i X2 and X3 regular there, as
     on the curves ``integrate_null`` gives for eta = c/(z - p)**2), and
     there the immersion test's modular certificate sees the derivative
-    numerators without the shared D.  ``series._cancel_monomial`` drops a
+    numerators without the shared D.  The slots take X1's base point, in
+    whose variable ``_common_denominator`` writes X.
+    ``series._cancel_monomial`` drops a
     common power of z from all five at once, since dropping it slot by
     slot would split Q where X3(0) = 0.  ``shear`` keeps one denominator
     the same way.  The exact decision of det F == 1 and det F' == 0 reads
@@ -239,7 +242,7 @@ def tee_curve(X: C3NullCurve) -> SL2NullCurve:
             den, *nums = _cancel_monomial(
                 D * N3, D * D, D * (N1 + iN2), D * (N1 - iN2), top)
         dom = _merge_domain(_merge_domain(X1.domain, X2.domain), X3.domain)
-        F1 = MeroFunction(Rational(nums[0], den), X3.base_point, X3.domain)
+        F1 = MeroFunction(Rational(nums[0], den), X1.base_point, X3.domain)
         F2, F3, F4 = (MeroFunction(Rational(n, den), X1.base_point, dom)
                       for n in nums[1:])
     else:
@@ -315,10 +318,12 @@ def check_null_sl2(F: SL2NullCurve, tol: float = ZERO_TOL) -> SL2Report:
 
 def _one_denominator(slots):
     """(Q, N1, N2, N3, N4) when the four slots are rational over one stored
-    denominator Q (equal ``Poly``), so that F_k = N_k/Q; else None."""
-    reps = [f.rep for f in slots]
+    denominator Q (equal ``Poly``) at one base point, so that F_k = N_k/Q
+    in one variable; else None."""
+    reps, base = [f.rep for f in slots], slots[0].base_point
     den = reps[0].den if type(reps[0]) is Rational else None
-    if all(type(r) is Rational and r.den == den for r in reps):
+    if all(type(r) is Rational and r.den == den and f.base_point == base
+           for r, f in zip(reps, slots)):
         return (den, *(r.num for r in reps))
     return None
 
@@ -401,10 +406,13 @@ def end_model(spec, center: complex = 0j) -> SL2NullCurve:
     m = 1:  ( z^-2,  -(4/3) z,            z^-1,              -(1/3) z^2 )
     m >= 2: ( z^-1,  -z^(m+1)/(m+2),  -1/(m z^(m+1)),  (m+1)^2 z/((m+1)^2-1) )
 
-    Coefficients are small integers over small integers, so det == 1 stays
-    an exact identity.  Serialized curves reload exactly at every centre:
-    off dyadic centres the Taylor-shifted coefficients are not floats, and
-    the file carries them exactly next to the rounded ones.
+    The slots are stored in powers of w = z - center, as every function
+    is stored at its base point (``series`` module docstring), so they are
+    these small integers over small integers at every centre, and
+    det == 1 stays an exact identity with no shift.  Serialized curves
+    keep their coefficients in z and reload exactly at every centre: off
+    dyadic centres the Taylor-shifted coefficients are not floats, and the
+    file carries them exactly next to the rounded ones.
     """
     if isinstance(spec, EndModelSpec):
         m, center = spec.multiplicity, spec.center
@@ -424,16 +432,10 @@ def end_model(spec, center: complex = 0j) -> SL2NullCurve:
                 ((-1,), (0,) * (m + 1) + (m,)),              # -1/(m z^(m+1))
                 ((0, mm), (mm - 1,))]                        # (m+1)^2 z/(mm-1)
     center = complex(center)
-    slots = [_shifted_rational(num, den, center) for num, den in data]
+    slots = [MeroFunction(Rational(Poly(num), Poly(den)), center,
+                          punctured_disk()) for num, den in data]
     return SL2NullCurve(slots[0], slots[1], slots[2], slots[3],
                         pole_set=(center,), singular_set=())
-
-
-def _shifted_rational(num, den, center: complex) -> MeroFunction:
-    return MeroFunction.from_rational(Poly(num).shift(-center),
-                                      Poly(den).shift(-center),
-                                      base_point=center,
-                                      domain=punctured_disk())
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from .errors import DegenerateEta, EtaIdenticallyZero, NonExactField
 from ._lazy import np
 from .exact import (Poly, _derivatives_coprime_mod_p, _derivatives_vary_mod_p,
                     poly_gcd)
-from .series import MeroFunction, ZERO_TOL, _clustered_roots, _window_slice
+from .series import (MeroFunction, ZERO_TOL, _clustered_roots, _local_rep,
+                     _placed, _window_slice)
 
 _I = 1j
 
@@ -290,7 +291,9 @@ def spinor_common_zero_points(s: SpinorData, tol: float = 1e-8
     if not all(f.is_rational for f in fns):
         return []
     g = _common_zero_poly(fns)
-    return list(_sorted_points(p for p, _ in _clustered_roots(g)))
+    base = fns[0].base_point if fns else 0j
+    return list(_sorted_points(p for p, _ in
+                               _placed(_clustered_roots(g), base)))
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +334,17 @@ def _with_cycle(err: NonExactField) -> NonExactField:
 
 def _common_zero_poly(fns) -> Poly:
     """The monic gcd over Q(i) of the numerators of the nonzero rational
-    ``fns``, each first reduced by its gcd with its own denominator.  Its
-    roots are exactly the points where every fn is finite and zero.  Each
+    ``fns``, each first reduced by its gcd with its own denominator, in
+    powers of z - b for b the first fn's base point (a fn stored at
+    another one is shifted there).  Its roots, moved by b, are exactly
+    the points where every fn is finite and zero.  Each
     ``poly_gcd`` starts with the modular certificate, so a pair it proves
     coprime (a slot's num and den, or a reduced numerator and the running
     gcd) runs no Euclid over Q(i)."""
     g = Poly.zero()
     for f in fns:
-        num, den = f.rep.num, f.rep.den
+        r = _local_rep(f, fns[0].base_point)
+        num, den = r.num, r.den
         g = poly_gcd(g, num.exact_div(poly_gcd(num, den)))
         if g.degree == 0:
             break
@@ -353,12 +359,14 @@ def _certified(fns, derivs, tol) -> tuple[bool, bool]:
     whose derivative in ``derivs()`` is zero to within tol is left out, as
     ``_has_common_zero`` leaves it out (``derivs`` is called only there),
     and nonflatness, a test at tol, is not certified.  Nothing is
-    certified unless every fn left is rational."""
+    certified unless every fn left is rational and all share one base
+    point, so that their (num, den) are in one variable."""
     if tol > 0:
         fns = [f for f, d in zip(fns, derivs())
                if not d.is_identically_zero(tol)]
     slots = ([(f.rep.num, f.rep.den) for f in fns]
-             if all(f.is_rational for f in fns) else [])
+             if all(f.is_rational and f.base_point == fns[0].base_point
+                    for f in fns) else [])
     return (_derivatives_coprime_mod_p(slots),
             tol <= 0 and _derivatives_vary_mod_p(slots))
 
@@ -389,4 +397,4 @@ def _has_common_zero(derivs, singular, tol) -> bool:
     if not singular:
         return g.degree >= 1  # exact: no root is found
     return any(all(abs(p - e) >= 1e-8 for e in singular)
-               for p, _ in _clustered_roots(g))
+               for p, _ in _placed(_clustered_roots(g), nonzero[0].base_point))

@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes, config precedence."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -564,3 +565,32 @@ def test_installed_console_script(end1_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "VALID" in proc.stdout
+
+
+#: sha256 of ``endmodel --multiplicity m --center c`` files, as written
+#: when slots were stored in powers of z: files keep coefficients in z, so
+#: storing them in powers of z - center moved no byte
+_ENDMODEL_SHA = {
+    (3, "0,0"):
+        "5bae0b45ec12b651474208510bddcefeafbd84bac8b9174e54b4db4603b6a243",
+    (8, "0,0"):
+        "daf9e2de2c154d84cdc2c1fadba970cc099c4f36c718b2d0db02ca2309b2ed13",
+    (3, "0.5,-0.5"):
+        "91b147c93006eb9be81398f9bc6f088da5e0f655a2f7863ad958b9431bdcbb90",
+    (8, "0.5,-0.5"):
+        "5301d2d99b0961843d8fb925bd5ff4f1b47d52641dd93f41bd53a34e99702d64",
+    (3, "0.3137,0.2719"):
+        "c46e765a576b5cb4c5f56092a99bd063ec28ac283586b458c76502fdc943c52a",
+    (8, "0.3137,0.2719"):
+        "1c9d9c15554b87134dd5316ec92eca224a02de2e90daa73b7910671b349ac2f0",
+}
+
+
+@pytest.mark.parametrize("m,center", sorted(_ENDMODEL_SHA))
+def test_endmodel_file_bytes_are_pinned(tmp_path, capsys, m, center):
+    out = tmp_path / "end.json"
+    assert main(["endmodel", "--multiplicity", str(m), f"--center={center}",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        _ENDMODEL_SHA[m, center]

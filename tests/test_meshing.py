@@ -29,6 +29,8 @@ from nullsl2 import (
     sidecar_dict,
     write_obj,
 )
+from nullsl2.exact import ExactComplex
+from nullsl2.invariants import induced_metric_factor, omega, secondary_gauss
 from nullsl2.serialize import dumps
 
 
@@ -224,7 +226,13 @@ def test_sidecar_dict_contents():
 DYADIC, GENERAL = 0.5 + 0.25j, 0.3137 + 0.2719j
 
 # sha256 of obj_text(mesh) and of dumps(sidecar_dict(mesh)): the OBJ and
-# sidecar bytes beyond the 8x12 golden, which no refactor may change
+# sidecar bytes beyond the 8x12 golden, which no refactor may change.  The
+# three entries away from the origin were re-recorded on purpose when
+# functions began to store their coefficients in powers of z - base_point:
+# an end model is then evaluated in its local variable, and its metric
+# factor matches exact evaluation to 1e-12 (test_end_model_metric_factor_
+# matches_exact_evaluation), where the Taylor-shifted form lost up to every
+# digit; the vertices moved in their last bits
 MESH_DIGESTS = {
     "end2-h3-16x32": (
         lambda: end_model(2), "h3", (16, 32), (0.25, 1.0), 0j,
@@ -244,16 +252,16 @@ MESH_DIGESTS = {
         "282bfde884f2b4c95aa47f903a82f221777e4d4ee42f4b3e4a0502157c96d698"),
     "end3-dyadic-h3-16x32": (
         lambda: end_model(3, DYADIC), "h3", (16, 32), (0.25, 1.0), DYADIC,
-        "fac885e506fff0c8c1cd776c7a2f3996aae25ee7203e93a252dcf3a5bd7e7348",
-        "4fde543aad488f0cefe6c09922c53b9acd3bc69a4cf83fa516704a9eaf86fc10"),
+        "0acfba2b7380820f06a451f28fbc4d5cd08dc206b8960cc8079c32b043f44b11",
+        "3726e6c6a174be72dede1e93abbee47fac4e17e76db2aa48048aced445fc7fae"),
     "end1-general-s31-16x32": (
         lambda: end_model(1, GENERAL), "s31", (16, 32), (0.25, 1.0), GENERAL,
-        "2d6e3329742f224dcf8ae679a14efaefbfa564494310c1cc2491ee980dc2b451",
-        "27d92f1c6bd69f9a2796643b69120c09370aa2d0a39a399013d46ae1cd0071c2"),
+        "31832e0c22a7d93a5dd736b5468ff8ece6c12a95de94a2af61101ef02241914d",
+        "63dc356b0adc8fbdbcdad52c012671213b5aefb34b3d38e43285b340fab2f36f"),
     "end1-general-h3-128x256": (
         lambda: end_model(1, GENERAL), "h3", (128, 256), (0.25, 1.0), GENERAL,
-        "a02fb84516fba619f6977fcd32cfe5dc472859c3fb828ac3af98474e7442d905",
-        "51b59ad65d5d3af80513d37985365ab37751cabea47556b0e9bf334de4f32c10"),
+        "ccff5322a3291b75485fe9d49e07ed9a6c94f40427ed1c79832751effc818766",
+        "a3a89fd166cf3024b75e639990641174803531a00d980448534e7b23f02196e3"),
     "end2-sheared-h3-16x32": (
         lambda: shear(end_model(2), 0.5, "row1+row2"), "h3", (16, 32),
         (0.25, 1.0), 0j,
@@ -279,3 +287,32 @@ def test_mesh_bytes_pinned(name):
     side = hashlib.sha256(dumps(sidecar_dict(mesh)).encode("ascii"))
     assert obj == obj_sha
     assert side.hexdigest() == sidecar_sha
+
+
+def _exact_metric_factor(g, w, z) -> float:
+    """(1 + |g|^2)^2 |omega|^2 at z from Poly.__call__ of g's and omega's
+    stored polynomials at the exact offset z - base_point, rounded once."""
+    off = ExactComplex.of(z) - ExactComplex.of(g.base_point)
+    assert w.base_point == g.base_point
+    gv = g.rep.num(off) / g.rep.den(off)
+    wv = w.rep.num(off) / w.rep.den(off)
+    g2 = gv.re * gv.re + gv.im * gv.im
+    return float((1 + g2) ** 2 * (wv.re * wv.re + wv.im * wv.im))
+
+
+@pytest.mark.parametrize("center", [DYADIC, GENERAL])
+def test_end_model_metric_factor_matches_exact_evaluation(center):
+    # an end model is stored in powers of z - center, so its float values
+    # near the centre keep their digits: the sidecar's metric factor and
+    # induced_metric_factor agree with exact evaluation to 1e-12, for every
+    # m, where the Taylor-shifted form of the model lost up to all of them
+    for m in range(1, 9):
+        F = end_model(m, center)
+        mesh = build_surface_mesh(F, "h3", (16, 32), (0.25, 1.0), center)
+        zs = grid_points(center, (0.25, 1.0), (16, 32)).reshape(-1)
+        g, w = secondary_gauss(F), omega(F)
+        for k in range(0, len(zs), 7):
+            exact = _exact_metric_factor(g, w, complex(zs[k]))
+            for got in (mesh.metric_factor[k],
+                        induced_metric_factor(F, zs[k])):
+                assert abs(got - exact) <= 1e-12 * exact, (m, k)

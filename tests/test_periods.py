@@ -709,3 +709,14 @@ def test_spray_digest_is_pinned():
     text = "\n".join(_spray_digest_records())
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == \
         _SPRAY_DIGEST
+
+
+def test_window_exp_refuses_an_overflowing_exponent_without_a_warning():
+    # exp(800 z) passes the float range on the sampling circle: the inf
+    # samples reach _fft_expand's ValueError, and np.exp's overflow is not
+    # also reported as a RuntimeWarning
+    f = MeroFunction.from_rational([0, 800], [1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            window_exp(f, annulus(0.5, 2.0))

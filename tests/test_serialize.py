@@ -1,6 +1,8 @@
 """JSON/CSV serialization round trips and failure modes."""
 
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -272,3 +274,15 @@ def test_prop_shifted_rational_round_trips_exactly(num, den, centre):
     g = mero_from_dict(json.loads(dumps(mero_to_dict(f))))
     assert (g.rep.num, g.rep.den, g.base_point) == \
         (f.rep.num, f.rep.den, f.base_point)
+
+
+@pytest.mark.parametrize("center", [0.5 - 0.5j, 0.3137 + 0.2719j])
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_end_model_round_trips_at_its_centre(m, center):
+    # slots stored in powers of z - center: copy and pickle keep the stored
+    # form, and a file, which holds coefficients in z, shifts back to it
+    F = end_model(m, center)
+    assert all(s.base_point == center for s in F.slots())
+    assert copy.deepcopy(F) == F
+    assert pickle.loads(pickle.dumps(F)) == F
+    assert curve_from_dict(json.loads(dumps(sl2_to_dict(F)))) == F

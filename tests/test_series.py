@@ -908,3 +908,78 @@ def test_prop_ord_additivity_under_multiplication(f):
         assert g.ord(0) == 2 * f.ord(0)
     except IdenticallyZero:
         pass
+
+
+# ---------------------------------------------------------------------------
+# one coordinate convention: coefficients in powers of z - base_point
+# ---------------------------------------------------------------------------
+
+_BASE = 0.3137 + 0.2719j
+_AT = 0.001 + 0.7j
+
+
+def _lin(p) -> Poly:
+    return Poly([-p, 1])
+
+
+def test_exact_reads_off_the_base_point_match_sympy():
+    # f = (z - P)^2 (z - 1/2) / ((z - P)^3 (z + 1/4) (z - B)), stored in
+    # powers of z - B; fl(P - B) is not P - B, so every exact read at P
+    # must take the exact offset
+    sp = pytest.importorskip("sympy")
+    assert ExactComplex.of(_AT) - ExactComplex.of(_BASE) != \
+        ExactComplex.of(_AT - _BASE)
+    num = _lin(_AT) * _lin(_AT) * _lin(0.5)
+    den = _lin(_AT) * _lin(_AT) * _lin(_AT) * _lin(-0.25) * _lin(_BASE)
+    f = MeroFunction.from_rational(num, den, base_point=_BASE)
+    assert f.base_point == _BASE and f.rep.den.coeff(0).is_zero()
+    z = sp.Symbol("z")
+
+    def sym(c):
+        e = ExactComplex.of(c)
+        return sp.Rational(e.re.numerator, e.re.denominator) \
+            + sp.I * sp.Rational(e.im.numerator, e.im.denominator)
+
+    def expr(p):
+        return sum(sym(c) * z ** k for k, c in enumerate(p.coeffs))
+
+    w = sp.Symbol("w")
+    local = sp.cancel(expr(num) / expr(den)).subs(z, w + sym(_AT))
+    series_ = sp.expand(sp.series(local, w, 0, 3).removeO())
+    coeff = {k: series_.coeff(w, k) for k in range(-2, 3)}
+    assert f.ord(_AT) == -1
+    lo, cs = f.exact_laurent(_AT, 3)
+    assert lo == -1
+    assert [sym(c) for c in cs] == [sp.nsimplify(coeff[k]) for k in
+                                    (-1, 0, 1)]
+    head = f.laurent_head(_AT, -2, 1)
+    for k in range(-2, 2):
+        want = complex(sp.N(coeff[k], 30))
+        assert abs(head[k] - want) <= 1e-14 * max(1.0, abs(want)), k
+    assert f.residue(_AT) == head[-1]
+    poles, zeros = f.poles(), f.zeros()
+    assert [k for _, k in poles] == [1, 1, 1] and zeros[0][1] == 1
+    for (p, _), q in zip(poles, sorted([-0.25, _AT, _BASE],
+                                       key=lambda v: (complex(v).real,
+                                                      complex(v).imag))):
+        assert abs(p - q) < 1e-12
+    assert len(zeros) == 1 and abs(zeros[0][0] - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__",
+                                "__truediv__"])
+def test_cross_base_arithmetic_equals_the_z_form_result(op):
+    # operands at two base points: the right one is shifted exactly to the
+    # left one's base point, which the result takes, and the value is the
+    # one their z-forms give, exactly
+    fz = (Poly([1, 2, 0.5]), Poly([0.25, -1, 0, 1]))
+    gz = (Poly([3, 0, 1j]), Poly([1, 0.5]))
+    f = MeroFunction.from_rational(*fz, base_point=_BASE)
+    g = MeroFunction.from_rational(*gz, base_point=0.5 - 0.25j)
+    h = getattr(f, op)(g)
+    assert h.base_point == _BASE
+    z_form = getattr(MeroFunction.from_rational(*fz),
+                     op)(MeroFunction.from_rational(*gz))
+    want = MeroFunction.from_rational(z_form.rep.num, z_form.rep.den,
+                                      base_point=_BASE)
+    assert h.rep.num * want.rep.den == want.rep.num * h.rep.den
