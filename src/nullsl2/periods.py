@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 from ._lazy import np
 from .errors import (CrossCheckFailed, MaxIterExceeded, PoleOnContour,
                      SingularJacobian)
-from .exact import _ratio
-from .series import (DomainTag, MeroFunction, annulus, _fft_expand, _offset,
-                     _unit_roots)
+from .exact import _ratio, poly_gcd
+from .series import (DomainTag, MeroFunction, Rational, annulus, _fft_expand,
+                     _offset, _unit_roots)
 from .spinor import SpinorData
 
 #: cross-check tolerance between quadrature and residue periods
@@ -394,12 +394,32 @@ def _spray_periods(family: SprayFamily, cycles):
     s (i/2) h_j (eta_z - q) on the same nodes.
 
     Raises PoleOnContour when a declared pole of eta, f3 or an h_j, or a
-    zero of eta (a pole of q), lies on a cycle.
+    pole of q, lies on a cycle.  The poles of q are the zeros of eta whose
+    multiplicity exceeds that of f3^2 there.  Against a nonzero constant
+    f3 they are the zeros of eta, and q = f3^2/eta_z at each node.  On
+    rational eta and a nonconstant rational f3, q is reduced by one
+    ``poly_gcd`` of its numerator and denominator, its poles are read
+    from that reduced form (``MeroFunction.poles``) and its node values
+    are q(z)/exp(zeta . h), so a zero of eta that f3^2 cancels is a
+    regular point even on a node.
+
+    The integrand is evaluated with float warnings off: a zeta at which
+    exp(zeta . h) overflows on a node gives a residual or Jacobian that
+    is not finite, and ``period_solve`` reads that.
     """
-    bad = [p for g in (family.eta, family.f3) + family.basis
-           for p, _ in g.poles()]
-    if not family.f3.is_identically_zero():
-        bad += [p for p, _ in family.eta.zeros()]
+    eta, f3 = family.eta, family.f3
+    bad = [p for g in (eta, f3) + family.basis for p, _ in g.poles()]
+    exact_q = None
+    if _is_constant(f3) or not (eta.is_rational and f3.is_rational):
+        if not f3.is_identically_zero():
+            bad += [p for p, _ in eta.zeros()]
+    else:
+        q = (f3 * f3) / eta
+        num, den = q.rep.num, q.rep.den
+        g = poly_gcd(num, den)    # no node is then a removable 0/0
+        exact_q = MeroFunction(Rational(num.exact_div(g), den.exact_div(g)),
+                               q.base_point, q.domain)
+        bad += [p for p, _ in exact_q.poles()]
     nodes = []
     for c in cycles:
         hit = [p for p in bad if c.min_distance(p) < POLE_DISTANCE_TOL]
@@ -407,21 +427,24 @@ def _spray_periods(family: SprayFamily, cycles):
             raise PoleOnContour(f"singular point {hit[0]} of the spray "
                                 "integrand lies on the integration contour")
         zs, ws = c.nodes_and_weights()
-        nodes.append((ws, family.eta.evaluate_many(zs),
-                      family.f3.evaluate_many(zs) ** 2,
+        nodes.append((ws, eta.evaluate_many(zs),
+                      f3.evaluate_many(zs) ** 2 if exact_q is None
+                      else exact_q.evaluate_many(zs),
                       np.array([h.evaluate_many(zs) for h in family.basis])))
     half = 0.5j if family.conjugate_chart else -0.5j
 
     def evaluate(zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p1, p2, j1, j2 = [], [], [], []
-        for ws, eta, f3sq, hs in nodes:
-            eta_z = eta * np.exp(zeta @ hs)
-            q = f3sq / eta_z
-            plus, minus = ws * (eta_z + q), ws * (eta_z - q)
-            p1.append(0.5 * minus.sum())
-            p2.append(half * plus.sum())
-            j1.append(0.5 * (hs @ plus))
-            j2.append(half * (hs @ minus))
+        with np.errstate(all="ignore"):
+            for ws, eta, top, hs in nodes:
+                e = np.exp(zeta @ hs)
+                eta_z = eta * e
+                q = top / (eta_z if exact_q is None else e)
+                plus, minus = ws * (eta_z + q), ws * (eta_z - q)
+                p1.append(0.5 * minus.sum())
+                p2.append(half * plus.sum())
+                j1.append(0.5 * (hs @ plus))
+                j2.append(half * (hs @ minus))
         return np.array(p1 + p2), np.array(j1 + j2)
     return evaluate
 
@@ -442,9 +465,14 @@ def period_solve(family: SprayFamily, cycles, zeta0=None,
     Steps are least-squares solutions, halved up to `max_halvings` times
     until the max-abs residual norm strictly decreases.
 
+    A candidate whose residual or Jacobian is not finite (exp(zeta . h)
+    overflows on a quadrature node) is a failed step, and is halved.
+
     Raises PoleOnContour when the integrand is singular on a cycle,
-    SingularJacobian for a zero/ill-conditioned Jacobian and
-    MaxIterExceeded (carrying the best iterate) when the budget runs out.
+    SingularJacobian for a zero/ill-conditioned Jacobian, or where the
+    residual or Jacobian at zeta0 is not finite, so that no Newton step
+    can be formed, and MaxIterExceeded (carrying the best iterate) when
+    the budget runs out.
     """
     cyc = tuple(cycles)
     if not cyc:
@@ -465,6 +493,10 @@ def period_solve(family: SprayFamily, cycles, zeta0=None,
                               residual_history=tuple(history))
 
     resid, jac = spray_periods(zeta)
+    if not (np.isfinite(resid).all() and np.isfinite(jac).all()):
+        raise SingularJacobian(
+            "the period residual or Jacobian is not finite at zeta0 "
+            "(exp(zeta . h) overflows on a quadrature node)")
     for _ in range(max_iter):
         norm = float(np.abs(resid).max())
         history.append(norm)
@@ -488,7 +520,9 @@ def period_solve(family: SprayFamily, cycles, zeta0=None,
         for _ in range(max_halvings + 1):
             cand = zeta - lam * delta
             cand_resid, cand_jac = spray_periods(cand)
-            if float(np.abs(cand_resid).max()) < norm:
+            # norm is finite, so a NaN or infinite residual fails here
+            if (float(np.abs(cand_resid).max()) < norm
+                    and np.isfinite(cand_jac).all()):
                 zeta, resid, jac = cand, cand_resid, cand_jac
                 break
             lam /= 2.0

@@ -988,21 +988,23 @@ def _binary_rational(op: str, f: MeroFunction, g: MeroFunction) -> MeroFunction:
         raise DivisionByZeroFunction("division by the zero function")
     if op == "mul":
         num, den = a.num * b.num, a.den * b.den
-    elif a.den == b.den:
-        if op == "add":
-            num, den = a.num + b.num, a.den
-        elif op == "sub":
-            num, den = a.num - b.num, a.den
-        else:
-            num, den = a.num, b.num
-    elif op == "add":
-        num, den = a.num * b.den + b.num * a.den, a.den * b.den
-    elif op == "sub":
-        num, den = a.num * b.den - b.num * a.den, a.den * b.den
+    elif op == "div":
+        num, den = ((a.num, b.num) if a.den == b.den
+                    else (a.num * b.den, a.den * b.num))
     else:
-        num, den = a.num * b.den, a.den * b.num
+        lhs, rhs, den = _over_one_den(a, b)
+        num = lhs + rhs if op == "add" else lhs - rhs
     den, num = _cancel_monomial(den, num)
     return MeroFunction(Rational(num, den), f.base_point, dom)
+
+
+def _over_one_den(a: Rational, b: Rational) -> tuple[Poly, Poly, Poly]:
+    """(A, B, D) with a = A/D and b = B/D: the stored numerators over a
+    shared denominator (equal ``Poly``), else the cross products, so that
+    a +- b is (A +- B)/D."""
+    if a.den == b.den:
+        return a.num, b.num, a.den
+    return a.num * b.den, b.num * a.den, a.den * b.den
 
 
 def _window_add(a: LaurentWindow, b: LaurentWindow, sign: int) -> LaurentWindow:

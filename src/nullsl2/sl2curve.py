@@ -12,7 +12,11 @@ i (z21 - z12), 2).  On curves, both directions extend the bookkeeping pole
 set with the divisor that the denominator introduces (zeros of X3, resp. of
 F1).  Row/column shears are constant unimodular multiplications, so they
 preserve unimodularity, nullity, and pointwise coincidence patterns up to
-the shear's operator norm on C^4.
+the shear's operator norm on C^4.  G = S F with det S = 1 has G' = S F',
+so det G = det F, det G' = det F', the slot derivatives of G vanish
+together exactly where those of F do, and G' spans a fixed direction
+exactly when F' does: a shear takes over the exact verdicts F has made
+(``shear``), and makes them itself only where F has not.
 
 On a rational curve, written X = (N1, N2, N3)/D over one denominator D,
 `tee_curve` stores the four slots over one denominator: Q = N3 where D
@@ -90,11 +94,18 @@ class SL2NullCurve:
     has made it, and, where p is the slots' base point, relabelled copies
     of the derived functions F has built.
 
+    On rational slots the whole ``check_null_sl2`` report at tol <= 0 is
+    one more exact decision, cached beside it: the four verdicts read no
+    tolerance there.  A shear keeps all four (module docstring), so
+    ``shear`` hands both decisions of F to the sheared curve where F has
+    made them, and nothing where a slot of F is a window; F', det F,
+    det F' and omega change under a shear and are not handed over.
+
     Caching is sound because the slots are immutable and the cached values
     do not depend on a tolerance.  They are cached outside the fields, so
     equality, hashing, repr and serialization see only the slots and the
-    two point sets; a new curve (a shear, a rotation,
-    ``dataclasses.replace``, a reload) starts without them.
+    two point sets; a new curve (a rotation, ``dataclasses.replace``, a
+    reload) starts without them, and a shear with F's two decisions only.
     """
 
     F1: MeroFunction
@@ -145,6 +156,12 @@ class SL2NullCurve:
     @property
     def _unimodular_null(self) -> bool:
         return self._det_identities == (True, True)
+
+    @cached_property
+    def _exact_report(self) -> SL2Report | None:
+        if self._det_identities is None:
+            return None
+        return _report(self, 0.0)
 
     @cached_property
     def _omega(self) -> MeroFunction:
@@ -278,6 +295,9 @@ def check_null_sl2(F: SL2NullCurve, tol: float = ZERO_TOL) -> SL2Report:
     The first two read the exact decision of det F == 1 and det F' == 0
     (``SL2NullCurve``); det F - 1 and det F' are tested at `tol` only on
     windows, or at ``tol > 0`` for a verdict the decision leaves False.
+    At ``tol <= 0`` on rational slots the report is made once per curve
+    and cached (``SL2NullCurve``); a sheared curve holds its curve's, where
+    that was made first, since a shear keeps all four verdicts.
 
     On rational slots F_k = N_k/D_k, over one denominator or several,
     immersion and (at ``tol <= 0``) nonflatness are first offered to one
@@ -304,6 +324,14 @@ def check_null_sl2(F: SL2NullCurve, tol: float = ZERO_TOL) -> SL2Report:
     """
     if not isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol}")
+    if tol <= 0 and F._exact_report is not None:
+        return F._exact_report
+    return _report(F, tol)
+
+
+def _report(F: SL2NullCurve, tol: float) -> SL2Report:
+    """The four verdicts of ``check_null_sl2`` at a finite tol, made on F's
+    slots with no cached report read."""
     decided = F._det_identities
     unimodular, null = decided or (False, False)
     if decided is None or tol > 0:
@@ -356,7 +384,15 @@ def shear(F: SL2NullCurve, lam, kind: str) -> SL2NullCurve:
     F_t + lambda F_s that ``MeroFunction`` arithmetic gives.  Other curves
     (end models, windows) take that arithmetic.  The sheared curve keeps
     F's pole set; if F has not read it yet, it is computed once, on the
-    first read of either."""
+    first read of either.
+
+    G = S F by a constant S with det S = 1, and G' = S F', so det G,
+    det G', the common zeros of the slot derivatives (immersion; the
+    singular set is kept) and whether G' spans a fixed direction
+    (nonflatness) are those of F.  Where F has made its exact decision of
+    det F == 1 and det F' == 0 and its tol <= 0 report
+    (``SL2NullCurve``), G takes them and decides neither again; where a
+    slot of F is a window, G takes nothing."""
     if kind not in _SHEAR_RECIPES:
         raise ValueError(f"unknown shear kind {kind!r}; "
                          f"expected one of {SHEAR_KINDS}")
@@ -376,8 +412,15 @@ def shear(F: SL2NullCurve, lam, kind: str) -> SL2NullCurve:
         lam_f = MeroFunction.constant(lam, slots[0].base_point)
         for target, source in _SHEAR_RECIPES[kind]:
             out[target] = slots[target] + lam_f * slots[source]
-    return SL2NullCurve(out[0], out[1], out[2], out[3],
-                        _pole_source(F), F.singular_set)
+    G = SL2NullCurve(out[0], out[1], out[2], out[3],
+                     _pole_source(F), F.singular_set)
+    # G = S F and G' = S F' with det S = 1: F's exact verdicts are G's
+    facts = vars(F)
+    if facts.get("_det_identities") is not None:
+        for name in ("_det_identities", "_exact_report"):
+            if name in facts:
+                vars(G)[name] = facts[name]
+    return G
 
 
 def shear_matrix(lam: complex, kind: str) -> np.ndarray:

@@ -25,8 +25,9 @@ from .errors import DegenerateEta, EtaIdenticallyZero, NonExactField
 from ._lazy import np
 from .exact import (Poly, _derivatives_coprime_mod_p, _derivatives_vary_mod_p,
                     poly_gcd)
-from .series import (MeroFunction, ZERO_TOL, _clustered_roots, _local_rep,
-                     _placed, _window_slice)
+from .series import (MeroFunction, Rational, ZERO_TOL, _cancel_monomial,
+                     _clustered_roots, _local_rep, _merge_domain,
+                     _over_one_den, _placed, _window_slice)
 
 _I = 1j
 
@@ -156,13 +157,34 @@ class C3Report:
 def from_spinor(s: SpinorData) -> DirectionField:
     """Rebuild the null direction field from (eta, f3); its pole set is
     that of eta, f3 and q = f3^2/eta, as f1 +- i*f2 are eta and -q.  The
-    pole set is computed on first read of ``pole_set``."""
-    q = (s.f3 * s.f3) / s.eta
-    f1 = (s.eta - q) * 0.5
-    sign = 1 if s.conjugate_chart else -1
-    f2 = (s.eta + q) * (sign * 0.5j)
+    pole set is computed on first read of ``pole_set``.
+
+    On rational eta and q at one base point, eta = a/u and q = b/v, the
+    two slots share one set of products (``series._over_one_den``):
+    f1 = (a v - b u)/(2 u v) and f2 = +-(i/2)(a v + b u)/(u v), or the
+    numerators alone over u where u == v, each with its own common power
+    of z cancelled.  Every stored
+    Rational is the one (eta - q) * 0.5 and (eta + q) * (+-0.5i) store,
+    from three polynomial products where those form ten (none where they
+    form four, over u == v).  Windows take that arithmetic."""
+    eta = s.eta
+    q = (s.f3 * s.f3) / eta
+    half = 0.5j if s.conjugate_chart else -0.5j
+    if eta.is_rational and q.is_rational and q.base_point == eta.base_point:
+        lhs, rhs, den = _over_one_den(eta.rep, q.rep)
+        dom = _merge_domain(eta.domain, q.domain)
+
+        def over_den(num):
+            d, n = _cancel_monomial(den, num)
+            return MeroFunction(Rational(n, d), eta.base_point, dom)
+
+        f1 = over_den((lhs - rhs).scale(0.5))
+        f2 = over_den((lhs + rhs).scale(half))
+    else:
+        f1 = (eta - q) * 0.5
+        f2 = (eta + q) * half
     return DirectionField(f1, f2, s.f3,
-                          _Deferred(_pole_points, s.eta, s.f3, q))
+                          _Deferred(_pole_points, eta, s.f3, q))
 
 
 def extract_spinor(f, alternate_chart: bool = False) -> SpinorData:

@@ -320,6 +320,22 @@ def test_solve_divergent_is_domain_failure(toy_solver_paths, capsys):
     assert "MaxIterExceeded" in capsys.readouterr().err
 
 
+def test_solve_start_past_the_float_range_is_domain_failure(
+        tmp_path, capsys):
+    # exp(800/z^2) overflows on the unit circle: a domain failure (exit 1),
+    # not an input error from the least-squares step
+    fam = SprayFamily(MeroFunction.from_rational([0.3, 1], [0, 1]),
+                      MeroFunction.constant(1),
+                      (MeroFunction.from_rational([1], [0, 0, 1]),))
+    fam_path, cyc_path = tmp_path / "family.json", tmp_path / "cycles.json"
+    save_json(fam_path, spray_to_dict(fam))
+    save_json(cyc_path, {"cycles": [cycle_to_dict(Cycle.circle(0, 1.0))]})
+    code = main(["solve", "--family", str(fam_path), "--cycles",
+                 str(cyc_path), "--zeta0", "800,0"])
+    assert code == 1
+    assert "SingularJacobian" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cycle", [
     {"kind": "circle", "center": [0, 0], "radius": 1.0, "nodes": 0},
     {"kind": "circle", "center": [0, 0], "radius": 1.0, "nodes": -3},

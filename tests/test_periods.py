@@ -609,6 +609,24 @@ def test_solver_pole_on_contour_raises():
         period_solve(toy_family(), cycles)
 
 
+def test_a_zero_of_eta_that_f3_squared_cancels_is_regular():
+    # eta = (z - 1/2)^2 (1 + 0.3/z), f3 = z - 1/2: q = f3^2/eta = z/(z + 0.3)
+    # is regular at 1/2, so the circle of radius 1/2 through it is a valid
+    # contour, and no singular point lies between it and radius 0.51.  The
+    # residues at 0 and -0.3 give 2 pi i (0.1875, 0.1125 i)
+    lin = MeroFunction.from_poly([-0.5, 1])
+    eta = lin * lin * MeroFunction.from_rational([0.3, 1], [0, 1])
+    fam = SprayFamily(eta, lin, (inv_z(),))
+    want = TWO_PI_I * np.array([0.1875, 0.1125j])
+    wider = solver_residual(fam, [Cycle.circle(0, 0.51)], [0.0])
+    on_zero = solver_residual(fam, [Cycle.circle(0, 0.5)], [0.0])
+    assert np.abs(wider - want).max() < 1e-10
+    assert np.abs(on_zero - wider).max() < 1e-10
+    # a zero of eta that f3^2 does not cancel stays singular: -0.3
+    with pytest.raises(PoleOnContour):
+        solver_residual(fam, [Cycle.circle(0, 0.3)], [0.0])
+
+
 def test_solve_does_not_use_the_window_path(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the solver must not build Laurent windows")
@@ -628,6 +646,75 @@ def test_solve_budget_exhaustion_carries_best_iterate():
     assert err.report is not None and not err.report.converged
     assert len(err.residual_history) == 2
     assert err.zeta is not None
+
+
+def _far_start_family():
+    # eta = 1 + 0.3/z, f3 = 1, basis {1/z^2}: exp(zeta/z^2) on the unit
+    # circle reaches exp(|zeta|)
+    return SprayFamily(MeroFunction.from_rational([0.3, 1], [0, 1]),
+                       MeroFunction.constant(1), (inv_z(2),))
+
+
+def test_solve_from_far_away_fails_without_a_float_warning():
+    # Newton steps from 20 overflow exp on some nodes: each such candidate
+    # is a failed step, and the solve runs out of halvings, warning-free
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MaxIterExceeded) as exc:
+            period_solve(_far_start_family(), [Cycle.circle(0, 1.0)],
+                         zeta0=[20.0])
+    assert exc.value.report is not None and not exc.value.report.converged
+
+
+def test_solve_from_past_the_float_range_is_a_domain_failure():
+    # exp(800) is inf: the residual at the start is not finite, which is
+    # reported before the least-squares step could meet it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularJacobian, match="not finite"):
+            period_solve(_far_start_family(), [Cycle.circle(0, 1.0)],
+                         zeta0=[800.0])
+
+
+def _counted_evaluations(monkeypatch) -> list:
+    """One entry per evaluation of the solver's residual map."""
+    calls, real = [], nullsl2.periods._spray_periods
+
+    def spray_periods(family, cycles):
+        evaluate = real(family, cycles)
+        return lambda zeta: calls.append(zeta) or evaluate(zeta)
+
+    monkeypatch.setattr(nullsl2.periods, "_spray_periods", spray_periods)
+    return calls
+
+
+def _damped_family():
+    # eta = 1 + 0.3/z + 0.1 z, f3 = 0, basis {1/z}: from -8 the full
+    # Newton step overshoots, and its half decreases the residual
+    return SprayFamily(MeroFunction.from_rational([0.3, 1, 0.1], [0, 1]),
+                       MeroFunction.constant(0), (inv_z(),))
+
+
+def test_damped_newton_halves_one_step(monkeypatch):
+    calls = _counted_evaluations(monkeypatch)
+    res = period_solve(_damped_family(), [Cycle.circle(0, 1.0)],
+                       zeta0=[-8.0])
+    assert res.converged and res.residual_norm <= 1e-10
+    assert res.iterations == 6
+    # the start, five accepted steps and one rejected full step
+    assert len(calls) == 1 + (res.iterations - 1) + 1
+
+
+def test_damped_newton_without_halvings_fails_at_its_best_iterate():
+    with pytest.raises(MaxIterExceeded,
+                       match="no residual decrease along the damped Newton "
+                             "direction") as exc:
+        period_solve(_damped_family(), [Cycle.circle(0, 1.0)],
+                     zeta0=[-8.0], max_halvings=0)
+    report = exc.value.report
+    assert not report.converged and report.iterations == 1
+    assert report.zeta == (-8.0,)
+    assert report.residual_norm == report.residual_history[0] > 1.0
 
 
 def test_solve_validates_inputs():

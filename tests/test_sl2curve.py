@@ -522,6 +522,56 @@ def test_recentred_curve_takes_the_decision_and_builds_no_det_derivative(p):
         assert "_det_derivative" not in vars(G)
 
 
+_HANDED_OVER = ("_det_identities", "_exact_report")
+
+
+def _handover_curves():
+    """(curve, lambda): every _tee_pool curve and end models m = 1..8 at 0
+    and at a dyadic centre, each plain and under one shear; all
+    unchecked."""
+    out = []
+    for i, (F, lam) in enumerate(_tee_pool()):
+        out.append((F, lam))
+        out.append((shear(F, 1 - 0.5j, SHEAR_KINDS[i % 4]), lam))
+    for m in range(1, 9):
+        for c in (0j, 0.5 - 0.25j):
+            F = end_model(m, c)
+            out.append((F, 1.5 + 0.5j))
+            out.append((shear(F, 0.75j, SHEAR_KINDS[m % 4]), -1 + 0.25j))
+    return out
+
+
+def test_shear_hands_over_the_exact_decision_and_report():
+    # G = S F and G' = S F' with det S = 1 keep det F, det F', the common
+    # zeros of F' and whether F' spans a fixed direction: after
+    # check_null_sl2(F, 0) every shear carries F's decision and tol-0
+    # report, and its verdicts at each tol are those of a fresh copy of
+    # G, which decides everything on its own slots; before it, a shear
+    # takes nothing and checks its own arithmetic
+    curves = _handover_curves()
+    assert len(curves) == 27 * 2 + 16 * 2
+    for F, lam in curves:
+        unchecked = shear(F, lam, SHEAR_KINDS[0])
+        assert not set(_HANDED_OVER) & vars(unchecked).keys()
+        report = check_null_sl2(F, tol=0.0)
+        assert vars(F)["_exact_report"] is report
+        for kind in SHEAR_KINDS:
+            G = shear(F, lam, kind)
+            for name in _HANDED_OVER:
+                assert vars(G)[name] is vars(F)[name]
+            fresh = SL2NullCurve(*G.slots(), G.pole_set, G.singular_set)
+            assert not set(_HANDED_OVER) & vars(fresh).keys()
+            for tol in (0.0, 1e-12, 1e-8, 1e-4):
+                assert check_null_sl2(G, tol) == check_null_sl2(fresh, tol)
+
+
+def test_shear_of_a_window_curve_hands_nothing_over():
+    F = _window_curve()
+    check_null_sl2(F, tol=0.0)
+    for kind in SHEAR_KINDS:
+        assert not set(_HANDED_OVER) & vars(shear(F, 0.5, kind)).keys()
+
+
 def _ratio_varies_at_x(c, ref) -> bool:
     """Whether the numerator of (c/ref)' has a nonzero image at ``_X``
     modulo ``_P``, for rational c = a/u and ref = b/v: N'D - ND' with

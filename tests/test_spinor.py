@@ -1,6 +1,7 @@
 """Spinor encoding of null direction fields and exact integration."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +61,47 @@ def test_from_spinor_nullity_exact_hand_case():
     assert total.is_identically_zero(0.0)   # exact, not approximate
     z = 0.7 + 0.2j
     assert abs(field.f1.evaluate(z) - (z - 1 / z) / 2) < 1e-14
+
+
+def _nullity_pool_spinors(monkeypatch, seed):
+    """The SpinorData of one round of construct ops of ``seed``: the
+    nullity ops' rational eta and f3 at the three heights and on both
+    charts, then the curve ops' integrable ones."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import nullsl2
+    import workloads
+    monkeypatch.setitem(workloads.CYCLES, "construct",
+                        workloads.ROUND["construct"])
+    seen, real = [], nullsl2.from_spinor
+    monkeypatch.setattr(nullsl2, "from_spinor",
+                        lambda s: seen.append(s) or real(s))
+    for op in workloads.construct_ops(seed):
+        op.run()
+    monkeypatch.setattr(nullsl2, "from_spinor", real)
+    return seen
+
+
+def test_from_spinor_stores_the_two_operation_forms(monkeypatch, rng):
+    # f1 and f2 come from one set of cross products of eta and q, each
+    # with its own common power of z cancelled: every stored Rational is
+    # the one (eta - q) * 0.5 and (eta + q) * (+-0.5i) store, and windows
+    # take that arithmetic itself
+    spinors = _nullity_pool_spinors(monkeypatch, 1)
+    spinors += _nullity_pool_spinors(monkeypatch, 7)
+    assert len(spinors) == 72
+    assert {s.conjugate_chart for s in spinors} == {False, True}
+    spinors += [random_window_spinor(rng) for _ in range(5)]
+    for s in spinors:
+        q = (s.f3 * s.f3) / s.eta
+        half = 0.5j if s.conjugate_chart else -0.5j
+        field = from_spinor(s)
+        for got, want in ((field.f1, (s.eta - q) * 0.5),
+                          (field.f2, (s.eta + q) * half)):
+            assert got == want
+            if want.is_rational:
+                assert got.rep.num == want.rep.num
+                assert got.rep.den == want.rep.den
 
 
 def test_from_spinor_conjugate_chart_flips_f2():
